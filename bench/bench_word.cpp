@@ -292,9 +292,7 @@ void print_scalar_vs_packed() {
 /// per-fault scalar word::guaranteed_trace versus one packed
 /// WordBatchRunner::run() sweep (PR 4 acceptance: packed ≥ 10× scalar,
 /// traces bit-identical — the identity is enforced by
-/// tests/word_trace_test.cpp). Also measures the per-pass scratch pooling
-/// before/after (ROADMAP SIMD follow-on (a)): the same packed sweep with
-/// fresh per-pass allocations versus the pooled thread-local scratch.
+/// tests/word_trace_test.cpp).
 void print_trace_head_to_head() {
     const auto& test = march::march_c_minus();
     word::WordRunOptions opts;  // 8 words × 8 bits
@@ -312,27 +310,20 @@ void print_trace_head_to_head() {
     });
     util::ThreadPool serial(1);
     const word::WordBatchRunner runner(test, backgrounds, opts, &serial);
-    sim::set_pass_scratch_enabled(false);
-    const double unpooled_s =
-        seconds_per_sweep([&] { return runner.run(population).size(); });
-    sim::set_pass_scratch_enabled(true);
     const double packed_s =
         seconds_per_sweep([&] { return runner.run(population).size(); });
 
     const auto faults = static_cast<double>(population.size());
     const double scalar_fps = faults / scalar_s;
-    const double unpooled_fps = faults / unpooled_s;
     const double packed_fps = faults / packed_s;
     std::printf(
         "Guaranteed-trace extraction (March C-, %d words x %d bits, "
         "%zu backgrounds, %zu CFid placements, 1 thread):\n"
         "  scalar oracle   : %12.0f faults/sec\n"
-        "  packed, no pool : %12.0f faults/sec\n"
-        "  packed, pooled  : %12.0f faults/sec\n"
-        "  packed/scalar   : %.1fx   pooling: %.2fx\n\n",
+        "  packed          : %12.0f faults/sec\n"
+        "  packed/scalar   : %.1fx\n\n",
         opts.words, opts.width, backgrounds.size(), population.size(),
-        scalar_fps, unpooled_fps, packed_fps, packed_fps / scalar_fps,
-        packed_fps / unpooled_fps);
+        scalar_fps, packed_fps, packed_fps / scalar_fps);
 
     benchutil::JsonSummary summary("word");
     summary.field("workload", "trace_extraction")
@@ -343,10 +334,7 @@ void print_trace_head_to_head() {
         .field("population", population.size())
         .field("trace_scalar_faults_per_sec", scalar_fps)
         .field("trace_packed_faults_per_sec", packed_fps)
-        .field("trace_speedup", packed_fps / scalar_fps, 2)
-        .field("alloc_before_faults_per_sec", unpooled_fps)
-        .field("alloc_after_faults_per_sec", packed_fps)
-        .field("alloc_pooling_speedup", packed_fps / unpooled_fps, 2);
+        .field("trace_speedup", packed_fps / scalar_fps, 2);
     summary.print();
 }
 

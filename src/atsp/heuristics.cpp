@@ -42,9 +42,35 @@ std::optional<Tour> best_nearest_neighbour(const CostMatrix& costs) {
     return best;
 }
 
+namespace {
+
+/// True when `order` lists every node of `costs` exactly once.
+bool visits_every_node_once(const CostMatrix& costs,
+                            const std::vector<int>& order) {
+    if (static_cast<int>(order.size()) != costs.size()) return false;
+    std::vector<char> seen(order.size(), 0);
+    for (int v : order) {
+        if (v < 0 || v >= costs.size() || seen[static_cast<std::size_t>(v)])
+            return false;
+        seen[static_cast<std::size_t>(v)] = 1;
+    }
+    return true;
+}
+
+}  // namespace
+
 Tour or_opt(const CostMatrix& costs, Tour tour) {
     const int n = static_cast<int>(tour.order.size());
     if (n < 4) return tour;
+    // Every move permutes the tour, so no move can be feasible unless the
+    // tour already visits each node once.
+    if (!visits_every_node_once(costs, tour.order)) return tour;
+    const auto at = [&](int pos) {
+        return tour.order[static_cast<std::size_t>(pos)];
+    };
+    // Moves are built and priced in this one buffer; an accepted move
+    // swaps it with the tour's order.
+    std::vector<int> candidate(static_cast<std::size_t>(n));
     bool improved = true;
     while (improved) {
         improved = false;
@@ -52,37 +78,33 @@ Tour or_opt(const CostMatrix& costs, Tour tour) {
             for (int from = 0; from < n && !improved; ++from) {
                 // Segment occupies positions from .. from+seg_len-1 (mod n).
                 for (int to = 0; to < n && !improved; ++to) {
-                    // Skip insertion points inside or adjacent to the segment.
-                    bool overlaps = false;
-                    for (int k = -1; k <= seg_len; ++k) {
-                        if ((from + k + n) % n == to) {
-                            overlaps = true;
+                    // Skip insertion points inside or adjacent to the
+                    // segment: to == from + k (mod n), k in -1..seg_len.
+                    if ((to - from + 1 + n) % n <= seg_len + 1) continue;
+
+                    std::size_t out = 0;
+                    for (int idx = 0; idx < n; ++idx) {
+                        if ((idx - from + n) % n < seg_len) continue;
+                        candidate[out++] = at(idx);
+                        if (idx == to)
+                            for (int k = 0; k < seg_len; ++k)
+                                candidate[out++] = at((from + k) % n);
+                    }
+
+                    Cost c = 0;
+                    bool feasible = true;
+                    for (std::size_t k = 0; k < candidate.size(); ++k) {
+                        const Cost arc =
+                            costs.at(candidate[k],
+                                     candidate[(k + 1) % candidate.size()]);
+                        if (arc >= kForbidden) {
+                            feasible = false;
                             break;
                         }
+                        c += arc;
                     }
-                    if (overlaps) continue;
-
-                    std::vector<int> candidate;
-                    candidate.reserve(static_cast<std::size_t>(n));
-                    std::vector<bool> in_segment(static_cast<std::size_t>(n), false);
-                    std::vector<int> segment;
-                    for (int k = 0; k < seg_len; ++k) {
-                        const int idx = (from + k) % n;
-                        in_segment[static_cast<std::size_t>(idx)] = true;
-                        segment.push_back(tour.order[static_cast<std::size_t>(idx)]);
-                    }
-                    for (int idx = 0; idx < n; ++idx) {
-                        if (in_segment[static_cast<std::size_t>(idx)]) continue;
-                        candidate.push_back(tour.order[static_cast<std::size_t>(idx)]);
-                        if (idx == to)
-                            candidate.insert(candidate.end(), segment.begin(),
-                                             segment.end());
-                    }
-                    if (static_cast<int>(candidate.size()) != n) continue;
-                    if (!tour_feasible(costs, candidate)) continue;
-                    const Cost c = tour_cost(costs, candidate);
-                    if (c < tour.cost) {
-                        tour.order = std::move(candidate);
+                    if (feasible && c < tour.cost) {
+                        tour.order.swap(candidate);
                         tour.cost = c;
                         improved = true;
                     }

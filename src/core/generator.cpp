@@ -13,6 +13,7 @@
 #include "engine/engine.hpp"
 #include "sim/two_cell_sim.hpp"
 #include "util/contracts.hpp"
+#include "util/thread_pool.hpp"
 
 namespace mtg::core {
 
@@ -52,17 +53,48 @@ int tp_signature(const TestPattern& tp) {
     return (excite_bits << 4) | op_bits(tp.observe);
 }
 
+/// The session march_valid screens on: the global engine's population
+/// cache, so the pruned entries are shared and stay warm, on a one-lane
+/// pool. A pruned population keeps one fault per placement class, a few
+/// dozen at most, so a screen is one W=1 pass per ⇕ expansion; waking
+/// pool workers for it would cost more than the passes.
+const engine::Engine& screen_engine() {
+    static util::ThreadPool serial(1);
+    static const engine::Engine session([] {
+        engine::EngineConfig config;
+        config.pool = &serial;
+        config.cache = engine::Engine::global().population_cache();
+        return config;
+    }());
+    return session;
+}
+
 /// Simulator check: the March test covers every placement of the target
-/// list — one fail-fast all-kind Engine query instead of a
+/// list — fail-fast all-kind Engine queries instead of a
 /// covers_everywhere call (and runner setup) per kind. The placed
 /// population only depends on (kinds, memory_size), so the Engine's
 /// population cache hands every candidate probe the same expansion.
+///
+/// Screen, then confirm: the candidate first runs against the cached
+/// dominance-pruned population. That population is a filtered subset of
+/// the full one and lanes are independent, so an escape there is an
+/// escape of the full population and the rejection is exact. Only a
+/// candidate that passes the screen pays for the full population, which
+/// alone decides acceptance.
 bool march_valid(const MarchTest& test,
                  const std::vector<FaultKind>& kinds,
                  const sim::RunOptions& run) {
     if (test.empty()) return false;
     if (!sim::is_well_formed(test, run)) return false;
-    return engine::Engine::global().covers_all(test, kinds, run);
+    engine::Query query;
+    query.test = test;
+    query.universe = engine::BitUniverse{run};
+    query.want = engine::Want::DetectsAll;
+    query.kinds = kinds;
+    query.prune = true;
+    if (!screen_engine().run(query).all) return false;
+    query.prune = false;
+    return engine::Engine::global().run(query).all;
 }
 
 /// Greedy deletion pass: removes single operations, then whole elements,
@@ -199,14 +231,17 @@ GenerationResult Generator::generate(const std::vector<FaultKind>& kinds) const 
 
     result.classes = classes;
 
-    // All fault instances of the target list (for the GTS-level semantic
-    // gate of §4.2), kept in move-to-front order: minimisation probes a
-    // chain of shrinking candidates, and a candidate that drops a needed
-    // op keeps failing on the same instance, so fronting the last failure
-    // makes rejected probes fail on the first few gts_detects calls
-    // instead of rescanning from instance 0. (Order never affects the
-    // gate's verdict, only how fast a failure is found.)
-    std::vector<FaultInstance> probe_order = fault::instantiate(kinds);
+    // The faulty machine of every fault instance of the target list (for
+    // the GTS-level semantic gate of §4.2), built once per generation and
+    // kept in move-to-front order: minimisation probes a chain of
+    // shrinking candidates, and a candidate that drops a needed op keeps
+    // failing on the same instance, so fronting the last failure makes
+    // rejected probes fail on the first few gts_detects calls instead of
+    // rescanning from instance 0. (Order never affects the gate's
+    // verdict, only how fast a failure is found.)
+    std::vector<fsm::MemoryFsm> probe_order;
+    for (const FaultInstance& instance : fault::instantiate(kinds))
+        probe_order.push_back(fault::faulty_machine(instance));
 
     // --- §5 enumeration over class alternatives -------------------------
     std::vector<std::size_t> digits(choice_classes.size(), 0);

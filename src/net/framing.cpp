@@ -239,12 +239,16 @@ int tcp_listen(std::uint16_t port) {
     return fd;
 }
 
+void set_tcp_nodelay(int fd) {
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
 int tcp_accept(int listen_fd) {
     for (;;) {
         const int fd = ::accept(listen_fd, nullptr, nullptr);
         if (fd >= 0) {
-            const int one = 1;
-            ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+            set_tcp_nodelay(fd);
             return fd;
         }
         if (errno != EINTR) throw_errno("accept");
@@ -321,8 +325,7 @@ int tcp_connect(const std::string& host, std::uint16_t port,
     if (fd < 0)
         throw std::runtime_error("connect " + host + ":" + service +
                                  " failed or timed out");
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    set_tcp_nodelay(fd);
     return fd;
 }
 

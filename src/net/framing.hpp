@@ -141,6 +141,11 @@ private:
 [[nodiscard]] int tcp_listen(std::uint16_t port);
 [[nodiscard]] int tcp_accept(int listen_fd);
 
+/// Turns Nagle's algorithm off on a connected TCP socket: every
+/// accepted and connected fd gets it, so a small reply or request line
+/// leaves at once instead of waiting for the peer's delayed ACK.
+void set_tcp_nodelay(int fd);
+
 /// Connects with a bounded wait: the socket is put in non-blocking mode,
 /// the connect is raced against poll(), and the fd is restored to
 /// blocking before it is returned. `timeout_ms < 0` waits indefinitely

@@ -94,6 +94,9 @@ void QueryServer::accept_loop() {
             if (errno == EINTR) continue;
             return;  // stop() shut the listen socket down
         }
+        // Replies are single short lines; under Nagle a pipelining client
+        // would wait on its own delayed ACK for every one after the first.
+        set_tcp_nodelay(fd);
         serve_fd(fd);
     }
 }

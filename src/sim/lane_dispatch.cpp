@@ -9,18 +9,9 @@
 namespace mtg::sim {
 
 namespace {
-std::atomic<bool> g_pass_scratch{true};
 std::atomic<bool> g_dense_trace_grids{false};
 std::atomic<int> g_requested_isa{-1};  // -1: resolve MTG_LANE_ISA lazily
 }  // namespace
-
-bool pass_scratch_enabled() {
-    return g_pass_scratch.load(std::memory_order_relaxed);
-}
-
-void set_pass_scratch_enabled(bool enabled) {
-    g_pass_scratch.store(enabled, std::memory_order_relaxed);
-}
 
 bool dense_trace_grids() {
     return g_dense_trace_grids.load(std::memory_order_relaxed);

@@ -109,14 +109,4 @@ void set_requested_lane_isa(LaneIsa isa);
 [[nodiscard]] bool dense_trace_grids();
 void set_dense_trace_grids(bool enabled);
 
-/// Per-pass scratch pooling: when enabled (the default) the packed pass
-/// kernels reuse a thread-local PackedSimMemoryT / PackedWordMemoryT,
-/// re-armed with reset(), so the plane vectors and the per-fault
-/// coupling/static/map tables keep their capacity across passes instead
-/// of being reallocated 63·W injects per chunk. Results are identical
-/// either way; the toggle exists for the bench before/after head-to-head
-/// and for tests of the fresh-allocation path.
-[[nodiscard]] bool pass_scratch_enabled();
-void set_pass_scratch_enabled(bool enabled);
-
 }  // namespace mtg::sim

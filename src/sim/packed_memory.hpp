@@ -51,13 +51,13 @@ public:
 
     [[nodiscard]] int size() const { return static_cast<int>(value_.size()); }
 
-    /// Re-arms the memory for a fresh pass: every lane back to X, every
+    /// Re-arms the memory for a new chunk: every lane back to X, every
     /// fault forgotten — but every allocation kept at its high-water
     /// capacity (the inner coupling/static/map vectors only clear()).
     /// Dirty-index lists keep the cost at O(cells touched by faults), so
-    /// a 63·W-fault chunk pass pays no per-pass malloc traffic (ROADMAP
-    /// SIMD follow-on (a)); the batch kernels call this on a thread-local
-    /// scratch memory between passes.
+    /// injecting a 63·W-fault chunk pays no malloc traffic; the batch
+    /// kernels' thread-local scratch (sim/pass_scratch.hpp) calls this
+    /// when the chunk or the geometry changes.
     void reset(int cell_count) {
         MTG_EXPECTS(cell_count > 0);
         for (int c : single_dirty_)
@@ -79,6 +79,14 @@ public:
             coupling_.resize(n);
             afmap_.resize(n);
         }
+        clear_cells();
+    }
+
+    /// Puts every cell back to X in every lane and keeps the injected
+    /// faults. Reads, writes and waits change nothing but the value/known
+    /// planes, so a memory holding a chunk can run another pass over it
+    /// after this without re-injecting.
+    void clear_cells() {
         std::fill(value_.begin(), value_.end(), block_zero<Block>());
         std::fill(known_.begin(), known_.end(), block_zero<Block>());
     }

@@ -21,7 +21,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -30,6 +29,7 @@
 #include "sim/lane_dispatch.hpp"
 #include "sim/march_runner.hpp"
 #include "sim/packed_memory.hpp"
+#include "sim/pass_scratch.hpp"
 #include "sim/trace_masks.hpp"
 #include "util/thread_pool.hpp"
 
@@ -66,24 +66,16 @@ void sim_run_pass(const SimPlan& plan, const InjectedFault* faults,
     const int n = plan.opts.memory_size;
     const Block used = block_used_lanes<Block>(count);
 
-    // Per-pass scratch pooling (ROADMAP SIMD follow-on (a)): pool workers
-    // are long-lived, so a thread-local memory re-armed with reset()
-    // keeps the plane vectors and the per-fault coupling/static/map
-    // tables at their high-water capacity instead of reallocating 63·W
-    // injects per chunk.
-    std::optional<PackedSimMemoryT<Block>> fresh;
-    PackedSimMemoryT<Block>* mem;
-    if (pass_scratch_enabled()) {
-        thread_local PackedSimMemoryT<Block> scratch(n);
-        scratch.reset(n);
-        mem = &scratch;
-    } else {
-        fresh.emplace(n);
-        mem = &*fresh;
-    }
-    PackedSimMemoryT<Block>& memory = *mem;
-    for (int i = 0; i < count; ++i)
-        memory.inject(faults[i], block_lane_bit<Block>(fault_lane(i)));
+    // Pool workers are long-lived, so each keeps one armed scratch memory
+    // (pass_scratch.hpp): a chunk it already holds costs only a plane
+    // clear, any other chunk a reset and inject with no malloc traffic.
+    thread_local ArmedPassScratch<Block, PackedSimMemoryT<Block>,
+                                  InjectedFault, int>
+        scratch;
+    PackedSimMemoryT<Block>& memory = scratch.arm(
+        std::span<const InjectedFault>(faults,
+                                       static_cast<std::size_t>(count)),
+        n);
 
     Block detected = block_zero<Block>();
     int any_seen = 0;

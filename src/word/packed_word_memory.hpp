@@ -70,12 +70,13 @@ public:
     [[nodiscard]] int words() const { return words_; }
     [[nodiscard]] int width() const { return width_; }
 
-    /// Re-arms the memory for a fresh pass (possibly a new geometry):
+    /// Re-arms the memory for a new chunk (possibly a new geometry):
     /// every bit back to X, every fault forgotten, every allocation kept
     /// at its high-water capacity. Dirty-index lists bound the cost by
-    /// the bit positions faults actually touched, so the batch kernels'
-    /// thread-local scratch memories pay no per-pass malloc traffic for
-    /// the 63·W injects per chunk (ROADMAP SIMD follow-on (a)).
+    /// the bit positions faults actually touched, so injecting a 63·W
+    /// chunk pays no malloc traffic; the batch kernels' thread-local
+    /// scratch (sim/pass_scratch.hpp) calls this when the chunk or the
+    /// geometry changes.
     void reset(int words, int width) {
         MTG_EXPECTS(words > 0);
         MTG_EXPECTS(width >= 1 && width <= 64);
@@ -101,6 +102,14 @@ public:
             coupling_.resize(word_count);
             afmap_.resize(word_count);
         }
+        clear_cells();
+    }
+
+    /// Puts every bit back to X in every lane and keeps the injected
+    /// faults. Reads, writes and waits change nothing but the value/known
+    /// planes, so a memory holding a chunk can run another pass over it
+    /// after this without re-injecting.
+    void clear_cells() {
         std::fill(value_.begin(), value_.end(), sim::block_zero<Block>());
         std::fill(known_.begin(), known_.end(), sim::block_zero<Block>());
     }

@@ -32,7 +32,6 @@
 /// the sparse-vs-dense differential can exercise both.
 
 #include <atomic>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -40,6 +39,7 @@
 #include "sim/lane_block.hpp"
 #include "sim/lane_dispatch.hpp"
 #include "sim/march_runner.hpp"
+#include "sim/pass_scratch.hpp"
 #include "sim/trace_masks.hpp"
 #include "util/thread_pool.hpp"
 #include "word/packed_word_memory.hpp"
@@ -52,7 +52,6 @@ using sim::block_chunk_count;
 using sim::block_chunk_total;
 using sim::block_fault_lanes;
 using sim::block_fill;
-using sim::block_lane_bit;
 using sim::block_none;
 using sim::block_ones;
 using sim::block_test;
@@ -117,24 +116,17 @@ void word_run_pass(const WordPlan& plan, const InjectedBitFault* faults,
                    WordObsSink<Block>* obs_sink) {
     const Block used = block_used_lanes<Block>(count);
 
-    // Per-pass scratch pooling (ROADMAP SIMD follow-on (a)): workers are
-    // long-lived, so a thread-local memory re-armed with reset() keeps the
-    // plane vectors and the per-fault coupling/static/map tables at their
-    // high-water capacity instead of reallocating 63·W injects per chunk.
-    std::optional<PackedWordMemoryT<Block>> fresh;
-    PackedWordMemoryT<Block>* mem;
-    if (sim::pass_scratch_enabled()) {
-        thread_local PackedWordMemoryT<Block> scratch(plan.opts.words,
-                                                      plan.opts.width);
-        scratch.reset(plan.opts.words, plan.opts.width);
-        mem = &scratch;
-    } else {
-        fresh.emplace(plan.opts.words, plan.opts.width);
-        mem = &*fresh;
-    }
-    PackedWordMemoryT<Block>& memory = *mem;
-    for (int i = 0; i < count; ++i)
-        memory.inject(faults[i], block_lane_bit<Block>(fault_lane(i)));
+    // Workers are long-lived, so each keeps one armed scratch memory
+    // (sim/pass_scratch.hpp): a chunk it already holds at this geometry
+    // costs only a plane clear, any other chunk a reset and inject with no
+    // malloc traffic.
+    thread_local sim::detail::ArmedPassScratch<
+        Block, PackedWordMemoryT<Block>, InjectedBitFault, int, int>
+        scratch;
+    PackedWordMemoryT<Block>& memory = scratch.arm(
+        std::span<const InjectedBitFault>(faults,
+                                          static_cast<std::size_t>(count)),
+        plan.opts.words, plan.opts.width);
 
     typename PackedWordMemoryT<Block>::ReadResult got[64];
     Block detected = block_zero<Block>();

@@ -91,16 +91,107 @@ TEST(Heuristics, NearestNeighbourProducesValidTour) {
     EXPECT_EQ(tour->cost, tour_cost(m, tour->order));
 }
 
-TEST(Heuristics, OrOptNeverWorsens) {
-    SplitMix64 rng(13);
-    for (int trial = 0; trial < 10; ++trial) {
-        const CostMatrix m = random_instance(8, rng);
-        const auto nn = best_nearest_neighbour(m);
-        ASSERT_TRUE(nn.has_value());
-        const Tour improved = or_opt(m, *nn);
-        EXPECT_LE(improved.cost, nn->cost);
-        EXPECT_TRUE(tour_feasible(m, improved.order));
+/// The Or-opt of the original implementation, which built three fresh
+/// vectors per candidate move. Kept verbatim as the oracle for the
+/// allocation-free rewrite: the exact solver's incumbent, and with it the
+/// branch-and-bound node counts, depend on Or-opt's scan order and
+/// first-improvement rule.
+Tour reference_or_opt(const CostMatrix& costs, Tour tour) {
+    const int n = static_cast<int>(tour.order.size());
+    if (n < 4) return tour;
+    bool improved = true;
+    while (improved) {
+        improved = false;
+        for (int seg_len = 1; seg_len <= 3 && !improved; ++seg_len) {
+            for (int from = 0; from < n && !improved; ++from) {
+                for (int to = 0; to < n && !improved; ++to) {
+                    bool overlaps = false;
+                    for (int k = -1; k <= seg_len; ++k) {
+                        if ((from + k + n) % n == to) {
+                            overlaps = true;
+                            break;
+                        }
+                    }
+                    if (overlaps) continue;
+
+                    std::vector<int> candidate;
+                    candidate.reserve(static_cast<std::size_t>(n));
+                    std::vector<bool> in_segment(static_cast<std::size_t>(n),
+                                                 false);
+                    std::vector<int> segment;
+                    for (int k = 0; k < seg_len; ++k) {
+                        const int idx = (from + k) % n;
+                        in_segment[static_cast<std::size_t>(idx)] = true;
+                        segment.push_back(
+                            tour.order[static_cast<std::size_t>(idx)]);
+                    }
+                    for (int idx = 0; idx < n; ++idx) {
+                        if (in_segment[static_cast<std::size_t>(idx)]) continue;
+                        candidate.push_back(
+                            tour.order[static_cast<std::size_t>(idx)]);
+                        if (idx == to)
+                            candidate.insert(candidate.end(), segment.begin(),
+                                             segment.end());
+                    }
+                    if (static_cast<int>(candidate.size()) != n) continue;
+                    if (!tour_feasible(costs, candidate)) continue;
+                    const Cost c = tour_cost(costs, candidate);
+                    if (c < tour.cost) {
+                        tour.order = std::move(candidate);
+                        tour.cost = c;
+                        improved = true;
+                    }
+                }
+            }
+        }
     }
+    return tour;
+}
+
+/// Or-opt never worsens a tour, keeps a feasible tour feasible, and
+/// returns exactly the reference's order and cost. Seeded instances of
+/// every size from 4 to 11 nodes, a third of them with forbidden arcs.
+/// Each instance starts once from its nearest-neighbour incumbent (when
+/// one exists) and once from a random permutation, which may itself use
+/// forbidden arcs; a start that is not a permutation of the nodes must
+/// come back unchanged.
+TEST(Heuristics, OrOptNeverWorsens) {
+    SplitMix64 rng(7150);
+    int compared = 0;
+    for (int trial = 0; trial < 160; ++trial) {
+        const int n = 4 + trial % 8;
+        CostMatrix m = random_instance(n, rng);
+        if (trial % 3 == 0)
+            for (int i = 0; i < n; ++i)
+                for (int j = 0; j < n; ++j)
+                    if (i != j && rng.below(4) == 0) m.forbid(i, j);
+
+        std::vector<Tour> starts;
+        if (const auto nn = best_nearest_neighbour(m)) starts.push_back(*nn);
+        std::vector<int> order(static_cast<std::size_t>(n));
+        for (int v = 0; v < n; ++v) order[static_cast<std::size_t>(v)] = v;
+        for (int k = n - 1; k > 0; --k)
+            std::swap(order[static_cast<std::size_t>(k)],
+                      order[rng.below(static_cast<std::uint64_t>(k) + 1)]);
+        starts.push_back(Tour{order, tour_cost(m, order)});
+        if (trial % 16 == 0) {
+            order.back() = order.front();  // not a permutation
+            starts.push_back(Tour{order, tour_cost(m, order)});
+        }
+
+        for (const Tour& start : starts) {
+            const Tour want = reference_or_opt(m, start);
+            const Tour got = or_opt(m, start);
+            ASSERT_EQ(got.order, want.order) << "trial " << trial;
+            ASSERT_EQ(got.cost, want.cost) << "trial " << trial;
+            EXPECT_LE(got.cost, start.cost) << "trial " << trial;
+            if (tour_feasible(m, start.order)) {
+                EXPECT_TRUE(tour_feasible(m, got.order)) << "trial " << trial;
+            }
+            ++compared;
+        }
+    }
+    EXPECT_GE(compared, 200);
 }
 
 TEST(Exact, MatchesBruteForceOnRandomInstances) {

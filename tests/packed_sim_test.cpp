@@ -15,7 +15,9 @@
 #include "sim/batch_runner.hpp"
 #include "sim/march_runner.hpp"
 #include "sim/packed_memory.hpp"
+#include "sim/pass_scratch.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace mtg::sim {
 namespace {
@@ -24,12 +26,13 @@ using fault::FaultKind;
 
 constexpr int kCells = 6;
 
-/// Random placement of `kind` on a kCells memory.
-InjectedFault random_placement(FaultKind kind, SplitMix64& rng) {
+/// Random placement of `kind` on a `cells`-cell memory.
+InjectedFault random_placement(FaultKind kind, SplitMix64& rng,
+                               int cells = kCells) {
     if (!fault::is_two_cell(kind))
-        return InjectedFault::single(kind, rng.range(0, kCells - 1));
-    const int a = rng.range(0, kCells - 1);
-    int v = rng.range(0, kCells - 2);
+        return InjectedFault::single(kind, rng.range(0, cells - 1));
+    const int a = rng.range(0, cells - 1);
+    int v = rng.range(0, cells - 2);
     if (v >= a) ++v;
     return InjectedFault::coupling(kind, a, v);
 }
@@ -290,7 +293,7 @@ TEST(FullPopulation, AllKindOverloadConcatenatesInListOrder) {
 }
 
 TEST(PackedSim, ResetReuseMatchesFreshMemory) {
-    // A reset() memory (the batch kernels' pooled per-pass scratch) must
+    // A reset() memory (how the batch kernels' scratch re-arms) must
     // behave exactly like a freshly constructed one, across a geometry
     // change and a different fault population.
     SplitMix64 rng(0x4E5E7ULL);
@@ -342,6 +345,153 @@ TEST(BatchRunner, EmptyPopulationIsTriviallyCovered) {
                                   opts));
     EXPECT_TRUE(covers_everywhere(march::march_c_minus(), FaultKind::Saf0,
                                   opts));
+}
+
+// ---- armed pass scratch ----------------------------------------------------
+
+/// One full chunk of random placements (every fault kind in turn) on a
+/// `cells`-cell memory.
+std::vector<InjectedFault> random_chunk(SplitMix64& rng, int cells) {
+    const auto& kinds = fault::all_fault_kinds();
+    std::vector<InjectedFault> chunk;
+    for (int i = 0; i < kChunkLanes; ++i)
+        chunk.push_back(random_placement(
+            kinds[static_cast<std::size_t>(i) % kinds.size()], rng, cells));
+    return chunk;
+}
+
+/// The re-arm sequence both scratch tests replay: the same chunk twice,
+/// two equal-size chunks interleaved A -> B -> A, a chunk that differs
+/// from A in one fault, the same chunk on a larger memory (a geometry
+/// change with equal content), and back.
+struct ArmStep {
+    const char* label;
+    const std::vector<InjectedFault>* chunk;
+    int cells;
+};
+
+std::vector<ArmStep> rearm_sequence(const std::vector<InjectedFault>& a,
+                                    const std::vector<InjectedFault>& b,
+                                    const std::vector<InjectedFault>& a1) {
+    return {{"A", &a, kCells},        {"A again", &a, kCells},
+            {"B", &b, kCells},        {"A after B", &a, kCells},
+            {"A one fault changed", &a1, kCells},
+            {"A on a larger memory", &a, kCells + 2},
+            {"A back", &a, kCells}};
+}
+
+/// A with the fault in one lane replaced by a different one.
+std::vector<InjectedFault> change_one_fault(std::vector<InjectedFault> a) {
+    InjectedFault& f = a[31];
+    f = InjectedFault::single(
+        f.kind == FaultKind::Saf0 ? FaultKind::Saf1 : FaultKind::Saf0,
+        f.cell_a);
+    return a;
+}
+
+/// Drives `armed` (as just handed out for `chunk`), a freshly constructed
+/// memory holding the same chunk and one scalar SimMemory per fault
+/// through one random op sequence: every read must agree between the two
+/// packed memories block for block and with the oracle lane for lane.
+void expect_armed_matches_fresh(PackedSimMemory& armed,
+                                const std::vector<InjectedFault>& chunk,
+                                int cells, SplitMix64& rng,
+                                const char* label) {
+    PackedSimMemory fresh(cells);
+    std::vector<SimMemory> oracle;
+    for (std::size_t i = 0; i < chunk.size(); ++i) {
+        fresh.inject(chunk[i],
+                     LaneMask{1} << fault_lane(static_cast<int>(i)));
+        oracle.emplace_back(cells);
+        oracle.back().inject(chunk[i]);
+    }
+    for (int step = 0; step < 80; ++step) {
+        const int choice = rng.range(0, 9);
+        const int addr = rng.range(0, cells - 1);
+        if (choice < 5) {
+            const int d = rng.coin() ? 1 : 0;
+            armed.write(addr, d);
+            fresh.write(addr, d);
+            for (SimMemory& m : oracle) m.write(addr, d);
+        } else if (choice < 9) {
+            const auto got = armed.read(addr);
+            const auto want = fresh.read(addr);
+            ASSERT_EQ(got.value, want.value) << label << " step " << step;
+            ASSERT_EQ(got.known, want.known) << label << " step " << step;
+            for (std::size_t i = 0; i < oracle.size(); ++i) {
+                const Trit expected = oracle[i].read(addr);
+                const int lane = fault_lane(static_cast<int>(i));
+                ASSERT_EQ(((got.known >> lane) & 1u) != 0,
+                          is_known(expected))
+                    << label << " step " << step << " fault " << i;
+                if (is_known(expected)) {
+                    ASSERT_EQ(static_cast<int>((got.value >> lane) & 1u),
+                              trit_bit(expected))
+                        << label << " step " << step << " fault " << i;
+                }
+            }
+        } else {
+            armed.wait();
+            fresh.wait();
+            for (SimMemory& m : oracle) m.wait();
+        }
+    }
+}
+
+TEST(PassScratch, RearmMatchesFreshMemoryAndScalarOracle) {
+    SplitMix64 rng(0xA53EDULL);
+    const auto a = random_chunk(rng, kCells);
+    const auto b = random_chunk(rng, kCells);
+    const auto a1 = change_one_fault(a);
+    ASSERT_NE(a1, a);
+    detail::ArmedPassScratch<LaneMask, PackedSimMemory, InjectedFault, int>
+        scratch;
+    for (const ArmStep& step : rearm_sequence(a, b, a1)) {
+        PackedSimMemory& armed = scratch.arm(*step.chunk, step.cells);
+        ASSERT_EQ(armed.size(), step.cells) << step.label;
+        expect_armed_matches_fresh(armed, *step.chunk, step.cells, rng,
+                                   step.label);
+        if (HasFatalFailure()) return;
+    }
+}
+
+/// The same sequence through the batch kernels' own thread-local scratch,
+/// at every block width on a serial pool: detection flags and guaranteed
+/// traces must match the scalar oracle after every re-arm.
+TEST(PassScratch, BatchPassesMatchScalarOracleAcrossReArms) {
+    SplitMix64 rng(0x5C4A7CULL);
+    const auto a = random_chunk(rng, kCells);
+    const auto b = random_chunk(rng, kCells);
+    const auto a1 = change_one_fault(a);
+    util::ThreadPool serial(1);
+    for (int width : {1, 4, 8}) {
+        for (const ArmStep& step : rearm_sequence(a, b, a1)) {
+            const RunOptions opts{.memory_size = step.cells,
+                                  .max_any_expansion = 6};
+            const auto& test = march::march_c_minus();
+            const BatchRunner runner(test, opts, &serial, width);
+            const auto& population = *step.chunk;
+            const auto flags = runner.detects(population);
+            const auto traces = runner.run(population);
+            for (std::size_t i = 0; i < population.size(); ++i) {
+                const bool scalar = detects(test, population[i], opts);
+                ASSERT_EQ(flags[i], scalar)
+                    << step.label << " W" << width << " fault " << i;
+                ASSERT_EQ(traces[i].detected, scalar);
+                ASSERT_EQ(traces[i].failing_reads,
+                          scalar_guaranteed_reads(test, population[i], opts))
+                    << step.label << " W" << width << " fault " << i;
+                ASSERT_EQ(traces[i].failing_observations,
+                          scalar_guaranteed_observations(test, population[i],
+                                                         opts))
+                    << step.label << " W" << width << " fault " << i;
+            }
+            EXPECT_EQ(runner.detects_all(population),
+                      std::all_of(flags.begin(), flags.end(),
+                                  [](bool f) { return f; }))
+                << step.label << " W" << width;
+        }
+    }
 }
 
 }  // namespace

@@ -11,6 +11,11 @@
 
 #include <gtest/gtest.h>
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
+
+#include <algorithm>
 #include <chrono>
 #include <optional>
 #include <string>
@@ -421,7 +426,8 @@ TEST(QueryServer, StatsOpReportsPerWantAndCacheCounters) {
     stats_request.op = QueryOp::Stats;
     const auto reply = client.roundtrip(stats_request, 30000);
     ASSERT_TRUE(reply.has_value());
-    const Json* body = Json::parse(*reply).find("stats");
+    const Json root = Json::parse(*reply);
+    const Json* body = root.find("stats");
     ASSERT_NE(body, nullptr);
     // Per-Want counts summed over the interactive and bulk engines. The
     // second DetectsAll may be coalesced or served again — >= 1, == for
@@ -438,6 +444,88 @@ TEST(QueryServer, StatsOpReportsPerWantAndCacheCounters) {
     EXPECT_GE(body->find("cache_hits")->as_int() +
                   body->find("cache_misses")->as_int(),
               1);
+}
+
+/// The accept loop turns Nagle off on every connection it adopts. The
+/// server runs in this process, so its end of the connection is among the
+/// process's own fds: a TCP socket bound to the server port that has a
+/// peer (the listening socket has none).
+TEST(QueryServer, AcceptedSocketsHaveNagleOff) {
+    QueryServer server;
+    const std::uint16_t port = server.listen(0);
+    QueryClient client("127.0.0.1", port);
+    QueryRequest ping;
+    ping.id = 1;
+    ping.op = QueryOp::Ping;
+    ASSERT_TRUE(client.roundtrip(ping, 30000).has_value());
+
+    int accepted = 0;
+    for (int fd = 0; fd < 1024; ++fd) {
+        sockaddr_in local{};
+        socklen_t len = sizeof(local);
+        if (::getsockname(fd, reinterpret_cast<sockaddr*>(&local), &len) !=
+                0 ||
+            local.sin_family != AF_INET || ntohs(local.sin_port) != port)
+            continue;
+        sockaddr_in peer{};
+        len = sizeof(peer);
+        if (::getpeername(fd, reinterpret_cast<sockaddr*>(&peer), &len) != 0)
+            continue;
+        int nodelay = 0;
+        len = sizeof(nodelay);
+        ASSERT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &nodelay, &len),
+                  0);
+        EXPECT_NE(nodelay, 0) << "accepted fd " << fd;
+        ++accepted;
+    }
+    EXPECT_EQ(accepted, 1);
+}
+
+/// Pipelining must not be slower than waiting for each reply. With Nagle
+/// on the server's socket every reply after the first waited for the
+/// client's delayed ACK, and pipelined pings ran at a fraction of the
+/// one-deep rate on the same connection. Best of three rounds each, so a
+/// scheduling hiccup in one round does not decide the verdict.
+TEST(QueryServer, PipelinedPingsKeepUpWithOneDeep) {
+    QueryServer server;
+    const std::uint16_t port = server.listen(0);
+    QueryClient client("127.0.0.1", port);
+    constexpr int kPings = 200;
+    QueryRequest ping;
+    ping.op = QueryOp::Ping;
+
+    const auto one_deep = [&] {
+        const auto start = Clock::now();
+        for (int i = 0; i < kPings; ++i) {
+            ping.id = i;
+            EXPECT_TRUE(client.roundtrip(ping, 30000).has_value());
+        }
+        return Clock::now() - start;
+    };
+    const auto pipelined = [&] {
+        const auto start = Clock::now();
+        for (int i = 0; i < kPings; ++i) {
+            ping.id = i;
+            EXPECT_TRUE(client.send(ping));
+        }
+        for (int i = 0; i < kPings; ++i)
+            EXPECT_TRUE(client.read_reply(30000).has_value());
+        return Clock::now() - start;
+    };
+
+    auto best_one_deep = Clock::duration::max();
+    auto best_pipelined = Clock::duration::max();
+    for (int round = 0; round < 3; ++round) {
+        best_one_deep = std::min(best_one_deep, one_deep());
+        best_pipelined = std::min(best_pipelined, pipelined());
+    }
+    const auto us = [](Clock::duration d) {
+        return std::chrono::duration_cast<std::chrono::microseconds>(d)
+            .count();
+    };
+    EXPECT_LE(best_pipelined, best_one_deep)
+        << kPings << " pings: pipelined " << us(best_pipelined)
+        << " us, one-deep " << us(best_one_deep) << " us";
 }
 
 }  // namespace

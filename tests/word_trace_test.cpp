@@ -4,8 +4,8 @@
 /// forced intra-word pairs), at every lane width W ∈ {1, 4, 8}, for every
 /// worker count — and traces must come out in canonical order
 /// ((background, element, op[, word]) ascending). Also locks down the
-/// per-pass scratch pooling: reset() reuse and the fresh-allocation path
-/// produce identical results.
+/// kernels' armed pass scratch: reset() reuse, and re-arming across
+/// chunks and geometries, behave exactly like fresh memories.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +15,7 @@
 #include "fault/kinds.hpp"
 #include "march/library.hpp"
 #include "march/parser.hpp"
-#include "sim/lane_dispatch.hpp"
+#include "sim/pass_scratch.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 #include "word/background.hpp"
@@ -351,23 +351,159 @@ TEST(PackedWordMemoryReset, GeometryAndFaultChange) {
     }
 }
 
-TEST(PassScratch, PooledAndFreshPassesAgree) {
-    WordRunOptions opts;
-    opts.width = 8;
-    const auto backgrounds = counting_backgrounds(8);
-    const auto& test = march::march_c_minus();
-    const auto population = coverage_population(FaultKind::CfidUp1, opts);
-    const WordBatchRunner runner(test, backgrounds, opts);
-    ASSERT_TRUE(sim::pass_scratch_enabled());  // default is pooled
-    const auto pooled = runner.run(population);
-    const auto pooled_again = runner.run(population);  // scratch reuse
-    sim::set_pass_scratch_enabled(false);
-    const auto fresh = runner.run(population);
-    sim::set_pass_scratch_enabled(true);
-    ASSERT_EQ(pooled.size(), fresh.size());
-    for (std::size_t i = 0; i < pooled.size(); ++i) {
-        ASSERT_EQ(pooled[i], fresh[i]) << i;
-        ASSERT_EQ(pooled[i], pooled_again[i]) << i;
+// ---- armed pass scratch ----------------------------------------------------
+
+/// One full chunk of random placements (every fault kind in turn) on a
+/// kWords × kWidth memory.
+std::vector<InjectedBitFault> random_chunk(SplitMix64& rng) {
+    const auto& kinds = fault::all_fault_kinds();
+    std::vector<InjectedBitFault> chunk;
+    for (int i = 0; i < sim::kChunkLanes; ++i)
+        chunk.push_back(random_placement(
+            kinds[static_cast<std::size_t>(i) % kinds.size()], rng, kWords,
+            kWidth));
+    return chunk;
+}
+
+/// The re-arm sequence both scratch tests replay: the same chunk twice,
+/// two equal-size chunks interleaved A -> B -> A, a chunk that differs
+/// from A in one fault, the same chunk with one more word and with twice
+/// the bits per word (geometry changes with equal content), and back.
+struct ArmStep {
+    const char* label;
+    const std::vector<InjectedBitFault>* chunk;
+    int words;
+    int width;
+};
+
+std::vector<ArmStep> rearm_sequence(const std::vector<InjectedBitFault>& a,
+                                    const std::vector<InjectedBitFault>& b,
+                                    const std::vector<InjectedBitFault>& a1) {
+    return {{"A", &a, kWords, kWidth},
+            {"A again", &a, kWords, kWidth},
+            {"B", &b, kWords, kWidth},
+            {"A after B", &a, kWords, kWidth},
+            {"A one fault changed", &a1, kWords, kWidth},
+            {"A with one more word", &a, kWords + 1, kWidth},
+            {"A with wider words", &a, kWords, 2 * kWidth},
+            {"A back", &a, kWords, kWidth}};
+}
+
+/// A with the fault in one lane replaced by a different one.
+std::vector<InjectedBitFault> change_one_fault(
+    std::vector<InjectedBitFault> a) {
+    InjectedBitFault& f = a[31];
+    f = InjectedBitFault::single(
+        f.kind == FaultKind::Saf0 ? FaultKind::Saf1 : FaultKind::Saf0, f.a);
+    return a;
+}
+
+/// Drives `armed` (as just handed out for `chunk`), a freshly constructed
+/// memory holding the same chunk and one scalar WordMemory per fault
+/// through one random op sequence: every read must agree between the two
+/// packed memories block for block and with the oracle lane for lane.
+void expect_armed_matches_fresh(PackedWordMemory& armed,
+                                const std::vector<InjectedBitFault>& chunk,
+                                int words, int width, SplitMix64& rng,
+                                const char* label) {
+    PackedWordMemory fresh(words, width);
+    std::vector<WordMemory> oracle;
+    for (std::size_t i = 0; i < chunk.size(); ++i) {
+        fresh.inject(chunk[i],
+                     LaneMask{1} << sim::fault_lane(static_cast<int>(i)));
+        oracle.emplace_back(words, width);
+        oracle.back().inject(chunk[i]);
+    }
+    PackedWordMemory::ReadResult got[64], want[64];
+    for (int step = 0; step < 60; ++step) {
+        const int choice = rng.range(0, 9);
+        const int word = rng.range(0, words - 1);
+        if (choice < 5) {
+            const auto value =
+                rng.next() & ((std::uint64_t{1} << width) - 1);
+            armed.write(word, value);
+            fresh.write(word, value);
+            for (WordMemory& m : oracle) m.write(word, value);
+        } else if (choice < 9) {
+            armed.read(word, got);
+            fresh.read(word, want);
+            std::vector<std::vector<Trit>> expected;
+            for (WordMemory& m : oracle) expected.push_back(m.read(word));
+            for (int bit = 0; bit < width; ++bit) {
+                ASSERT_EQ(got[bit].value, want[bit].value)
+                    << label << " step " << step << " bit " << bit;
+                ASSERT_EQ(got[bit].known, want[bit].known)
+                    << label << " step " << step << " bit " << bit;
+                for (std::size_t i = 0; i < oracle.size(); ++i) {
+                    const Trit e = expected[i][static_cast<std::size_t>(bit)];
+                    const int lane = sim::fault_lane(static_cast<int>(i));
+                    ASSERT_EQ(((got[bit].known >> lane) & 1u) != 0,
+                              is_known(e))
+                        << label << " step " << step << " fault " << i;
+                    if (is_known(e)) {
+                        ASSERT_EQ(
+                            static_cast<int>((got[bit].value >> lane) & 1u),
+                            trit_bit(e))
+                            << label << " step " << step << " fault " << i;
+                    }
+                }
+            }
+        } else {
+            armed.wait();
+            fresh.wait();
+            for (WordMemory& m : oracle) m.wait();
+        }
+    }
+}
+
+TEST(PassScratch, RearmMatchesFreshMemoryAndScalarOracle) {
+    SplitMix64 rng(0xA53EDULL);
+    const auto a = random_chunk(rng);
+    const auto b = random_chunk(rng);
+    const auto a1 = change_one_fault(a);
+    ASSERT_NE(a1, a);
+    sim::detail::ArmedPassScratch<LaneMask, PackedWordMemory,
+                                  InjectedBitFault, int, int>
+        scratch;
+    for (const ArmStep& step : rearm_sequence(a, b, a1)) {
+        PackedWordMemory& armed =
+            scratch.arm(*step.chunk, step.words, step.width);
+        ASSERT_EQ(armed.words(), step.words) << step.label;
+        ASSERT_EQ(armed.width(), step.width) << step.label;
+        expect_armed_matches_fresh(armed, *step.chunk, step.words,
+                                   step.width, rng, step.label);
+        if (HasFatalFailure()) return;
+    }
+}
+
+/// The same sequence through the word kernels' own thread-local scratch,
+/// at every block width on a serial pool: guaranteed traces must match
+/// the scalar oracle after every re-arm.
+TEST(PassScratch, BatchTracesMatchScalarOracleAcrossReArms) {
+    SplitMix64 rng(0x5C4A7CULL);
+    const auto a = random_chunk(rng);
+    const auto b = random_chunk(rng);
+    const auto a1 = change_one_fault(a);
+    const auto& test = march::mats_plus_plus();
+    util::ThreadPool serial(1);
+    for (int lane_width : {1, 4, 8}) {
+        for (const ArmStep& step : rearm_sequence(a, b, a1)) {
+            WordRunOptions opts;
+            opts.words = step.words;
+            opts.width = step.width;
+            const auto backgrounds = counting_backgrounds(step.width);
+            const WordBatchRunner runner(test, backgrounds, opts, &serial,
+                                         lane_width);
+            const auto& population = *step.chunk;
+            const auto traces = runner.run(population);
+            ASSERT_EQ(traces.size(), population.size());
+            for (std::size_t i = 0; i < population.size(); ++i)
+                expect_trace_eq(
+                    traces[i],
+                    guaranteed_trace(test, backgrounds, population[i], opts),
+                    step.label, population[i].kind, i);
+            if (HasFatalFailure()) return;
+        }
     }
 }
 
