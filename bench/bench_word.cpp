@@ -26,18 +26,16 @@ namespace {
 using namespace mtg;
 using benchutil::seconds_per_sweep;
 
-/// Sparse observation grids (PR 8), three legs. Runs FIRST in main():
-/// ru_maxrss is monotonic, so the RSS head-to-head must precede anything
-/// that inflates the process high-water mark, and within the leg the
-/// sparse run must precede the dense one.
+/// Sparse observation grids, three legs. Runs FIRST in main():
+/// ru_maxrss is monotonic, so the RSS measurement must precede anything
+/// that inflates the process high-water mark.
 void print_sparse_grids() {
     const auto& test = march::march_c_minus();
     util::ThreadPool serial(1);
 
-    // Leg 1 — trace memory at words=2048 × width=8: the dense fallback
-    // materialises the full (background × site × word × bit) slab, the
-    // sparse runs hold only the touched cells. Explicit W=8 so the block
-    // width (and so the dense slab) matches the production shape.
+    // Leg 1 — trace memory at words=2048 × width=8: the sparse runs hold
+    // only the touched cells. Explicit W=8 so the block width matches the
+    // production shape.
     word::WordRunOptions big;
     big.words = 2048;
     big.width = 8;
@@ -51,26 +49,19 @@ void print_sparse_grids() {
         fault::FaultKind::CfinDown, {1024, 1}, {1024, 6}));
     const word::WordBatchRunner big_runner(test, big_backgrounds, big,
                                            &serial, 8);
-    // Warm up once so the (path-independent) simulation scratch — plane
-    // vectors, per-fault tables, result buffers — is already in the
-    // baseline; the deltas below then isolate the trace-grid memory,
-    // which is what the sparse runs change.
+    // Warm up once so the simulation scratch — plane vectors, per-fault
+    // tables, result buffers — is already in the baseline; the delta
+    // below then isolates the trace-grid memory.
     (void)big_runner.run(big_population);
     const double rss_start = benchutil::peak_rss_mb();
-    const auto sparse_traces = big_runner.run(big_population);
-    const double rss_sparse = benchutil::peak_rss_mb();
-    sim::set_dense_trace_grids(true);
-    const auto dense_traces = big_runner.run(big_population);
-    sim::set_dense_trace_grids(false);
-    const double rss_dense = benchutil::peak_rss_mb();
-    if (dense_traces.size() != sparse_traces.size()) std::abort();
-    // The high-water mark cannot shrink, so each delta is that leg's own
-    // allocation ceiling; clamp to one page so the ratio stays finite.
-    const double sparse_mb = std::max(rss_sparse - rss_start, 4.0 / 1024);
-    const double dense_mb = std::max(rss_dense - rss_sparse, 4.0 / 1024);
+    (void)big_runner.run(big_population);
+    // The high-water mark cannot shrink, so the delta is the run's own
+    // allocation ceiling; clamp to one page.
+    const double sparse_mb =
+        std::max(benchutil::peak_rss_mb() - rss_start, 4.0 / 1024);
 
-    // Leg 2 — words=4096 × width=8 completes under the sparse grids (the
-    // dense slab for this shape is not allocatable on a dev box).
+    // Leg 2 — words=4096 × width=8 completes under the sparse grids (a
+    // dense slab for this shape would not be allocatable on a dev box).
     word::WordRunOptions huge;
     huge.words = 4096;
     huge.width = 8;
@@ -84,9 +75,7 @@ void print_sparse_grids() {
     const double huge_fps =
         static_cast<double>(huge_population.size()) / huge_s;
 
-    // Leg 3 — throughput head-to-head on the existing 32 words × 16 bits
-    // trace workload: the sparse path must not lose to the dense grid
-    // where the dense grid is still comfortable.
+    // Leg 3 — trace throughput on the 32 words × 16 bits workload.
     word::WordRunOptions wide;
     wide.words = 32;
     wide.width = 16;
@@ -98,45 +87,31 @@ void print_sparse_grids() {
                                             &serial);
     const double sparse_s = seconds_per_sweep(
         [&] { return wide_runner.run(wide_population).size(); });
-    sim::set_dense_trace_grids(true);
-    const double dense_s = seconds_per_sweep(
-        [&] { return wide_runner.run(wide_population).size(); });
-    sim::set_dense_trace_grids(false);
-    const auto wide_faults = static_cast<double>(wide_population.size());
-    const double sparse_fps = wide_faults / sparse_s;
-    const double dense_fps = wide_faults / dense_s;
+    const double sparse_fps =
+        static_cast<double>(wide_population.size()) / sparse_s;
 
     std::printf(
         "Sparse observation grids (March C-, width 8):\n"
-        "  trace RSS, words=2048   : dense %8.1f MiB   sparse %8.1f MiB "
-        "(%.0fx smaller)\n"
-        "  words=4096 extraction   : %12.0f faults/sec (dense: "
-        "unallocatable)\n"
+        "  trace RSS, words=2048   : %8.1f MiB\n"
+        "  words=4096 extraction   : %12.0f faults/sec\n"
         "Trace throughput (March C-, 32 words x 16 bits, %zu placements, "
         "1 thread):\n"
-        "  dense grid (PR4)        : %12.0f faults/sec\n"
-        "  sparse runs             : %12.0f faults/sec  (%.2fx)\n\n",
-        dense_mb, sparse_mb, dense_mb / sparse_mb, huge_fps,
-        wide_population.size(), dense_fps, sparse_fps,
-        sparse_fps / dense_fps);
+        "  sparse runs             : %12.0f faults/sec\n\n",
+        sparse_mb, huge_fps, wide_population.size(), sparse_fps);
 
     benchutil::JsonSummary summary("word");
     summary.field("workload", "sparse_grids")
         .field("march", "March C-")
         .field("rss_words", big.words)
         .field("rss_width", big.width)
-        .field("trace_peak_rss_mb_before", dense_mb, 1)
         .field("trace_peak_rss_mb_after", sparse_mb, 1)
-        .field("trace_rss_shrink", dense_mb / sparse_mb, 1)
         .field("huge_words", huge.words)
         .field("huge_population", huge_population.size())
         .field("huge_words_faults_per_sec", huge_fps)
         .field("sparse_words", wide.words)
         .field("sparse_width", wide.width)
         .field("sparse_population", wide_population.size())
-        .field("dense_trace_faults_per_sec", dense_fps)
-        .field("sparse_trace_faults_per_sec", sparse_fps)
-        .field("sparse_vs_dense", sparse_fps / dense_fps, 2);
+        .field("sparse_trace_faults_per_sec", sparse_fps);
     summary.print();
 }
 
@@ -213,15 +188,11 @@ void print_scalar_vs_packed() {
         wide_population.size(), w1_fps, active_width, wide_fps,
         wide_fps / w1_fps);
 
-    // Engine backend head-to-head on the coverage workload: one packed
-    // session versus a ShardedBackend with one shard per core (the
-    // in-process multi-host split), tracking the merge overhead.
-    const int shard_count = static_cast<int>(pool.worker_count());
+    // Engine transport head-to-heads on the coverage workload: one packed
+    // session versus a RemoteBackend over loopback peers, healthy and
+    // with one peer killed mid-sweep.
     const engine::Engine packed_engine(
         engine::EngineConfig{.backend = engine::BackendKind::Packed});
-    const engine::Engine sharded_engine(
-        engine::EngineConfig{.backend = engine::BackendKind::Sharded,
-                             .shards = shard_count});
     constexpr int kRemotePeers = 2;
     net::LoopbackFleet fleet(kRemotePeers);
     const engine::Engine remote_engine(
@@ -255,16 +226,6 @@ void print_scalar_vs_packed() {
         .field("w1_faults_per_sec", w1_fps)
         .field("wide_faults_per_sec", wide_fps)
         .field("simd_speedup", wide_fps / w1_fps, 2)
-        .engine_backend_head_to_head(
-            "coverage workload", faults, shard_count,
-            [&] {
-                return packed_engine.detects(test, backgrounds, population,
-                                             opts);
-            },
-            [&] {
-                return sharded_engine.detects(test, backgrounds, population,
-                                              opts);
-            })
         .remote_vs_packed(
             "coverage workload", faults, kRemotePeers,
             [&] {

@@ -10,10 +10,6 @@ namespace mtg::engine {
 
 namespace {
 
-util::ThreadPool& pool_of(util::ThreadPool* pool) {
-    return pool != nullptr ? *pool : util::ThreadPool::global();
-}
-
 // ------------------------------------------------------------- scalar ----
 
 /// Guaranteed bit trace via one sim::run_once per ⇕ expansion: reads and
@@ -184,105 +180,6 @@ private:
     }
 };
 
-// ------------------------------------------------------------ sharded ----
-
-class ShardedBackend final : public Backend {
-public:
-    explicit ShardedBackend(int shards)
-        : shards_(shards), inner_(make_packed_backend()) {}
-
-    [[nodiscard]] const char* name() const override { return "sharded"; }
-
-    [[nodiscard]] std::vector<bool> detects(
-        const BitContext& ctx,
-        std::span<const sim::InjectedFault> population) const override {
-        return merge_detects(ctx, population);
-    }
-
-    [[nodiscard]] bool detects_all(
-        const BitContext& ctx,
-        std::span<const sim::InjectedFault> population) const override {
-        return merge_detects_all(ctx, population);
-    }
-
-    [[nodiscard]] std::vector<sim::RunTrace> traces(
-        const BitContext& ctx,
-        std::span<const sim::InjectedFault> population) const override {
-        return merge_traces<sim::RunTrace>(ctx, population);
-    }
-
-    [[nodiscard]] std::vector<bool> detects(
-        const WordContext& ctx,
-        std::span<const word::InjectedBitFault> population) const override {
-        return merge_detects(ctx, population);
-    }
-
-    [[nodiscard]] bool detects_all(
-        const WordContext& ctx,
-        std::span<const word::InjectedBitFault> population) const override {
-        return merge_detects_all(ctx, population);
-    }
-
-    [[nodiscard]] std::vector<word::WordRunTrace> traces(
-        const WordContext& ctx,
-        std::span<const word::InjectedBitFault> population) const override {
-        return merge_traces<word::WordRunTrace>(ctx, population);
-    }
-
-private:
-    int shards_;
-    std::unique_ptr<Backend> inner_;
-
-    [[nodiscard]] int shard_count(util::ThreadPool* pool) const {
-        return shards_ > 0
-                   ? shards_
-                   : static_cast<int>(pool_of(pool).worker_count());
-    }
-
-    template <typename Context, typename Fault>
-    [[nodiscard]] std::vector<bool> merge_detects(
-        const Context& ctx, std::span<const Fault> population) const {
-        std::vector<bool> result;
-        result.reserve(population.size());
-        for (const auto& [begin, end] :
-             shard_ranges(population.size(), shard_count(ctx.pool))) {
-            const std::vector<bool> shard =
-                inner_->detects(ctx, population.subspan(begin, end - begin));
-            result.insert(result.end(), shard.begin(), shard.end());
-        }
-        return result;
-    }
-
-    template <typename Context, typename Fault>
-    [[nodiscard]] bool merge_detects_all(
-        const Context& ctx, std::span<const Fault> population) const {
-        // AND reduction with an early exit after the first escaping shard
-        // — the fail-fast the packed detects_all keeps per chunk.
-        for (const auto& [begin, end] :
-             shard_ranges(population.size(), shard_count(ctx.pool))) {
-            if (!inner_->detects_all(ctx,
-                                     population.subspan(begin, end - begin)))
-                return false;
-        }
-        return true;
-    }
-
-    template <typename Trace, typename Context, typename Fault>
-    [[nodiscard]] std::vector<Trace> merge_traces(
-        const Context& ctx, std::span<const Fault> population) const {
-        std::vector<Trace> result;
-        result.reserve(population.size());
-        for (const auto& [begin, end] :
-             shard_ranges(population.size(), shard_count(ctx.pool))) {
-            std::vector<Trace> shard =
-                inner_->traces(ctx, population.subspan(begin, end - begin));
-            std::move(shard.begin(), shard.end(),
-                      std::back_inserter(result));
-        }
-        return result;
-    }
-};
-
 }  // namespace
 
 std::vector<std::pair<std::size_t, std::size_t>> shard_ranges(
@@ -310,10 +207,6 @@ std::unique_ptr<Backend> make_scalar_backend() {
 
 std::unique_ptr<Backend> make_packed_backend() {
     return std::make_unique<PackedBackend>();
-}
-
-std::unique_ptr<Backend> make_sharded_backend(int shards) {
-    return std::make_unique<ShardedBackend>(shards);
 }
 
 }  // namespace mtg::engine

@@ -11,24 +11,21 @@
 /// coverage matrix, dictionaries, compatibility wrappers) is backend-
 /// agnostic.
 ///
-/// Four implementations ship today:
+/// Three implementations ship today:
 ///   - ScalarBackend: the original one-memory-per-fault oracles
 ///     (sim::run_once / word::detects intersection). Slow, obviously
 ///     correct — kept for differential testing.
 ///   - PackedBackend: the production path; wraps sim::BatchRunner /
 ///     word::WordBatchRunner (63·W-lane packed passes, (chunk × ⇕)
 ///     grid sharded across the thread pool).
-///   - ShardedBackend: splits the population across N sub-ranges aligned
-///     to whole lane blocks and runs each through a PackedBackend,
-///     merging per-fault verdicts by concatenation and the all-detected
-///     verdict by AND — the split/merge protocol a multi-host transport
-///     needs (per chunk the result is one 64-bit lane mask).
-///   - RemoteBackend (net/remote_backend.hpp): the same split/merge over
-///     sockets — ranges scattered to worker peers speaking the net/wire
-///     format, with straggler re-dispatch and dead-peer failover.
+///   - RemoteBackend (net/remote_backend.hpp): splits the population into
+///     shard_ranges, scatters them to worker peers speaking the net/wire
+///     format and merges the replies — per-fault verdicts by
+///     concatenation, the all-detected verdict by AND — with straggler
+///     re-dispatch and dead-peer failover.
 ///
 /// Every backend produces bit-identical results for every lane width,
-/// worker count and shard count (tests/engine_test.cpp enforces this
+/// worker count and peer count (tests/engine_test.cpp enforces this
 /// against the scalar oracle).
 
 #include <memory>
@@ -102,19 +99,15 @@ public:
 
 /// Contiguous [begin, end) fault ranges, aligned to whole W=8 lane blocks
 /// (504 lanes) so every boundary is a chunk boundary at any lane width:
-/// each shard's per-chunk 64-bit lane masks and trace grids are disjoint,
+/// each range's per-chunk 64-bit lane masks and trace grids are disjoint,
 /// and merging is pure concatenation (per-fault answers) or AND (the
-/// all-detected verdict). ShardedBackend splits with it in-process; the
-/// RemoteBackend coordinator (net/remote_backend.hpp) ships the same
-/// ranges over sockets.
+/// all-detected verdict). The RemoteBackend coordinator
+/// (net/remote_backend.hpp) ships these ranges over sockets. At most
+/// `shards` ranges, never an empty one; block counts differ by at most one.
 [[nodiscard]] std::vector<std::pair<std::size_t, std::size_t>> shard_ranges(
     std::size_t total, int shards);
 
 [[nodiscard]] std::unique_ptr<Backend> make_scalar_backend();
 [[nodiscard]] std::unique_ptr<Backend> make_packed_backend();
-
-/// `shards` sub-ranges over a PackedBackend; shards <= 0 resolves to the
-/// executing pool's worker count per call.
-[[nodiscard]] std::unique_ptr<Backend> make_sharded_backend(int shards);
 
 }  // namespace mtg::engine

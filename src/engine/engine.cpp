@@ -21,7 +21,6 @@ std::vector<int> kind_key(const std::vector<fault::FaultKind>& kinds) {
 std::unique_ptr<Backend> make_backend(const EngineConfig& config) {
     switch (config.backend) {
         case BackendKind::Scalar: return make_scalar_backend();
-        case BackendKind::Sharded: return make_sharded_backend(config.shards);
         case BackendKind::Packed: break;
     }
     return make_packed_backend();

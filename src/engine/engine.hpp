@@ -28,9 +28,9 @@
 ///
 /// Execution is delegated to a Backend (see backend.hpp): Scalar (the
 /// original per-fault oracles, for differential testing), Packed (the
-/// production 63·W-lane kernels) or Sharded (N sub-ranges merged by
-/// concatenation/AND — the in-process rehearsal of the multi-host
-/// reduction protocol). All backends are bit-identical; the legacy free
+/// production 63·W-lane kernels) or Remote (shard ranges scattered to a
+/// worker fleet and merged by concatenation/AND — see
+/// net/remote_backend.hpp). All backends are bit-identical; the legacy free
 /// functions (sim::covers_everywhere, sim::covers_all, word::
 /// covers_everywhere, the guaranteed_* trace accessors, both dictionary
 /// build paths) are thin wrappers over Engine::global().
@@ -217,13 +217,12 @@ private:
 };
 
 /// Execution strategy of a session.
-enum class BackendKind { Scalar, Packed, Sharded };
+enum class BackendKind { Scalar, Packed };
 
 struct EngineConfig {
     BackendKind backend{BackendKind::Packed};
     util::ThreadPool* pool{nullptr};  ///< nullptr = process-wide pool
     int lane_width{0};                ///< 0 = CPUID / MTG_LANE_WIDTH
-    int shards{0};  ///< Sharded only; <= 0 = pool worker count
     /// Population cache shared with other sessions (the query server's
     /// two engines pass one); nullptr = a private cache.
     std::shared_ptr<PopulationCache> cache;
@@ -237,8 +236,8 @@ struct EngineConfig {
 /// multiple threads (the caches are internally locked, the backends are
 /// stateless, and the pool serialises concurrent jobs). Engine::global()
 /// is the process-wide packed session the legacy free functions route
-/// through; build a local Engine to pin a different backend, pool, width
-/// or shard count.
+/// through; build a local Engine to pin a different backend, pool or
+/// width.
 class Engine {
 public:
     explicit Engine(EngineConfig config = {});

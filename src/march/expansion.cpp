@@ -1,5 +1,7 @@
 #include "march/expansion.hpp"
 
+#include "util/contracts.hpp"
+
 namespace mtg::march {
 
 int any_order_count(const MarchTest& test) {
@@ -11,6 +13,7 @@ int any_order_count(const MarchTest& test) {
 
 std::vector<unsigned> expansion_choices(const MarchTest& test,
                                         int max_any_expansion) {
+    MTG_EXPECTS(max_any_expansion <= kMaxAnyExpansion);
     const int k = any_order_count(test);
     if (k <= max_any_expansion) {
         std::vector<unsigned> all;

@@ -23,7 +23,14 @@ namespace mtg::march {
 /// Number of ⇕ elements of a test.
 [[nodiscard]] int any_order_count(const MarchTest& test);
 
-/// The concrete ⇕ resolutions described above.
+/// Largest admissible ⇕ expansion cap: 2^16 resolutions per fault sweep.
+/// Every default (6 bit, 4 word) sits far below it; a larger cap would let
+/// one request enumerate billions of resolutions (and `1u << k` is
+/// undefined from k = 32 on).
+inline constexpr int kMaxAnyExpansion = 16;
+
+/// The concrete ⇕ resolutions described above. Requires
+/// `max_any_expansion <= kMaxAnyExpansion`.
 [[nodiscard]] std::vector<unsigned> expansion_choices(const MarchTest& test,
                                                       int max_any_expansion);
 

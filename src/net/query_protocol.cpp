@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "fault/kinds.hpp"
+#include "march/expansion.hpp"
 #include "march/library.hpp"
 #include "march/parser.hpp"
 #include "util/contracts.hpp"
@@ -336,11 +337,12 @@ QueryOp parse_op(const std::string& name) {
     throw std::runtime_error("unknown op \"" + name + "\"");
 }
 
-int int_field(const Json& root, const char* key, int fallback) {
+int int_field(const Json& root, const char* key, int fallback,
+              int max = 1'000'000) {
     const Json* field = root.find(key);
     if (field == nullptr) return fallback;
     const std::int64_t value = field->as_int();
-    if (value < 0 || value > 1'000'000)
+    if (value < 0 || value > max)
         throw std::runtime_error(std::string(key) + " out of range");
     return static_cast<int>(value);
 }
@@ -371,7 +373,8 @@ QueryRequest parse_request(const std::string& line) {
     request.words = int_field(root, "words", 0);
     request.width = int_field(root, "width", 0);
     request.backgrounds = string_field(root, "backgrounds");
-    request.max_any = int_field(root, "max_any", 0);
+    request.max_any =
+        int_field(root, "max_any", 0, march::kMaxAnyExpansion);
     const std::string klass = string_field(root, "class");
     if (klass == "interactive") request.klass = QueryClass::Interactive;
     else if (klass == "bulk") request.klass = QueryClass::Bulk;

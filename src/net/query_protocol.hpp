@@ -23,7 +23,8 @@
 /// syntax; `kinds` is a fault family/primitive CSV (parse_fault_kinds);
 /// `universe` ∈ bit (default) | word; `n` (bit memory size), `words`,
 /// `width`, `backgrounds` ∈ counting (default) | solid, `max_any`
-/// override the universe defaults; `class` ∈ interactive | bulk
+/// (at most march::kMaxAnyExpansion = 16) override the universe
+/// defaults; `class` ∈ interactive | bulk
 /// overrides the admission class the server would infer from the op.
 ///
 /// Response (one line): {"id": 7, "ok": true, ...} with per-op payload —

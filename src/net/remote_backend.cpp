@@ -56,7 +56,7 @@ public:
         MTG_EXPECTS(options.reconnect_backoff_ms >= 1);
         MTG_EXPECTS(options.reconnect_backoff_max_ms >=
                     options.reconnect_backoff_ms);
-        MTG_EXPECTS(options.frame_version == 0 || options.frame_version == 1);
+        MTG_EXPECTS(options.mid_frame_idle_ms >= 0);
         const auto now = steady::now();
         peers_.reserve(configs.size());
         for (PeerConfig& config : configs) {
@@ -64,17 +64,10 @@ public:
             peer->connect_fn = std::move(config.connect);
             peer->next_attempt = now;
             if (config.fd >= 0) {
-                auto channel = std::make_shared<FrameChannel>(config.fd);
-                channel->set_max_frame_bytes(options_.max_frame_bytes);
-                channel->set_mid_frame_idle_ms(options_.mid_frame_idle_ms);
-                if (hello_exchange(*channel)) {
-                    peer->channel = std::move(channel);
-                    peer->phase = PeerPhase::Alive;
-                    peer->last_pong = now;
-                    peer->last_ping = now;
-                }
-                // else: the channel closes here; the peer starts Dead and
-                // the supervisor revives it if a connect factory exists.
+                peer->channel = open_channel(config.fd);
+                peer->phase = PeerPhase::Alive;
+                peer->last_pong = now;
+                peer->last_ping = now;
             }
             peers_.push_back(std::move(peer));
         }
@@ -221,7 +214,10 @@ private:
         int outstanding{0};  ///< queries sent, replies not yet routed
         steady::time_point last_pong{};
         steady::time_point last_ping{};
+        /// Consecutive failed attempts: refused connects plus
+        /// connections that died before answering a single frame.
         int backoff_attempt{0};
+        bool answered{false};  ///< the current connection sent a frame
         steady::time_point next_attempt{};
     };
 
@@ -250,36 +246,17 @@ private:
     mutable std::uint64_t next_id_{1};
     mutable std::uint64_t ping_nonce_{0};
     mutable std::unordered_map<std::uint64_t, Task*> task_index_;
-    mutable SplitMix64 backoff_rng_;  ///< supervisor only, under mutex_
+    mutable SplitMix64 backoff_rng_;  ///< under mutex_
     /// The DegradeLocal peer of last resort, built on first use. Guarded
     /// by exec_mutex_ (only the dispatcher touches it).
     mutable std::unique_ptr<Backend> local_;
 
-    // -------------------------------------------------------- handshake --
-
-    /// Runs the coordinator side of the Hello exchange on a fresh
-    /// connection (before its receiver exists — recv here is safe).
-    /// frame_version 1 pins bare v1 frames and skips the exchange
-    /// entirely for pre-negotiation peers.
-    [[nodiscard]] bool hello_exchange(FrameChannel& channel) const {
-        if (options_.frame_version == 1) return true;
-        if (!channel.send(net::encode_hello({net::kMaxFrameVersion})))
-            return false;
-        std::vector<std::uint8_t> payload;
-        if (channel.recv(payload, options_.connect_timeout_ms) !=
-            FrameChannel::RecvStatus::Ok)
-            return false;
-        Message reply;
-        try {
-            reply = net::decode_message(payload);
-        } catch (const net::WireFormatError&) {
-            return false;
-        }
-        if (reply.type != MessageType::Hello) return false;
-        const int agreed = reply.hello.max_frame_version;
-        if (agreed < 1 || agreed > net::kMaxFrameVersion) return false;
-        channel.set_frame_version(agreed);
-        return true;
+    /// Wraps a fresh connection with this coordinator's frame bounds.
+    [[nodiscard]] std::shared_ptr<FrameChannel> open_channel(int fd) const {
+        auto channel = std::make_shared<FrameChannel>(fd);
+        channel->set_max_frame_bytes(options_.max_frame_bytes);
+        channel->set_mid_frame_idle_ms(options_.mid_frame_idle_ms);
+        return channel;
     }
 
     // ----------------------------------------------------- receiver side --
@@ -330,6 +307,7 @@ private:
             // through a big range answers its queued pings late, and its
             // results count just as well.
             peer.last_pong = steady::now();
+            peer.answered = true;
             if (peer.phase == PeerPhase::Suspect) {
                 peer.phase = PeerPhase::Alive;
                 cv_.notify_all();
@@ -394,9 +372,17 @@ private:
         // the dispatcher re-dispatches them to surviving peers.
         for (auto& [id, task] : task_index_)
             std::erase(task->owing, peer_index);
-        // First reconnect attempt is immediate; backoff grows on failure.
-        peer.backoff_attempt = 0;
-        peer.next_attempt = steady::now();
+        // A connection that answered anything earns an immediate redial.
+        // One that died before its first frame counts as a failed attempt
+        // and waits out the backoff, so a listener that accepts and drops
+        // every connection is not redialled on every supervisor tick.
+        if (peer.answered) {
+            peer.backoff_attempt = 0;
+            peer.next_attempt = steady::now();
+        } else {
+            peer.next_attempt =
+                steady::now() + backoff_delay(peer.backoff_attempt++);
+        }
         cv_.notify_all();
     }
 
@@ -477,12 +463,7 @@ private:
             fd = -1;
         }
         std::shared_ptr<FrameChannel> channel;
-        if (fd >= 0) {
-            channel = std::make_shared<FrameChannel>(fd);
-            channel->set_max_frame_bytes(options_.max_frame_bytes);
-            channel->set_mid_frame_idle_ms(options_.mid_frame_idle_ms);
-            if (!hello_exchange(*channel)) channel.reset();
-        }
+        if (fd >= 0) channel = open_channel(fd);
         const auto now = steady::now();
         const std::lock_guard<std::mutex> lock(mutex_);
         if (channel != nullptr && !stop_.load(std::memory_order_relaxed)) {
@@ -491,7 +472,7 @@ private:
             peer.outstanding = 0;
             peer.last_pong = now;
             peer.last_ping = now;
-            peer.backoff_attempt = 0;
+            peer.answered = false;
             const std::uint64_t generation = ++peer.generation;
             peer.receiver = std::thread(
                 [this, peer_index, generation, ch = peer.channel] {

@@ -1,23 +1,22 @@
 #pragma once
 
 /// \file remote_backend.hpp
-/// engine::RemoteBackend — the fourth Backend: fault simulation sharded
+/// engine::RemoteBackend — the third Backend: fault simulation sharded
 /// across a *supervised* fleet of worker peers over sockets.
 ///
 /// The coordinator splits every population into contiguous ranges aligned
-/// to whole 504-lane W=8 blocks (engine::shard_ranges — the exact split
-/// ShardedBackend rehearsed in-process), ships each range as a wire.hpp
-/// Query to a peer, and merges the replies exactly like ShardedBackend
-/// does: per-fault verdicts and traces concatenate by range position, the
-/// all-detected verdict ANDs (with early exit — an escaping range marks
-/// the remaining ones moot).
+/// to whole 504-lane W=8 blocks (engine::shard_ranges), ships each range
+/// as a wire.hpp Query to a peer, and merges the replies: per-fault
+/// verdicts and traces concatenate by range position, the all-detected
+/// verdict ANDs (with early exit — an escaping range marks the remaining
+/// ones moot).
 ///
 /// Peer lifecycle — every peer runs the state machine
 ///
 ///     Alive ──(pong overdue)──► Suspect ──(pong older still)──► Dead
 ///       ▲  ◄──(pong arrives)──────┘                              │
 ///       │                                                        ▼
-///       └──(connect + Hello succeed)──────────────────── Reconnecting
+///       └──(connect succeeds)──────────────────────────── Reconnecting
 ///
 /// driven by a supervisor thread: Ping/Pong heartbeats age peers into
 /// Suspect (no new dispatches; in-flight replies still accepted) and
@@ -25,7 +24,10 @@
 /// connect factory enter Reconnecting on a capped exponential backoff
 /// with deterministic seeded jitter, and a revived peer rejoins range
 /// scheduling mid-query. Receiver errors (closed/corrupt/garbage frames)
-/// short-circuit straight to Dead.
+/// short-circuit straight to Dead. A fresh connection is Alive at once,
+/// so a peer that drops it before answering anything dies through its
+/// receiver like one dying mid-query; such a connection counts as a
+/// failed attempt, and its next redial waits out the backoff.
 ///
 /// Fault tolerance during a query:
 ///   - Straggler re-dispatch: a range in flight longer than
@@ -93,12 +95,6 @@ struct RemoteOptions {
     int reconnect_backoff_ms{50};
     int reconnect_backoff_max_ms{2000};
     std::uint64_t backoff_seed{1};
-    /// Timeout for (re)connect attempts and the Hello reply.
-    int connect_timeout_ms{2000};
-    /// Frame version policy: 0 negotiates the highest both ends speak via
-    /// the Hello exchange; 1 pins bare v1 frames and skips the Hello
-    /// entirely (for pre-negotiation peers).
-    int frame_version{0};
     /// Frame payload cap applied to every peer channel (0 = the default
     /// net::kMaxFrameBytes, 64 MiB). Raise it when Traces /
     /// DictionarySweep replies for large word memories exceed the
@@ -108,8 +104,8 @@ struct RemoteOptions {
     /// rejected as Corrupt.
     std::uint32_t max_frame_bytes{0};
     /// Mid-frame idle-progress bound applied to every peer channel
-    /// (FrameChannel::set_mid_frame_idle_ms): 0 keeps the 30 s default,
-    /// negative disables it. The chaos harness shrinks this so a
+    /// (FrameChannel::set_mid_frame_idle_ms): 0 keeps the 30 s default;
+    /// must not be negative. The chaos harness shrinks this so a
     /// byte-dribbling peer is declared Corrupt (and its ranges
     /// re-dispatched) quickly instead of wedging the receiver.
     int mid_frame_idle_ms{0};

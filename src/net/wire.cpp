@@ -401,13 +401,6 @@ std::vector<std::uint8_t> encode_error(const WireFault& error) {
     return w.take();
 }
 
-std::vector<std::uint8_t> encode_hello(const WireHello& hello) {
-    Writer w;
-    put_header(w, MessageType::Hello);
-    w.u8(static_cast<std::uint8_t>(hello.max_frame_version));
-    return w.take();
-}
-
 std::vector<std::uint8_t> encode_ping(const WirePing& ping) {
     Writer w;
     put_header(w, MessageType::Ping);
@@ -494,13 +487,6 @@ Message decode_message(std::span<const std::uint8_t> payload) {
             message.error.message.reserve(length);
             for (std::size_t i = 0; i < length; ++i)
                 message.error.message.push_back(static_cast<char>(r.u8()));
-            break;
-        }
-        case static_cast<std::uint8_t>(MessageType::Hello): {
-            message.type = MessageType::Hello;
-            const std::uint8_t offered = r.u8();
-            if (offered < 1) throw WireFormatError("bad hello version");
-            message.hello.max_frame_version = offered;
             break;
         }
         case static_cast<std::uint8_t>(MessageType::Ping): {

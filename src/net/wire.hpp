@@ -9,7 +9,7 @@
 ///
 ///   [u8 version][u8 message type][body ...]
 ///
-/// with all multi-byte integers little-endian. Three message types exist:
+/// with all multi-byte integers little-endian. Five message types exist:
 ///
 ///   Query   — (test, universe, range, want) plus the population slice of
 ///             the range: the coordinator ships the concrete faults, so a
@@ -21,14 +21,6 @@
 ///             all-detected byte, or serialized guaranteed traces.
 ///   Error   — a worker-side failure description; the coordinator treats
 ///             it like a dead peer and re-dispatches the range.
-///   Hello   — frame-version negotiation: the coordinator opens every
-///             connection with Hello{max frame version it speaks}; the
-///             worker replies Hello{min(offered, own max)} and both ends
-///             switch FrameChannel to the agreed version (v2 = CRC32C
-///             trailer, see framing.hpp). Hello frames themselves always
-///             travel as v1 so any version can parse them. A worker that
-///             receives a Query as its first message is talking to a v1
-///             coordinator and simply serves v1 — old peers stay served.
 ///   Ping    — coordinator heartbeat probe carrying a nonce; answered
 ///   Pong    — immediately by the worker, echoing the nonce. The peer
 ///             supervisor uses pong age to drive the Alive → Suspect →
@@ -62,11 +54,6 @@ namespace mtg::net {
 /// Bumped on any incompatible payload change; peers reject mismatches.
 inline constexpr std::uint8_t kWireVersion = 1;
 
-/// Highest *frame* version this build speaks (see framing.hpp): 2 adds
-/// the CRC32C trailer. Negotiated per connection by the Hello exchange;
-/// payload encoding is version 1 in both frame formats.
-inline constexpr int kMaxFrameVersion = 2;
-
 /// Thrown by the decoder on any malformed payload.
 class WireFormatError : public std::runtime_error {
 public:
@@ -78,7 +65,6 @@ enum class MessageType : std::uint8_t {
     Query = 1,
     Result = 2,
     Error = 3,
-    Hello = 4,
     Ping = 5,
     Pong = 6,
 };
@@ -126,11 +112,6 @@ struct WireFault {
     std::string message;
 };
 
-/// Frame-version negotiation (both directions: offer and acceptance).
-struct WireHello {
-    int max_frame_version{kMaxFrameVersion};
-};
-
 /// Heartbeat probe / reply; the nonce matches a Pong to its Ping.
 struct WirePing {
     std::uint64_t nonce{0};
@@ -142,14 +123,12 @@ struct Message {
     WireQuery query;
     WireResult result;
     WireFault error;
-    WireHello hello;
     WirePing ping;  ///< Ping and Pong both land here
 };
 
 [[nodiscard]] std::vector<std::uint8_t> encode_query(const WireQuery& query);
 [[nodiscard]] std::vector<std::uint8_t> encode_result(const WireResult& result);
 [[nodiscard]] std::vector<std::uint8_t> encode_error(const WireFault& error);
-[[nodiscard]] std::vector<std::uint8_t> encode_hello(const WireHello& hello);
 [[nodiscard]] std::vector<std::uint8_t> encode_ping(const WirePing& ping);
 [[nodiscard]] std::vector<std::uint8_t> encode_pong(const WirePing& pong);
 

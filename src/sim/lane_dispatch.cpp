@@ -9,17 +9,8 @@
 namespace mtg::sim {
 
 namespace {
-std::atomic<bool> g_dense_trace_grids{false};
 std::atomic<int> g_requested_isa{-1};  // -1: resolve MTG_LANE_ISA lazily
 }  // namespace
-
-bool dense_trace_grids() {
-    return g_dense_trace_grids.load(std::memory_order_relaxed);
-}
-
-void set_dense_trace_grids(bool enabled) {
-    g_dense_trace_grids.store(enabled, std::memory_order_relaxed);
-}
 
 LaneIsa parse_lane_isa(const char* value) {
     if (value == nullptr) return LaneIsa::Auto;

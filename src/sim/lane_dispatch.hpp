@@ -101,12 +101,4 @@ void set_requested_lane_isa(LaneIsa isa);
 /// process-wide request and the host CPUID features.
 [[nodiscard]] LaneIsa active_lane_isa(std::size_t work_items);
 
-/// Dense trace-grid fallback: when enabled, word_run_chunk materialises
-/// the full dense (background × site × word × bit) observation grid of
-/// PR 4 instead of the sparse runs. Test-only — kept compiled for one
-/// release so the sparse-vs-dense differential can exercise both paths;
-/// the dense grid is O(words) memory and cannot allocate at words=4096.
-[[nodiscard]] bool dense_trace_grids();
-void set_dense_trace_grids(bool enabled);
-
 }  // namespace mtg::sim

@@ -1,14 +1,17 @@
 /// Engine ≡ legacy API: every Query kind must match the old free
 /// functions and the scalar oracles bit-for-bit across execution
-/// backends (Scalar vs Packed vs Sharded with shard counts {1, 2, 3}),
-/// lane widths {1, 4, 8} and worker counts {1, 2, hardware_concurrency}
-/// — the backend, width, pool and shard count are execution details,
-/// never semantic ones. Also covers the Engine's population cache and
-/// the chunk-aligned shard split on multi-block populations.
+/// backends (Scalar vs Packed vs Remote over loopback peers), lane widths
+/// {1, 4, 8} and worker counts {1, 2, hardware_concurrency} — the
+/// backend, width, pool and peer count are execution details, never
+/// semantic ones. Also covers the Engine's population cache and the
+/// chunk-aligned shard_ranges split the remote coordinator scatters.
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <stdexcept>
@@ -18,9 +21,11 @@
 #include "engine/engine.hpp"
 #include "fault/kinds.hpp"
 #include "march/library.hpp"
+#include "net/framing.hpp"
 #include "net/remote_backend.hpp"
 #include "net/worker.hpp"
 #include "sim/batch_runner.hpp"
+#include "util/contracts.hpp"
 #include "util/thread_pool.hpp"
 #include "word/word_batch_runner.hpp"
 
@@ -42,20 +47,6 @@ std::vector<unsigned> worker_counts() {
         std::max(1u, std::thread::hardware_concurrency());
     return {1u, 2u, hardware};
 }
-
-/// Every (backend, shards) combination the differential sweeps.
-struct BackendCase {
-    BackendKind kind;
-    int shards;
-    const char* label;
-};
-
-const BackendCase kBackendCases[] = {
-    {BackendKind::Packed, 0, "packed"},
-    {BackendKind::Sharded, 1, "sharded/1"},
-    {BackendKind::Sharded, 2, "sharded/2"},
-    {BackendKind::Sharded, 3, "sharded/3"},
-};
 
 const std::vector<FaultKind> kBitKinds = {
     FaultKind::Saf0,     FaultKind::TfUp, FaultKind::Rdf1,
@@ -117,26 +108,21 @@ TEST(EngineDifferential, BitQueriesMatchScalarOracleEverywhere) {
         EXPECT_EQ(sim::first_uncovered(test, kBitKinds, opts).has_value(),
                   !ref_all.all);
 
-        for (const BackendCase& backend : kBackendCases) {
-            for (int width : {1, 4, 8}) {
-                for (unsigned workers : worker_counts()) {
-                    util::ThreadPool pool(workers);
-                    const Engine eng(EngineConfig{.backend = backend.kind,
-                                                  .pool = &pool,
-                                                  .lane_width = width,
-                                                  .shards = backend.shards});
-                    query.want = Want::Detects;
-                    EXPECT_EQ(eng.run(query).detected, ref_detects.detected)
-                        << name << ' ' << backend.label << " W" << width
-                        << " workers " << workers;
-                    query.want = Want::DetectsAll;
-                    EXPECT_EQ(eng.run(query).all, ref_all.all)
-                        << name << ' ' << backend.label << " W" << width
-                        << " workers " << workers;
-                    query.want = Want::Traces;
-                    expect_traces_eq(eng.run(query).traces, ref_traces.traces,
-                                     backend.label);
-                }
+        for (int width : {1, 4, 8}) {
+            for (unsigned workers : worker_counts()) {
+                util::ThreadPool pool(workers);
+                const Engine eng(EngineConfig{.backend = BackendKind::Packed,
+                                              .pool = &pool,
+                                              .lane_width = width});
+                query.want = Want::Detects;
+                EXPECT_EQ(eng.run(query).detected, ref_detects.detected)
+                    << name << " W" << width << " workers " << workers;
+                query.want = Want::DetectsAll;
+                EXPECT_EQ(eng.run(query).all, ref_all.all)
+                    << name << " W" << width << " workers " << workers;
+                query.want = Want::Traces;
+                expect_traces_eq(eng.run(query).traces, ref_traces.traces,
+                                 name);
             }
         }
     }
@@ -174,26 +160,21 @@ TEST(EngineDifferential, WordQueriesMatchScalarOracleEverywhere) {
                   scalar.run(single).all);
     }
 
-    for (const BackendCase& backend : kBackendCases) {
-        for (int width : {1, 4, 8}) {
-            for (unsigned workers : worker_counts()) {
-                util::ThreadPool pool(workers);
-                const Engine eng(EngineConfig{.backend = backend.kind,
-                                              .pool = &pool,
-                                              .lane_width = width,
-                                              .shards = backend.shards});
-                query.want = Want::Detects;
-                EXPECT_EQ(eng.run(query).detected, ref_detects.detected)
-                    << backend.label << " W" << width << " workers "
-                    << workers;
-                query.want = Want::DetectsAll;
-                EXPECT_EQ(eng.run(query).all, ref_all.all)
-                    << backend.label << " W" << width << " workers "
-                    << workers;
-                query.want = Want::Traces;
-                expect_word_traces_eq(eng.run(query).word_traces,
-                                      ref_traces.word_traces, backend.label);
-            }
+    for (int width : {1, 4, 8}) {
+        for (unsigned workers : worker_counts()) {
+            util::ThreadPool pool(workers);
+            const Engine eng(EngineConfig{.backend = BackendKind::Packed,
+                                          .pool = &pool,
+                                          .lane_width = width});
+            query.want = Want::Detects;
+            EXPECT_EQ(eng.run(query).detected, ref_detects.detected)
+                << "W" << width << " workers " << workers;
+            query.want = Want::DetectsAll;
+            EXPECT_EQ(eng.run(query).all, ref_all.all)
+                << "W" << width << " workers " << workers;
+            query.want = Want::Traces;
+            expect_word_traces_eq(eng.run(query).word_traces,
+                                  ref_traces.word_traces, "packed");
         }
     }
 }
@@ -206,50 +187,64 @@ TEST(EngineDifferential, DictionarySweepMatchesPlacedGuaranteedTraces) {
 
     const std::vector<fault::FaultInstance> instances =
         fault::instantiate(kinds);
-    for (const BackendCase& backend : kBackendCases) {
-        const Engine eng(EngineConfig{.backend = backend.kind,
-                                      .shards = backend.shards});
-        const Result sweep = eng.dictionary_sweep(test, kinds, opts);
-        ASSERT_EQ(sweep.instances, instances) << backend.label;
-        ASSERT_EQ(sweep.traces.size(), instances.size()) << backend.label;
-        for (std::size_t i = 0; i < instances.size(); ++i) {
-            const auto placed =
-                sim::place_instance(instances[i], opts.memory_size);
-            EXPECT_EQ(sweep.traces[i].failing_observations,
-                      sim::guaranteed_failing_observations(test, placed,
-                                                           opts))
-                << backend.label << " #" << i;
-            EXPECT_EQ(sweep.traces[i].failing_reads,
-                      sim::guaranteed_failing_reads(test, placed, opts))
-                << backend.label << " #" << i;
-        }
+    const Engine eng;
+    const Result sweep = eng.dictionary_sweep(test, kinds, opts);
+    ASSERT_EQ(sweep.instances, instances);
+    ASSERT_EQ(sweep.traces.size(), instances.size());
+    for (std::size_t i = 0; i < instances.size(); ++i) {
+        const auto placed =
+            sim::place_instance(instances[i], opts.memory_size);
+        EXPECT_EQ(sweep.traces[i].failing_observations,
+                  sim::guaranteed_failing_observations(test, placed, opts))
+            << "#" << i;
+        EXPECT_EQ(sweep.traces[i].failing_reads,
+                  sim::guaranteed_failing_reads(test, placed, opts))
+            << "#" << i;
     }
 }
 
-TEST(EngineDifferential, ShardedSplitsMultiBlockPopulations) {
-    // n=24 -> 552 two-cell faults: more than one 504-lane block, so a
-    // shard count of 2+ actually splits the range. The merged per-fault
-    // verdicts and traces must equal the unsharded packed answers.
-    const sim::RunOptions opts{.memory_size = 24, .max_any_expansion = 6};
-    const auto& test = march::march_c_minus();
-    const auto population =
-        sim::full_population(FaultKind::CfidUp0, opts.memory_size);
-    ASSERT_GT(population.size(), std::size_t{504});
-
-    const Engine packed(EngineConfig{.backend = BackendKind::Packed});
-    const auto want_detects = packed.detects(test, population, opts);
-    const auto want_traces = packed.traces(test, population, opts);
-    for (int shards : {2, 3}) {
-        const Engine sharded(EngineConfig{.backend = BackendKind::Sharded,
-                                          .shards = shards});
-        EXPECT_EQ(sharded.detects(test, population, opts), want_detects)
-            << shards;
-        expect_traces_eq(sharded.traces(test, population, opts), want_traces,
-                         "sharded multi-block");
-        EXPECT_EQ(
-            sharded.covers_everywhere(test, FaultKind::CfidUp0, opts),
-            packed.covers_everywhere(test, FaultKind::CfidUp0, opts))
-            << shards;
+TEST(ShardRanges, AlignedContiguousAndBalanced) {
+    constexpr std::size_t kBlock = 504;  // one W=8 lane block
+    EXPECT_TRUE(engine::shard_ranges(0, 4).empty());
+    for (const std::size_t total : {std::size_t{1}, kBlock - 1}) {
+        const auto ranges = engine::shard_ranges(total, 4);
+        ASSERT_EQ(ranges.size(), 1u) << total;
+        EXPECT_EQ(ranges[0].first, 0u);
+        EXPECT_EQ(ranges[0].second, total);
+    }
+    {
+        // More shards than blocks: one range per block, none empty.
+        const auto ranges = engine::shard_ranges(3 * kBlock + 7, 10);
+        ASSERT_EQ(ranges.size(), 4u);
+        for (const auto& [begin, end] : ranges) EXPECT_LT(begin, end);
+    }
+    for (const std::size_t total :
+         {kBlock, kBlock + 1, 2 * kBlock, std::size_t{1500}, std::size_t{4032},
+          std::size_t{10'000}, std::size_t{65'280}}) {
+        for (const int shards : {0, 1, 2, 3, 4, 7, 16}) {
+            const auto ranges = engine::shard_ranges(total, shards);
+            ASSERT_FALSE(ranges.empty());
+            EXPECT_LE(ranges.size(),
+                      static_cast<std::size_t>(std::max(shards, 1)));
+            EXPECT_EQ(ranges.front().first, 0u);
+            EXPECT_EQ(ranges.back().second, total);
+            std::size_t fewest = total;
+            std::size_t most = 0;
+            for (std::size_t r = 0; r < ranges.size(); ++r) {
+                const auto [begin, end] = ranges[r];
+                ASSERT_LT(begin, end) << total << '/' << shards;
+                if (r > 0) {  // contiguous
+                    EXPECT_EQ(begin, ranges[r - 1].second);
+                }
+                if (r + 1 < ranges.size()) {  // interior boundaries aligned
+                    EXPECT_EQ(end % kBlock, 0u) << total << '/' << shards;
+                }
+                const std::size_t blocks = (end - begin + kBlock - 1) / kBlock;
+                fewest = std::min(fewest, blocks);
+                most = std::max(most, blocks);
+            }
+            EXPECT_LE(most - fewest, 1u) << total << '/' << shards;
+        }
     }
 }
 
@@ -521,39 +516,42 @@ TEST(EngineRemote, FlappedPeerReconnectsAndServesRanges) {
     EXPECT_EQ(remote.detects(test, population, opts), want_detects);
 }
 
-TEST(EngineRemote, PinnedV1FramesStillServe) {
-    // frame_version = 1 skips the Hello exchange and speaks bare v1
-    // frames — the pre-negotiation wire format keeps working end to end.
+TEST(EngineRemote, PeerDroppingEveryConnectionBacksOff) {
+    // Peer 0 accepts every connection and drops it before sending a
+    // frame. A fresh connection is Alive at once, so its receiver has to
+    // catch each death, and a death before the first frame counts as a
+    // failed attempt: redials back off exponentially instead of firing on
+    // every supervisor tick. Peer 1 answers the ranges meanwhile.
     const sim::RunOptions opts{.memory_size = 24, .max_any_expansion = 6};
     const auto& test = march::march_c_minus();
     const auto population =
-        sim::full_population(fault::FaultKind::CfidUp0, opts.memory_size);
-
+        sim::full_population(FaultKind::CfidUp0, opts.memory_size);
     const Engine packed;
     const auto want_detects = packed.detects(test, population, opts);
 
-    net::LoopbackFleet fleet(2);
+    net::LoopbackFleet fleet(1);
+    std::atomic<int> dials{0};
+    std::vector<engine::PeerConfig> peers(2);
+    peers[0].connect = [&dials] {
+        ++dials;
+        const auto [coordinator_fd, worker_fd] = net::socket_pair();
+        ::close(worker_fd);
+        return coordinator_fd;
+    };
+    peers[1].fd = fleet.take_fds()[0];
     engine::RemoteOptions options;
-    options.frame_version = 1;
-    const Engine remote(
-        engine::make_remote_backend(fleet.take_fds(), options));
-    EXPECT_EQ(remote.detects(test, population, opts), want_detects);
-}
-
-TEST(EngineRemote, NegotiatesDownToV1OnlyPeers) {
-    // One worker only admits frame v1 in the Hello exchange while the
-    // other speaks v2: per-connection negotiation keeps both serving.
-    const sim::RunOptions opts{.memory_size = 24, .max_any_expansion = 6};
-    const auto& test = march::march_c_minus();
-    const auto population =
-        sim::full_population(fault::FaultKind::CfidUp0, opts.memory_size);
-
-    const Engine packed;
-    const auto want_detects = packed.detects(test, population, opts);
-
-    net::LoopbackFleet fleet(2, {{.max_frame_version = 1}, {}});
-    const Engine remote(engine::make_remote_backend(fleet.take_fds()));
-    EXPECT_EQ(remote.detects(test, population, opts), want_detects);
+    options.reconnect_backoff_ms = 50;
+    options.reconnect_backoff_max_ms = 1000;
+    {
+        const Engine remote(
+            engine::make_remote_backend(std::move(peers), options));
+        EXPECT_EQ(remote.detects(test, population, opts), want_detects);
+        std::this_thread::sleep_for(std::chrono::milliseconds(600));
+    }
+    // Redials wait >= 25, 50, 100, 200 ms after each drop: about six fit
+    // in the window, where a per-tick (20 ms) redial would reach ~30.
+    EXPECT_GE(dials.load(), 2);
+    EXPECT_LE(dials.load(), 10);
 }
 
 TEST(EngineRemote, EmptyPopulationNeedsNoNetwork) {
@@ -696,6 +694,19 @@ TEST(EngineRemote, MismatchedFrameCapKillsThePeerDeterministically) {
                  std::runtime_error);
 }
 
+TEST(EngineRemote, NegativeIdleBoundIsRejected) {
+    // Every peer channel bounds its mid-frame waits; there is no way to
+    // turn the bound off.
+    const auto [coordinator_fd, worker_fd] = net::socket_pair();
+    engine::RemoteOptions options;
+    options.mid_frame_idle_ms = -1;
+    EXPECT_THROW((void)engine::make_remote_backend(
+                     std::vector<int>{coordinator_fd}, options),
+                 ContractViolation);
+    ::close(coordinator_fd);
+    ::close(worker_fd);
+}
+
 TEST(EngineRemote, RaisedFrameCapServesBitIdenticalResults) {
     // A raised cap on both ends (RemoteOptions on the coordinator,
     // WorkerHooks on the worker) leaves every answer bit-identical to the
@@ -726,14 +737,11 @@ TEST(EngineQuery, EmptyPopulationIsVacuouslyCovered) {
     query.test = march::find_march_test("MATS").test;
     query.universe = BitUniverse{{.memory_size = 4}};
     query.want = Want::DetectsAll;
-    for (const BackendCase& backend : kBackendCases) {
-        const Engine eng(EngineConfig{.backend = backend.kind,
-                                      .shards = backend.shards});
-        EXPECT_TRUE(eng.run(query).all) << backend.label;
-        Query detects = query;
-        detects.want = Want::Detects;
-        EXPECT_TRUE(eng.run(detects).detected.empty()) << backend.label;
-    }
+    const Engine eng;
+    EXPECT_TRUE(eng.run(query).all);
+    Query detects = query;
+    detects.want = Want::Detects;
+    EXPECT_TRUE(eng.run(detects).detected.empty());
 }
 
 }  // namespace

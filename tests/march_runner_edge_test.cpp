@@ -4,9 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "march/expansion.hpp"
 #include "march/library.hpp"
 #include "march/parser.hpp"
 #include "sim/march_runner.hpp"
+#include "util/contracts.hpp"
 
 namespace mtg::sim {
 namespace {
@@ -46,6 +50,23 @@ TEST(ExpansionCap, CapZeroStillEvaluatesBothUniformOrders) {
     // detection here does not depend on mixed orders).
     EXPECT_TRUE(covers_everywhere(test, FaultKind::Saf0, opts));
     EXPECT_TRUE(covers_everywhere(test, FaultKind::Saf0));
+}
+
+TEST(ExpansionCap, CapAboveTheBoundIsAContractViolation) {
+    // A cap is a request for up to 2^cap resolutions per fault; past
+    // march::kMaxAnyExpansion (2^16) it is refused outright rather than
+    // enumerated — 31 ⇕ elements under cap 40 would be 2^31 choices.
+    std::string text = "{";
+    for (int i = 0; i < 31; ++i) text += i == 0 ? "~(w0)" : "; ~(r0)";
+    const auto test = parse_march(text + "}");
+    RunOptions opts;
+    opts.max_any_expansion = march::kMaxAnyExpansion + 1;
+    EXPECT_THROW((void)expansion_choices(test, opts), ContractViolation);
+    opts.max_any_expansion = 40;
+    EXPECT_THROW((void)expansion_choices(test, opts), ContractViolation);
+    // At the bound itself 31 elements exceed the cap: uniform sweeps only.
+    opts.max_any_expansion = march::kMaxAnyExpansion;
+    EXPECT_EQ(expansion_choices(test, opts).size(), 2u);
 }
 
 TEST(ExpansionCap, CappedRunIsOptimisticAboutMixedOrders) {

@@ -3,9 +3,9 @@
 /// every malformed payload must be rejected with WireFormatError (never
 /// accepted, never a crash), and FrameChannel must report the exact
 /// failure taxonomy (Timeout before a frame, Corrupt mid-frame) the
-/// coordinator's fault tolerance is built on. Also covers the wire v2
-/// frame format (CRC32C trailer, Hello negotiation, v1 compatibility),
-/// the partial-write send path and the bounded tcp_connect.
+/// coordinator's fault tolerance is built on. Also covers the CRC32C
+/// frame trailer, a worker serving from the first frame, the
+/// partial-write send path and the bounded tcp_connect.
 
 #include <gtest/gtest.h>
 
@@ -24,6 +24,7 @@
 #include "net/framing.hpp"
 #include "net/wire.hpp"
 #include "net/worker.hpp"
+#include "util/contracts.hpp"
 #include "word/background.hpp"
 
 namespace mtg::net {
@@ -185,9 +186,11 @@ TEST(WireFormat, RejectsMalformedPayloads) {
     std::vector<std::uint8_t> bad_version = encoded;
     bad_version[0] = kWireVersion + 1;
     EXPECT_THROW((void)decode_message(bad_version), WireFormatError);
-    std::vector<std::uint8_t> bad_type = encoded;
-    bad_type[1] = 99;
-    EXPECT_THROW((void)decode_message(bad_type), WireFormatError);
+    for (const std::uint8_t type : {std::uint8_t{4}, std::uint8_t{99}}) {
+        std::vector<std::uint8_t> bad_type = encoded;
+        bad_type[1] = type;  // 4 sits unassigned between Error and Ping
+        EXPECT_THROW((void)decode_message(bad_type), WireFormatError);
+    }
 
     // Every possible truncation must throw, never read out of bounds.
     for (std::size_t keep = 0; keep < encoded.size(); ++keep) {
@@ -261,8 +264,6 @@ TEST(Framing, V2FramesRoundTripAndRejectCorruption) {
     const auto [a_fd, b_fd] = socket_pair();
     FrameChannel a(a_fd);
     FrameChannel b(b_fd);
-    a.set_frame_version(2);
-    b.set_frame_version(2);
 
     const std::vector<std::uint8_t> frame = {9, 8, 7, 6, 5, 4};
     std::vector<std::uint8_t> payload;
@@ -290,21 +291,14 @@ TEST(Framing, V2FramesRoundTripAndRejectCorruption) {
     EXPECT_EQ(b.recv(payload, 1000), FrameChannel::RecvStatus::Corrupt);
 }
 
-TEST(Framing, HelloNegotiatesV2WithAWorker) {
+TEST(Framing, WorkerServesFromTheFirstFrame) {
+    // No handshake: the first frame a coordinator sends is already a
+    // CRC-framed Ping or Query, and the worker answers both in kind.
     const auto [coordinator_fd, worker_fd] = socket_pair();
     std::thread worker([fd = worker_fd] { serve_connection(fd); });
     FrameChannel channel(coordinator_fd);
 
-    ASSERT_TRUE(channel.send(encode_hello({kMaxFrameVersion})));
     std::vector<std::uint8_t> payload;
-    ASSERT_EQ(channel.recv(payload, 2000), FrameChannel::RecvStatus::Ok);
-    const Message reply = decode_message(payload);
-    ASSERT_EQ(reply.type, MessageType::Hello);
-    EXPECT_EQ(reply.hello.max_frame_version, 2);
-    channel.set_frame_version(2);
-
-    // The agreed connection really speaks v2: a query round-trips and a
-    // ping is answered, all CRC-framed.
     ASSERT_TRUE(channel.send(encode_ping({77})));
     ASSERT_EQ(channel.recv(payload, 2000), FrameChannel::RecvStatus::Ok);
     const Message pong = decode_message(payload);
@@ -324,52 +318,6 @@ TEST(Framing, HelloNegotiatesV2WithAWorker) {
     worker.join();
 }
 
-TEST(Framing, HelloNegotiatesDownToV1OnlyWorker) {
-    const auto [coordinator_fd, worker_fd] = socket_pair();
-    std::thread worker([fd = worker_fd] {
-        serve_connection(fd, {.max_frame_version = 1});
-    });
-    FrameChannel channel(coordinator_fd);
-
-    ASSERT_TRUE(channel.send(encode_hello({kMaxFrameVersion})));
-    std::vector<std::uint8_t> payload;
-    ASSERT_EQ(channel.recv(payload, 2000), FrameChannel::RecvStatus::Ok);
-    const Message reply = decode_message(payload);
-    ASSERT_EQ(reply.type, MessageType::Hello);
-    EXPECT_EQ(reply.hello.max_frame_version, 1);
-    // Both ends stay on bare v1 frames; queries still work.
-    WireQuery query = sample_bit_query();
-    query.range_begin = 0;
-    query.range_end = query.bit_faults.size();
-    ASSERT_TRUE(channel.send(encode_query(query)));
-    ASSERT_EQ(channel.recv(payload, 5000), FrameChannel::RecvStatus::Ok);
-    EXPECT_EQ(decode_message(payload).type, MessageType::Result);
-
-    channel.shutdown();
-    worker.join();
-}
-
-TEST(Framing, V1CoordinatorIsServedWithoutHello) {
-    // A pre-negotiation coordinator opens with a Query; the worker must
-    // serve bare v1 frames exactly as before.
-    const auto [coordinator_fd, worker_fd] = socket_pair();
-    std::thread worker([fd = worker_fd] { serve_connection(fd); });
-    FrameChannel channel(coordinator_fd);
-
-    WireQuery query = sample_bit_query();
-    query.range_begin = 0;
-    query.range_end = query.bit_faults.size();
-    ASSERT_TRUE(channel.send(encode_query(query)));
-    std::vector<std::uint8_t> payload;
-    ASSERT_EQ(channel.recv(payload, 5000), FrameChannel::RecvStatus::Ok);
-    const Message result = decode_message(payload);
-    ASSERT_EQ(result.type, MessageType::Result);
-    EXPECT_EQ(result.result.id, query.id);
-
-    channel.shutdown();
-    worker.join();
-}
-
 TEST(Framing, PartialWritesRoundTripLargeFrames) {
     // Shrink the send buffer so ::send() must return short counts: the
     // send loop has to keep resuming mid-frame (and mid-chunk) until a
@@ -378,10 +326,8 @@ TEST(Framing, PartialWritesRoundTripLargeFrames) {
     const int tiny = 4096;
     ASSERT_EQ(::setsockopt(a_fd, SOL_SOCKET, SO_SNDBUF, &tiny, sizeof(tiny)),
               0);
-    FrameChannel a(a_fd);
+    FrameChannel a(a_fd);  // the CRC trailer rides along as a third chunk
     FrameChannel b(b_fd);
-    a.set_frame_version(2);  // CRC trailer rides along as a third chunk
-    b.set_frame_version(2);
 
     std::vector<std::uint8_t> big(3u << 20);
     for (std::size_t i = 0; i < big.size(); ++i)
@@ -526,6 +472,11 @@ TEST(Framing, SlowButProgressingPeerStillCompletes) {
             std::this_thread::sleep_for(std::chrono::milliseconds(20));
             (void)!::write(fd, frame.data() + off, 8);
         }
+        const std::uint32_t crc = crc32c(frame);
+        std::uint8_t trailer[4];
+        for (int i = 0; i < 4; ++i)
+            trailer[i] = static_cast<std::uint8_t>(crc >> (8 * i));
+        (void)!::write(fd, trailer, sizeof(trailer));
     });
     std::vector<std::uint8_t> payload;
     EXPECT_EQ(b.recv(payload, /*timeout_ms=*/-1),
@@ -534,14 +485,16 @@ TEST(Framing, SlowButProgressingPeerStillCompletes) {
     sender.join();
 }
 
-TEST(Framing, DisabledIdleBoundRestoresInfiniteWait) {
-    // set_mid_frame_idle_ms(-1) keeps a wedgeable channel for tests that
-    // want the historical behaviour; 0 restores the 30 s default.
+TEST(Framing, IdleBoundCannotBeDisabled) {
+    // Every started frame is bounded: a negative idle bound is a contract
+    // violation that leaves the current bound in place; 0 restores the
+    // 30 s default.
     const auto [a_fd, b_fd] = socket_pair();
     FrameChannel b(b_fd);
     EXPECT_EQ(b.mid_frame_idle_ms(), kDefaultMidFrameIdleMs);
-    b.set_mid_frame_idle_ms(-1);
-    EXPECT_EQ(b.mid_frame_idle_ms(), -1);
+    b.set_mid_frame_idle_ms(250);
+    EXPECT_THROW(b.set_mid_frame_idle_ms(-1), ContractViolation);
+    EXPECT_EQ(b.mid_frame_idle_ms(), 250);
     b.set_mid_frame_idle_ms(0);
     EXPECT_EQ(b.mid_frame_idle_ms(), kDefaultMidFrameIdleMs);
     ::close(a_fd);

@@ -357,10 +357,14 @@ TEST(QueryServer, MalformedInputGetsAnErrorAndTheConnectionSurvives) {
     expect_error(
         R"({"id": 45, "op": "detects", "test": "MATS+", "kinds": "SAF", "n": -3})",
         45);
+    // One past the ⇕ expansion cap: 2^17 resolutions is out of range.
+    expect_error(
+        R"({"id": 46, "op": "detects", "test": "MATS+", "kinds": "SAF", "max_any": 17})",
+        46);
 
-    // Six bad lines later the session still answers real questions.
+    // Seven bad lines later the session still answers real questions.
     const QueryRequest request =
-        make_request(46, QueryOp::Detects, "MATS+", "SAF,TF");
+        make_request(47, QueryOp::Detects, "MATS+", "SAF,TF");
     ASSERT_TRUE(raw.write_line(render_request(request)));
     std::string reply;
     ASSERT_EQ(raw.read_line(reply, 30000), LineChannel::ReadStatus::Ok);
@@ -368,8 +372,8 @@ TEST(QueryServer, MalformedInputGetsAnErrorAndTheConnectionSurvives) {
     EXPECT_EQ(reply, expected_reply(local, request));
 
     const QueryServer::Stats stats = server.stats();
-    EXPECT_EQ(stats.errors, 6u);
-    EXPECT_EQ(stats.requests, 7u);
+    EXPECT_EQ(stats.errors, 7u);
+    EXPECT_EQ(stats.requests, 8u);
 }
 
 TEST(QueryServer, PingAndStatsAnswerWithoutABackendRun) {

@@ -347,13 +347,6 @@ TEST(BeamSearch, DeterministicAcrossBackendsWidthsAndWorkers) {
         engine::Engine engine(config);
         synthesised.push_back(run_search(engine, kinds, 42).test.str());
     }
-    {
-        engine::EngineConfig config;
-        config.backend = engine::BackendKind::Sharded;
-        config.shards = 3;
-        engine::Engine engine(config);
-        synthesised.push_back(run_search(engine, kinds, 42).test.str());
-    }
 
     for (std::size_t i = 1; i < synthesised.size(); ++i)
         EXPECT_EQ(synthesised[i], synthesised[0]) << "session shape " << i;
