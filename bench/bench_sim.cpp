@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <vector>
 
 #include "bench_timing.hpp"
 
@@ -14,7 +15,6 @@
 #include "march/library.hpp"
 #include "net/remote_backend.hpp"
 #include "net/worker.hpp"
-#include "sim/batch_runner.hpp"
 #include "sim/lane_dispatch.hpp"
 #include "sim/march_runner.hpp"
 #include "util/table.hpp"
@@ -24,6 +24,14 @@ namespace {
 
 using namespace mtg;
 using benchutil::seconds_per_sweep;
+
+/// Every ordered (aggressor, victim) placement of CFid<↑;0> on an n-cell
+/// memory — the full population covers_everywhere sweeps — taken from a
+/// session's population cache.
+std::vector<sim::InjectedFault> cfid_population(int cells) {
+    return engine::Engine().bit_population({fault::FaultKind::CfidUp0}, cells)
+        ->faults;
+}
 
 void print_summary() {
     TextTable table;
@@ -49,16 +57,16 @@ void print_summary() {
 /// the full two-cell fault population of an 8-cell memory (the exact
 /// workload covers_everywhere runs inside the generator's validation
 /// gate), a lane-width ablation on the n=256 population (65k faults, deep
-/// enough that every W=8 block is full — the PR 2 packed kernel is the
+/// enough that every W=8 block is full — one plane word per block is the
 /// W=1 row), plus a threads=1 versus threads=N shard comparison on the
 /// n=64 population where the chunk grid is deep enough to feed every
-/// core. Emits a machine-readable BENCH_sim.json summary line
-/// (median-of-5 timings).
+/// core. Every batched leg is an Engine bit session's Detects on the
+/// packed backend, pinned to a pool and a lane width. Emits a
+/// machine-readable BENCH_sim.json summary line (median-of-5 timings).
 void print_scalar_vs_batched() {
     const auto& test = march::march_c_minus();
     const sim::RunOptions opts{.memory_size = 8, .max_any_expansion = 6};
-    const auto population =
-        sim::full_population(fault::FaultKind::CfidUp0, opts.memory_size);
+    const auto population = cfid_population(opts.memory_size);
 
     const double scalar_s = seconds_per_sweep([&] {
         bool all = true;
@@ -67,35 +75,35 @@ void print_scalar_vs_batched() {
         return all;  // every fault must be simulated for a fair faults/sec
     });
     util::ThreadPool serial(1);
-    const sim::BatchRunner runner(test, opts, &serial);
-    const double batched_s =
-        seconds_per_sweep([&] { return runner.detects(population); });
+    const engine::Engine serial_engine(engine::EngineConfig{.pool = &serial});
+    const double batched_s = seconds_per_sweep(
+        [&] { return serial_engine.detects(test, population, opts); });
 
-    // Lane-width ablation: n=256 -> 65280 two-cell faults; W=1 is the
-    // PR 2 packed baseline, the active width is the SIMD lane-block
+    // Lane-width ablation: n=256 -> 65280 two-cell faults; W=1 is one
+    // plane word per block, the active width is the SIMD lane-block
     // engine, both on one thread so the ratio isolates the block width.
     const sim::RunOptions opts256{.memory_size = 256, .max_any_expansion = 6};
-    const auto population256 =
-        sim::full_population(fault::FaultKind::CfidUp0, opts256.memory_size);
-    const sim::BatchRunner runner_w1(test, opts256, &serial, 1);
+    const auto population256 = cfid_population(opts256.memory_size);
+    const engine::Engine engine_w1(
+        engine::EngineConfig{.pool = &serial, .lane_width = 1});
     const double w1_s = seconds_per_sweep(
-        [&] { return runner_w1.detects(population256); });
+        [&] { return engine_w1.detects(test, population256, opts256); });
     const int active_width = sim::active_lane_width();
-    const sim::BatchRunner runner_wide(test, opts256, &serial, active_width);
+    const engine::Engine engine_wide(
+        engine::EngineConfig{.pool = &serial, .lane_width = active_width});
     const double wide_s = seconds_per_sweep(
-        [&] { return runner_wide.detects(population256); });
+        [&] { return engine_wide.detects(test, population256, opts256); });
 
     // Parallel shard comparison: n=64 -> 4032 two-cell faults.
     const sim::RunOptions opts64{.memory_size = 64, .max_any_expansion = 6};
-    const auto population64 =
-        sim::full_population(fault::FaultKind::CfidUp0, opts64.memory_size);
-    const sim::BatchRunner runner64_serial(test, opts64, &serial);
+    const auto population64 = cfid_population(opts64.memory_size);
     const double serial64_s = seconds_per_sweep(
-        [&] { return runner64_serial.detects(population64); });
+        [&] { return serial_engine.detects(test, population64, opts64); });
     util::ThreadPool& pool = util::ThreadPool::global();
-    const sim::BatchRunner runner64_parallel(test, opts64, &pool);
+    const engine::Engine parallel_engine(
+        engine::EngineConfig{.pool = &pool});
     const double parallel64_s = seconds_per_sweep(
-        [&] { return runner64_parallel.detects(population64); });
+        [&] { return parallel_engine.detects(test, population64, opts64); });
 
     const auto faults = static_cast<double>(population.size());
     const double scalar_fps = faults / scalar_s;
@@ -112,7 +120,7 @@ void print_scalar_vs_batched() {
         "  batched (1 thr) : %12.0f faults/sec\n"
         "  speedup         : %.1fx\n"
         "Lane-block width (March C-, n=%d, %zu two-cell faults, 1 thread):\n"
-        "  W=1 (PR2 base)  : %12.0f faults/sec\n"
+        "  W=1             : %12.0f faults/sec\n"
         "  W=%d (active)    : %11.0f faults/sec\n"
         "  SIMD speedup    : %.2fx\n"
         "Thread sharding (March C-, n=%d, %zu two-cell faults):\n"
@@ -219,10 +227,10 @@ void BM_BatchDetects(benchmark::State& state) {
     const auto& test = march::march_c_minus();
     sim::RunOptions opts;
     opts.memory_size = static_cast<int>(state.range(0));
-    const sim::BatchRunner runner(test, opts);
-    const auto population =
-        sim::full_population(fault::FaultKind::CfidUp0, opts.memory_size);
-    for (auto _ : state) benchmark::DoNotOptimize(runner.detects(population));
+    const engine::Engine session;
+    const auto population = cfid_population(opts.memory_size);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(session.detects(test, population, opts));
     state.SetItemsProcessed(state.iterations() *
                             static_cast<std::int64_t>(population.size()));
 }

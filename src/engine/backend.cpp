@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "sim/batch_runner.hpp"
+#include "word/background.hpp"
 #include "word/word_batch_runner.hpp"
 
 namespace mtg::engine {
@@ -129,6 +129,54 @@ public:
 
 // ------------------------------------------------------------- packed ----
 
+// The bit universe on the one packed kernel: an n-cell bit memory is an
+// n-word × 1-bit memory under the solid background, cell c being (word c,
+// bit 0). bit_runner, word_faults and BitTraceEmit are the only code that
+// knows the mapping.
+
+word::WordBatchRunner bit_runner(const BitContext& ctx) {
+    return word::WordBatchRunner(
+        ctx.test, word::solid_background(1),
+        {.words = ctx.opts.memory_size,
+         .width = 1,
+         .max_any_expansion = ctx.opts.max_any_expansion},
+        ctx.pool, ctx.lane_width);
+}
+
+/// The population in word form, in a per-thread buffer that the next call
+/// on this thread overwrites: each bit query maps its faults once and
+/// reads them until it returns, and small generator probes would
+/// otherwise pay an allocation per query. Kernel passes never issue
+/// queries, so no call on this thread can overwrite the buffer while a
+/// query reads it.
+std::span<const word::InjectedBitFault> word_faults(
+    std::span<const sim::InjectedFault> population) {
+    thread_local std::vector<word::InjectedBitFault> faults;
+    faults.clear();
+    for (const sim::InjectedFault& fault : population)
+        faults.push_back(
+            {fault.kind, {fault.cell_a, 0}, {fault.cell_b, 0}});
+    return faults;
+}
+
+/// Records the width-1 kernel's trace entries as a bit trace: background 0
+/// is the only background and every observation is bit 0 of its word, so
+/// the word is the cell.
+struct BitTraceEmit {
+    using Trace = sim::RunTrace;
+    static void read(Trace& trace, int background,
+                     const sim::ReadSite& site) {
+        MTG_ASSERT(background == 0);
+        trace.failing_reads.push_back(site);
+    }
+    static void observation(Trace& trace, int background,
+                            const sim::ReadSite& site, int word,
+                            std::uint64_t bits) {
+        MTG_ASSERT(background == 0 && bits == 1);
+        trace.failing_observations.push_back({site, word});
+    }
+};
+
 class PackedBackend final : public Backend {
 public:
     [[nodiscard]] const char* name() const override { return "packed"; }
@@ -136,19 +184,20 @@ public:
     [[nodiscard]] std::vector<bool> detects(
         const BitContext& ctx,
         std::span<const sim::InjectedFault> population) const override {
-        return runner(ctx).detects(population);
+        return bit_runner(ctx).detects(word_faults(population));
     }
 
     [[nodiscard]] bool detects_all(
         const BitContext& ctx,
         std::span<const sim::InjectedFault> population) const override {
-        return runner(ctx).detects_all(population);
+        return bit_runner(ctx).detects_all(word_faults(population));
     }
 
     [[nodiscard]] std::vector<sim::RunTrace> traces(
         const BitContext& ctx,
         std::span<const sim::InjectedFault> population) const override {
-        return runner(ctx).run(population);
+        return bit_runner(ctx).run_with<BitTraceEmit>(
+            word_faults(population));
     }
 
     [[nodiscard]] std::vector<bool> detects(
@@ -170,10 +219,6 @@ public:
     }
 
 private:
-    [[nodiscard]] static sim::BatchRunner runner(const BitContext& ctx) {
-        return sim::BatchRunner(ctx.test, ctx.opts, ctx.pool,
-                                ctx.lane_width);
-    }
     [[nodiscard]] static word::WordBatchRunner runner(const WordContext& ctx) {
         return word::WordBatchRunner(ctx.test, ctx.backgrounds, ctx.opts,
                                      ctx.pool, ctx.lane_width);

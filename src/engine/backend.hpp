@@ -15,9 +15,11 @@
 ///   - ScalarBackend: the original one-memory-per-fault oracles
 ///     (sim::run_once / word::detects intersection). Slow, obviously
 ///     correct — kept for differential testing.
-///   - PackedBackend: the production path; wraps sim::BatchRunner /
-///     word::WordBatchRunner (63·W-lane packed passes, (chunk × ⇕)
-///     grid sharded across the thread pool).
+///   - PackedBackend: the production path; wraps word::WordBatchRunner
+///     (63·W-lane packed passes, (chunk × ⇕) grid sharded across the
+///     thread pool) for both universes. A bit query runs as the width-1
+///     word universe under the solid background, cell c being (word c,
+///     bit 0); backend.cpp is the only place that knows that mapping.
 ///   - RemoteBackend (net/remote_backend.hpp): splits the population into
 ///     shard_ranges, scatters them to worker peers speaking the net/wire
 ///     format and merges the replies — per-fault verdicts by

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "fault/dominance.hpp"
-#include "sim/batch_runner.hpp"
 #include "util/contracts.hpp"
 #include "word/word_batch_runner.hpp"
 

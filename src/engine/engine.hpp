@@ -28,10 +28,11 @@
 ///
 /// Execution is delegated to a Backend (see backend.hpp): Scalar (the
 /// original per-fault oracles, for differential testing), Packed (the
-/// production 63·W-lane kernels) or Remote (shard ranges scattered to a
-/// worker fleet and merged by concatenation/AND — see
-/// net/remote_backend.hpp). All backends are bit-identical; the legacy free
-/// functions (sim::covers_everywhere, sim::covers_all, word::
+/// production 63·W-lane word kernel, which answers bit queries as the
+/// width-1 word universe under the solid background) or Remote (shard
+/// ranges scattered to a worker fleet and merged by concatenation/AND —
+/// see net/remote_backend.hpp). All backends are bit-identical; the
+/// legacy free functions (sim::covers_everywhere, sim::covers_all, word::
 /// covers_everywhere, the guaranteed_* trace accessors, both dictionary
 /// build paths) are thin wrappers over Engine::global().
 ///
@@ -225,7 +226,7 @@ struct EngineConfig {
     int lane_width{0};                ///< 0 = CPUID / MTG_LANE_WIDTH
     /// Population cache shared with other sessions (the query server's
     /// two engines pass one); nullptr = a private cache.
-    std::shared_ptr<PopulationCache> cache;
+    std::shared_ptr<PopulationCache> cache{};
     /// Retained-fault budget for the private cache (0 = the ~4.2M
     /// default). Ignored when `cache` is supplied.
     std::size_t cache_budget{0};

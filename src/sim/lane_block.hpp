@@ -39,8 +39,7 @@ inline constexpr int kLaneCount = 64;
 inline constexpr LaneMask kAllLanes = ~LaneMask{0};
 
 /// Population lanes per plane word: 63 fault lanes + the fault-free
-/// reference lane 0. Shared by the bit- and word-oriented batch runners so
-/// the packing convention cannot diverge.
+/// reference lane 0 — the packing convention of every packed chunk.
 inline constexpr int kChunkLanes = kLaneCount - 1;
 
 /// Mask of the population lanes 1..count of one plane word.

@@ -96,7 +96,7 @@ inline constexpr std::size_t kZmmWorkItemThreshold = 64;
 [[nodiscard]] LaneIsa requested_lane_isa();
 void set_requested_lane_isa(LaneIsa isa);
 
-/// The ISA a W=8 dispatch should hand to sim_pass_w8/word_pass_w8 for a
+/// The ISA a W=8 dispatch should hand to word_pass_w8 for a
 /// job of `work_items` pass executions: resolve_lane_isa over the
 /// process-wide request and the host CPUID features.
 [[nodiscard]] LaneIsa active_lane_isa(std::size_t work_items);

@@ -3,6 +3,8 @@
 #include <algorithm>
 
 #include "engine/engine.hpp"
+#include "fault/instance.hpp"
+#include "fault/placement.hpp"
 #include "march/expansion.hpp"
 
 namespace mtg::sim {
@@ -184,6 +186,48 @@ std::vector<ReadSite> guaranteed_failing_reads(const MarchTest& test,
         .traces(test, population, opts)
         .front()
         .failing_reads;
+}
+
+std::vector<InjectedFault> full_population(fault::FaultKind kind,
+                                           int memory_size) {
+    std::vector<InjectedFault> population;
+    if (memory_size <= 0) return population;
+    if (fault::is_two_cell(kind)) {
+        if (memory_size < 2) return population;  // no ordered pair exists
+        population.reserve(static_cast<std::size_t>(memory_size) *
+                           static_cast<std::size_t>(memory_size - 1));
+        for (int a = 0; a < memory_size; ++a)
+            for (int v = 0; v < memory_size; ++v)
+                if (a != v)
+                    population.push_back(InjectedFault::coupling(kind, a, v));
+    } else {
+        population.reserve(static_cast<std::size_t>(memory_size));
+        for (int c = 0; c < memory_size; ++c)
+            population.push_back(InjectedFault::single(kind, c));
+    }
+    return population;
+}
+
+std::vector<InjectedFault> full_population(
+    const std::vector<fault::FaultKind>& kinds, int memory_size) {
+    std::vector<InjectedFault> population;
+    for (fault::FaultKind kind : kinds) {
+        const std::vector<InjectedFault> placed =
+            full_population(kind, memory_size);
+        population.insert(population.end(), placed.begin(), placed.end());
+    }
+    return population;
+}
+
+InjectedFault place_instance(const fault::FaultInstance& instance,
+                             int memory_size) {
+    const auto [lo, hi] = fault::canonical_slots(memory_size);
+    MTG_EXPECTS(lo != hi);
+    if (!fault::is_two_cell(instance.kind))
+        return InjectedFault::single(instance.kind, lo);
+    if (fault::aggressor_at_lo(instance))
+        return InjectedFault::coupling(instance.kind, lo, hi);
+    return InjectedFault::coupling(instance.kind, hi, lo);
 }
 
 }  // namespace mtg::sim

@@ -21,6 +21,10 @@
 #include "march/march_test.hpp"
 #include "sim/memory.hpp"
 
+namespace mtg::fault {
+struct FaultInstance;
+}
+
 namespace mtg::sim {
 
 /// Static identity of a read operation inside a March test.
@@ -35,8 +39,8 @@ struct ReadSite {
 [[nodiscard]] std::vector<ReadSite> read_sites(const march::MarchTest& test);
 
 /// Flat site id of every (element, op) of the test — the index into
-/// read_sites(test), or -1 for writes/waits. The lookup table both batch
-/// kernels (bit and word) use to attribute mismatches while executing.
+/// read_sites(test), or -1 for writes/waits. The lookup table the scalar
+/// trace oracle uses to attribute mismatches.
 [[nodiscard]] std::vector<std::vector<int>> read_site_ids(
     const march::MarchTest& test);
 
@@ -89,7 +93,7 @@ struct RunTrace {
 
 /// Single batched verdict over the whole list: one population spanning
 /// every kind's full placement set, evaluated by one sharded fail-fast
-/// BatchRunner sweep. Equivalent to !first_uncovered(...) but pays one
+/// packed sweep. Equivalent to !first_uncovered(...) but pays one
 /// runner setup and keeps every worker busy across kind boundaries — the
 /// generator's validation gate.
 [[nodiscard]] bool covers_all(const march::MarchTest& test,
@@ -123,5 +127,25 @@ struct RunTrace {
 [[nodiscard]] std::vector<Observation> guaranteed_failing_observations(
     const march::MarchTest& test, const InjectedFault& fault,
     const RunOptions& opts = {});
+
+/// Every concrete placement of `kind` on an n-cell memory: n single-cell
+/// instances, or the n·(n-1) ordered (aggressor, victim) pairs. This is the
+/// population covers_everywhere sweeps. Degenerate memories yield the
+/// mathematically empty population (n=1 has no ordered pair; n=0 nothing).
+[[nodiscard]] std::vector<InjectedFault> full_population(fault::FaultKind kind,
+                                                         int memory_size);
+
+/// Concatenated full populations of every kind in `kinds`, in list order —
+/// the all-kind population behind the generator's single sharded gate.
+[[nodiscard]] std::vector<InjectedFault> full_population(
+    const std::vector<fault::FaultKind>& kinds, int memory_size);
+
+/// Canonical concrete placement of a fault instance on representative cells
+/// of an n-cell memory (n >= 3): single-cell faults at n/3; two-cell faults
+/// on (n/3, 2n/3) ordered by the instance's aggressor role. Shared by the
+/// coverage matrix and the diagnosis dictionary so their populations stay
+/// aligned.
+[[nodiscard]] InjectedFault place_instance(const fault::FaultInstance& instance,
+                                           int memory_size);
 
 }  // namespace mtg::sim

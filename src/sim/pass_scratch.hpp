@@ -1,19 +1,19 @@
 #pragma once
 
 /// \file pass_scratch.hpp
-/// The packed pass kernels' per-thread scratch memory, armed with the
+/// The packed pass kernel's per-thread scratch memory, armed with the
 /// chunk of faults it holds.
 ///
-/// A pass reads a packed memory's fault tables (single-cell masks,
+/// A pass reads a packed memory's fault tables (single-bit masks,
 /// coupling, static-coupling and decoder-map entries) and writes only its
 /// value/known planes. A memory that already holds a chunk can therefore
 /// run that chunk again once its planes are back at X (clear_cells()),
 /// without a reset and re-inject. The scratch remembers its chunk by
-/// content plus the memory geometry: n cells for the bit kernel,
-/// words × width for the word kernel. The ⇕ expansions of one chunk and
-/// repeat gates on a cached population then pay the inject once per
-/// worker thread. Any other chunk or geometry re-arms it: reset(), which
-/// keeps every allocation at its high-water capacity, then inject.
+/// content plus the memory geometry (words × width; a bit-universe query
+/// is n words of width 1). The ⇕ expansions of one chunk and repeat gates
+/// on a cached population then pay the inject once per worker thread. Any
+/// other chunk or geometry re-arms it: reset(), which keeps every
+/// allocation at its high-water capacity, then inject.
 ///
 /// Content is the key, not the address, so a population freed and
 /// reallocated at the same address can never pass for the old one.
@@ -21,24 +21,21 @@
 #include <algorithm>
 #include <optional>
 #include <span>
-#include <tuple>
 #include <vector>
 
 #include "sim/lane_block.hpp"
 
 namespace mtg::sim::detail {
 
-/// `Memory` is PackedSimMemoryT<Block> (Geometry = int cells) or
-/// PackedWordMemoryT<Block> (Geometry = int words, int width).
-template <typename Block, typename Memory, typename Fault,
-          typename... Geometry>
+/// `Memory` is a word::PackedWordMemoryT holding `Fault`s.
+template <typename Block, typename Memory, typename Fault>
 class ArmedPassScratch {
 public:
     /// The memory holding `chunk` — chunk[i] at lane fault_lane(i) — with
-    /// every cell at X.
-    Memory& arm(std::span<const Fault> chunk, Geometry... geometry) {
-        const std::tuple<Geometry...> shape{geometry...};
-        if (armed_ && shape == shape_ && std::ranges::equal(chunk, chunk_)) {
+    /// every bit at X.
+    Memory& arm(std::span<const Fault> chunk, int words, int width) {
+        if (armed_ && words == words_ && width == width_ &&
+            std::ranges::equal(chunk, chunk_)) {
             memory_->clear_cells();
             return *memory_;
         }
@@ -46,14 +43,15 @@ public:
         // must not leave a partial chunk that a later call would match.
         armed_ = false;
         if (memory_)
-            memory_->reset(geometry...);
+            memory_->reset(words, width);
         else
-            memory_.emplace(geometry...);
+            memory_.emplace(words, width);
         for (std::size_t i = 0; i < chunk.size(); ++i)
             memory_->inject(chunk[i], block_lane_bit<Block>(
                                           fault_lane(static_cast<int>(i))));
         chunk_.assign(chunk.begin(), chunk.end());
-        shape_ = shape;
+        words_ = words;
+        width_ = width;
         armed_ = true;
         return *memory_;
     }
@@ -61,7 +59,8 @@ public:
 private:
     std::optional<Memory> memory_;
     std::vector<Fault> chunk_;
-    std::tuple<Geometry...> shape_{};
+    int words_{0};
+    int width_{0};
     bool armed_{false};
 };
 

@@ -1,22 +1,21 @@
 #pragma once
 
 /// \file trace_masks.hpp
-/// Shared guaranteed-trace machinery of the packed grid kernels.
+/// Guaranteed-trace machinery of the packed grid kernel.
 ///
-/// Both trace-extracting drivers (sim_run_chunk for the bit-oriented
-/// kernel, word_run_chunk for the word-oriented one) follow the same
-/// scheme: a flat grid of per-coordinate failing-lane masks is zeroed
-/// before each ⇕-expansion pass, the pass ORs the lanes that mismatch at
-/// each coordinate into it, and the grids of all passes are intersected —
-/// a lane survives at a coordinate only when EVERY expansion failed there,
-/// which is exactly the "guaranteed" trace semantics of the scalar
-/// runners. GuaranteedMasks owns that now/intersected grid pair so the two
-/// kernels cannot drift apart in how they canonicalise traces.
+/// The trace-extracting driver (word_run_chunk, for both universes)
+/// follows one scheme: a flat grid of per-coordinate failing-lane masks is
+/// zeroed before each ⇕-expansion pass, the pass ORs the lanes that
+/// mismatch at each coordinate into it, and the grids of all passes are
+/// intersected — a lane survives at a coordinate only when EVERY expansion
+/// failed there, which is exactly the "guaranteed" trace semantics of the
+/// scalar runners. GuaranteedMasks owns that now/intersected grid pair for
+/// the dense (background, site) read grid.
 ///
 /// SparseGuaranteedRuns is the same contract for grids too large to
 /// materialise densely: per-coordinate sorted runs of (word, bit, lanes)
 /// entries, intersected across passes by merge-walking two sorted runs
-/// instead of AND-ing a dense slab (the word path's observation grid is
+/// instead of AND-ing a dense slab (the observation grid is
 /// O(backgrounds · sites · words · width) dense but only O(touched cells)
 /// sparse — see word_kernels.hpp).
 
@@ -31,8 +30,8 @@ namespace mtg::sim::detail {
 
 /// One guaranteed-trace grid: `now` collects the failing lanes of the
 /// running pass, `guaranteed` holds the intersection of every committed
-/// pass. Coordinates are flat indices chosen by the caller (per read site,
-/// or per (background, site, word, bit) — whatever the kernel traces).
+/// pass. Coordinates are flat indices chosen by the caller (the kernel
+/// uses one per (background, site)).
 template <typename Block>
 class GuaranteedMasks {
 public:

@@ -3,16 +3,19 @@
 /// \file packed_word_memory.hpp
 /// Bit-parallel counterpart of WordMemory: 64·W independent bit-fault
 /// instances are simulated at once against the same word-oriented RAM.
+/// It is the one packed memory of the repo: the bit-oriented n-cell memory
+/// of the paper's simulator is this memory at width 1 (cell c = word c,
+/// bit 0) under the solid background, and engine::PackedBackend runs
+/// bit-universe queries exactly that way.
 ///
 /// Packing layout: the memory holds words × width bit positions; every bit
 /// position owns a `value` and a `known` lane block (W plane words, see
-/// lane_block.hpp), lane l of a block belonging to simulation lane l — the
-/// same value/known plane-pair scheme sim::PackedSimMemoryT uses for
-/// bit-oriented cells, lifted to the (word, bit) grid. A whole-word write
-/// touches `width` block pairs with a handful of bitwise operations each;
-/// a whole-word read returns one {value, known} lane block per bit. Bit 0
-/// of every plane word is left fault-free as the reference by convention,
-/// which keeps each plane word bit-identical to the scalar W=1 path.
+/// lane_block.hpp), lane l of a block belonging to simulation lane l. A
+/// whole-word write touches `width` block pairs with a handful of bitwise
+/// operations each; a whole-word read returns one {value, known} lane
+/// block per bit. Bit 0 of every plane word is left fault-free as the
+/// reference by convention, which keeps each plane word bit-identical to
+/// the scalar W=1 path.
 ///
 /// Word semantics mirror the scalar WordMemory exactly: writes resolve
 /// every bit's own value first (phase 1), store the word, and only then
@@ -23,10 +26,16 @@
 /// model. Per-fault coupling/static/map entries are word-sparse (one lane
 /// lives in one plane word), so their cost stays scalar at any width.
 ///
+/// The word width is a template parameter: `Width` = 0 reads it at run
+/// time, any other value fixes it at compile time, so the width-1
+/// instantiation the bit universe runs on has no per-bit loops and sizes
+/// its scratch planes to one bit.
+///
 /// Restriction: at most ONE injected fault per lane (multi-fault
 /// composition is injection-order-dependent and has no bitwise
-/// equivalent). WordMemory remains the multi-fault oracle;
-/// tests/word_batch_test.cpp proves lane-for-lane equivalence against it.
+/// equivalent). WordMemory and sim::SimMemory remain the multi-fault
+/// oracles; tests/word_batch_test.cpp and tests/packed_sim_test.cpp prove
+/// lane-for-lane equivalence against them.
 
 #include <algorithm>
 #include <cstdint>
@@ -37,8 +46,7 @@
 
 namespace mtg::word {
 
-/// One bit per simulation lane; packing helpers shared with the
-/// bit-oriented kernel.
+/// One bit per simulation lane; packing helpers from lane_block.hpp.
 using sim::block_lane_count;
 using sim::chunk_count;
 using sim::for_each_block_word;
@@ -50,9 +58,15 @@ using sim::LaneMask;
 using sim::used_lanes;
 
 /// words × width RAM simulating up to 64·W bit-fault instances in
-/// parallel. All bits start uninitialised (X) in every lane.
-template <typename Block>
+/// parallel. All bits start uninitialised (X) in every lane. `Width` is
+/// the word width when fixed at compile time, 0 when read at run time.
+template <typename Block, int Width = 0>
 class PackedWordMemoryT {
+    static_assert(Width >= 0 && Width <= 64, "word width is 1..64 bits");
+    /// Scratch planes a write or read needs: one per bit of the widest
+    /// word this instantiation can hold.
+    static constexpr int kMaxBits = Width != 0 ? Width : 64;
+
 public:
     PackedWordMemoryT(int words, int width)
         : words_(words), width_(width),
@@ -65,10 +79,11 @@ public:
           afmap_(static_cast<std::size_t>(words)) {
         MTG_EXPECTS(words > 0);
         MTG_EXPECTS(width >= 1 && width <= 64);
+        MTG_EXPECTS(Width == 0 || width == Width);
     }
 
     [[nodiscard]] int words() const { return words_; }
-    [[nodiscard]] int width() const { return width_; }
+    [[nodiscard]] int width() const { return Width != 0 ? Width : width_; }
 
     /// Re-arms the memory for a new chunk (possibly a new geometry):
     /// every bit back to X, every fault forgotten, every allocation kept
@@ -80,6 +95,7 @@ public:
     void reset(int words, int width) {
         MTG_EXPECTS(words > 0);
         MTG_EXPECTS(width >= 1 && width <= 64);
+        MTG_EXPECTS(Width == 0 || width == Width);
         for (std::size_t at : single_dirty_) single_[at] = SingleBitMasks{};
         single_dirty_.clear();
         for (std::size_t w : coupling_dirty_) coupling_[w].clear();
@@ -194,16 +210,17 @@ public:
     /// result differs per lane).
     void write(int word, std::uint64_t value) {
         MTG_EXPECTS(word >= 0 && word < words_);
+        const int width = this->width();
         const auto w = static_cast<std::size_t>(word);
-        const std::size_t base = w * static_cast<std::size_t>(width_);
+        const std::size_t base = w * static_cast<std::size_t>(width);
 
         // Decoder-map lanes: the whole word access lands on the victim
         // word. Entries are word-sparse within the lane block.
         Block redirected = sim::block_zero<Block>();
         for (const MapEntry& m : afmap_[w]) {
             const std::size_t vbase = static_cast<std::size_t>(m.victim_word) *
-                                      static_cast<std::size_t>(width_);
-            for (int b = 0; b < width_; ++b) {
+                                      static_cast<std::size_t>(width);
+            for (int b = 0; b < width; ++b) {
                 const LaneMask dword =
                     ((value >> b) & 1u) ? kAllLanes : LaneMask{0};
                 LaneMask& vv = sim::block_word_ref(
@@ -218,21 +235,21 @@ public:
         const Block active = ~redirected;
 
         // Phase 1: per-bit effective values (single-bit effects on own
-        // bit). The pre-write planes are captured first so phase 2 can
-        // derive the aggressor transitions of this whole-word store.
-        Block old_v[64];
-        Block old_k[64];
-        for (int b = 0; b < width_; ++b) {
-            old_v[b] = value_[base + static_cast<std::size_t>(b)];
-            old_k[b] = known_[base + static_cast<std::size_t>(b)];
-        }
-
-        for (int b = 0; b < width_; ++b) {
+        // bit), plus the lanes whose stored value rises or falls — the
+        // aggressor transitions phase 2 sensitises on. Phase 2 only
+        // changes victim bits in the lanes of its own entry, and a lane
+        // holds one fault, so a transition taken here is the one a
+        // re-read after the whole word is stored would see.
+        Block rising[kMaxBits];
+        Block falling[kMaxBits];
+        for (int b = 0; b < width; ++b) {
             const std::size_t at = base + static_cast<std::size_t>(b);
             const int d = static_cast<int>((value >> b) & 1u);
             const Block dmask = sim::block_fill<Block>(d != 0);
-            const Block old0 = old_k[b] & ~old_v[b];
-            const Block old1 = old_k[b] & old_v[b];
+            const Block old_v = value_[at];
+            const Block old_k = known_[at];
+            const Block old0 = old_k & ~old_v;  // known stored 0
+            const Block old1 = old_k & old_v;   // known stored 1
 
             // The single-bit masks are disjoint lane-wise (one fault per
             // lane), so sequential application is exact.
@@ -247,43 +264,40 @@ public:
                 eff |= s.wdf0 & old0;     // w0 over a 0 flips the bit to 1
             }
 
-            value_[at] = (old_v[b] & ~active) | (eff & active);
-            known_[at] |= active;
+            value_[at] = (old_v & ~active) | (eff & active);
+            known_[at] = old_k | active;
+            rising[b] = active & old0 & eff;
+            falling[b] = active & old1 & ~eff;
         }
 
         // Phase 2: coupling sensitised by the aggressor-bit transitions of
         // this store, applied after the whole word is written. Per-fault
         // entries touch one plane word each.
         for (const CouplingEntry& c : coupling_[w]) {
-            const int b = c.aggressor_bit;
-            const std::size_t at = base + static_cast<std::size_t>(b);
+            // A fixed width of 1 has one aggressor bit; saying so lets the
+            // transition planes stay in registers.
+            const int b = Width == 1 ? 0 : c.aggressor_bit;
             const int bw = c.word;
-            const LaneMask new_v = sim::block_word(value_[at], bw);
-            const LaneMask new_k = sim::block_word(known_[at], bw);
-            const LaneMask ov = sim::block_word(old_v[b], bw);
-            const LaneMask ok = sim::block_word(old_k[b], bw);
-            const LaneMask rising = ok & ~ov & new_k & new_v;
-            const LaneMask falling = ok & ov & new_k & ~new_v;
             const std::size_t v = c.victim;
             LaneMask t = 0;
             switch (c.kind) {
                 case fault::FaultKind::CfinUp:
-                    t = c.lanes & rising;
+                    t = c.lanes & sim::block_word(rising[b], bw);
                     sim::block_word_ref(value_[v], bw) ^=
                         t & sim::block_word(known_[v], bw);  // X stays X
                     continue;
                 case fault::FaultKind::CfinDown:
-                    t = c.lanes & falling;
+                    t = c.lanes & sim::block_word(falling[b], bw);
                     sim::block_word_ref(value_[v], bw) ^=
                         t & sim::block_word(known_[v], bw);
                     continue;
                 case fault::FaultKind::CfidUp0:
                 case fault::FaultKind::CfidUp1:
-                    t = c.lanes & rising;
+                    t = c.lanes & sim::block_word(rising[b], bw);
                     break;
                 case fault::FaultKind::CfidDown0:
                 case fault::FaultKind::CfidDown1:
-                    t = c.lanes & falling;
+                    t = c.lanes & sim::block_word(falling[b], bw);
                     break;
                 case fault::FaultKind::Af:
                     t = c.lanes & sim::block_word(active, bw);
@@ -305,8 +319,10 @@ public:
                 case fault::FaultKind::Af: {
                     // Shorted decoder: the victim tracks the aggressor's
                     // newly stored value on every write to its word.
+                    const LaneMask stored = sim::block_word(
+                        value_[base + static_cast<std::size_t>(b)], bw);
                     LaneMask& vv = sim::block_word_ref(value_[v], bw);
-                    vv = (vv & ~t) | (new_v & t);
+                    vv = (vv & ~t) | (stored & t);
                     break;
                 }
                 default:
@@ -323,16 +339,17 @@ public:
     void read(int word, ReadResult* out) {
         MTG_EXPECTS(word >= 0 && word < words_);
         MTG_EXPECTS(out != nullptr);
+        const int width = this->width();
         const auto w = static_cast<std::size_t>(word);
-        const std::size_t base = w * static_cast<std::size_t>(width_);
+        const std::size_t base = w * static_cast<std::size_t>(width);
 
         // Decoder-map lanes observe the victim word instead.
         Block redirected = sim::block_zero<Block>();
-        for (int b = 0; b < width_; ++b) out[b] = ReadResult{};
+        for (int b = 0; b < width; ++b) out[b] = ReadResult{};
         for (const MapEntry& m : afmap_[w]) {
             const std::size_t vbase = static_cast<std::size_t>(m.victim_word) *
-                                      static_cast<std::size_t>(width_);
-            for (int b = 0; b < width_; ++b) {
+                                      static_cast<std::size_t>(width);
+            for (int b = 0; b < width; ++b) {
                 sim::block_word_ref(out[b].value, m.word) |=
                     sim::block_word(
                         value_[vbase + static_cast<std::size_t>(b)], m.word) &
@@ -346,7 +363,7 @@ public:
         }
         const Block active = ~redirected;
 
-        for (int b = 0; b < width_; ++b) {
+        for (int b = 0; b < width; ++b) {
             const std::size_t at = base + static_cast<std::size_t>(b);
             const Block cell_v = value_[at];
             const Block cell_k = known_[at];
@@ -441,7 +458,7 @@ private:
     };
 
     int words_;
-    int width_;
+    int width_;  ///< run-time width; width() folds it away when fixed
     std::vector<Block> value_;  ///< word-major (word * width + bit)
     std::vector<Block> known_;
     std::vector<SingleBitMasks> single_;
@@ -457,9 +474,9 @@ private:
 
     [[nodiscard]] std::size_t index(BitAddr at) const {
         MTG_EXPECTS(at.word >= 0 && at.word < words_);
-        MTG_EXPECTS(at.bit >= 0 && at.bit < width_);
+        MTG_EXPECTS(at.bit >= 0 && at.bit < width());
         return static_cast<std::size_t>(at.word) *
-                   static_cast<std::size_t>(width_) +
+                   static_cast<std::size_t>(width()) +
                static_cast<std::size_t>(at.bit);
     }
 
@@ -483,7 +500,8 @@ private:
     }
 };
 
-/// The scalar 64-lane word memory of PR 2 — template instantiated at W=1.
+/// The scalar 64-lane word memory — one plane word per block, run-time
+/// word width.
 using PackedWordMemory = PackedWordMemoryT<LaneMask>;
 
 }  // namespace mtg::word

@@ -24,7 +24,6 @@ WordBatchRunner::WordBatchRunner(const MarchTest& test,
     plan_.pool = pool != nullptr ? pool : &util::ThreadPool::global();
     plan_.expansions = expansion_choices(test, opts);
     plan_.sites = sim::read_sites(test);
-    plan_.site_id = sim::read_site_ids(test);
 }
 
 int WordBatchRunner::width_for(std::size_t population) const {
@@ -39,51 +38,41 @@ sim::LaneIsa WordBatchRunner::isa_for(std::size_t population) const {
         plan_.expansions.size());
 }
 
+// Each dispatch (here and in run_with) hands the pass getters the plan's
+// word width: width 1 (the bit universe) runs the compile-time width-1
+// pass.
+
 std::vector<bool> WordBatchRunner::detects(
     std::span<const InjectedBitFault> population) const {
+    const int bits = plan_.opts.width;
     switch (width_for(population.size())) {
         case 4:
             return detail::word_detects<LaneBlock<4>>(
-                plan_, detail::word_pass_w4(), population);
+                plan_, detail::word_pass_w4(bits), population);
         case 8:
             return detail::word_detects<LaneBlock<8>>(
-                plan_, detail::word_pass_w8(isa_for(population.size())),
+                plan_, detail::word_pass_w8(bits, isa_for(population.size())),
                 population);
         default:
             return detail::word_detects<LaneMask>(
-                plan_, detail::word_pass_w1(), population);
+                plan_, detail::word_pass_w1(bits), population);
     }
 }
 
 bool WordBatchRunner::detects_all(
     std::span<const InjectedBitFault> population) const {
+    const int bits = plan_.opts.width;
     switch (width_for(population.size())) {
         case 4:
             return detail::word_detects_all<LaneBlock<4>>(
-                plan_, detail::word_pass_w4(), population);
+                plan_, detail::word_pass_w4(bits), population);
         case 8:
             return detail::word_detects_all<LaneBlock<8>>(
-                plan_, detail::word_pass_w8(isa_for(population.size())),
+                plan_, detail::word_pass_w8(bits, isa_for(population.size())),
                 population);
         default:
             return detail::word_detects_all<LaneMask>(
-                plan_, detail::word_pass_w1(), population);
-    }
-}
-
-std::vector<WordRunTrace> WordBatchRunner::run(
-    std::span<const InjectedBitFault> population) const {
-    switch (width_for(population.size())) {
-        case 4:
-            return detail::word_run<LaneBlock<4>>(
-                plan_, detail::word_pass_w4(), population);
-        case 8:
-            return detail::word_run<LaneBlock<8>>(
-                plan_, detail::word_pass_w8(isa_for(population.size())),
-                population);
-        default:
-            return detail::word_run<LaneMask>(plan_, detail::word_pass_w1(),
-                                              population);
+                plan_, detail::word_pass_w1(bits), population);
     }
 }
 

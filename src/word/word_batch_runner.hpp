@@ -15,12 +15,18 @@
 /// the guaranteed-detection semantics of word::detects, one memory sweep
 /// per 63·W faults instead of one per fault.
 ///
-/// The block width W ∈ {1, 4, 8} follows the same CPUID dispatch /
-/// MTG_LANE_WIDTH override as sim::BatchRunner (see lane_dispatch.hpp) and
-/// is bit-identical across widths. Like sim::BatchRunner, the (chunk ×
-/// expansion) work grid is sharded across a util::ThreadPool with
-/// atomic-free per-worker accumulators, and detects_all fail-fasts through
-/// a shared atomic flag. Results are bit-identical for every worker count.
+/// This is the one packed runner: engine::PackedBackend also answers
+/// bit-universe queries with it, as words = n cells of width 1 under the
+/// solid background, and a plan of width 1 runs the compile-time width-1
+/// pass (see word_kernels.hpp).
+///
+/// The block width W ∈ {1, 4, 8} is chosen once per process by runtime
+/// CPUID dispatch (AVX-512 → 8, AVX2 → 4, else 1; MTG_LANE_WIDTH
+/// overrides — see lane_dispatch.hpp) or per runner via the constructor,
+/// and is bit-identical across widths. The (chunk × expansion) work grid
+/// is sharded across a util::ThreadPool with atomic-free per-worker
+/// accumulators, and detects_all fail-fasts through a shared atomic flag.
+/// Results are bit-identical for every worker count.
 
 #include <span>
 #include <vector>
@@ -64,7 +70,30 @@ public:
     /// bit-identical to the scalar word::guaranteed_trace oracle. Sharded
     /// chunk-wise (each chunk writes a disjoint result range).
     [[nodiscard]] std::vector<WordRunTrace> run(
-        std::span<const InjectedBitFault> population) const;
+        std::span<const InjectedBitFault> population) const {
+        return run_with<detail::WordTraceEmit>(population);
+    }
+
+    /// run() with each trace built by `Emit` (see detail::WordTraceEmit),
+    /// so a caller with its own trace type gets it filled directly.
+    template <typename Emit>
+    [[nodiscard]] std::vector<typename Emit::Trace> run_with(
+        std::span<const InjectedBitFault> population) const {
+        const int bits = plan_.opts.width;
+        switch (width_for(population.size())) {
+            case 4:
+                return detail::word_run<LaneBlock<4>, Emit>(
+                    plan_, detail::word_pass_w4(bits), population);
+            case 8:
+                return detail::word_run<LaneBlock<8>, Emit>(
+                    plan_,
+                    detail::word_pass_w8(bits, isa_for(population.size())),
+                    population);
+            default:
+                return detail::word_run<LaneMask, Emit>(
+                    plan_, detail::word_pass_w1(bits), population);
+        }
+    }
 
     [[nodiscard]] const march::MarchTest& test() const { return plan_.test; }
     [[nodiscard]] const WordRunOptions& options() const {

@@ -1,16 +1,22 @@
 #pragma once
 
 /// \file word_kernels.hpp
-/// Width-generic grid kernels behind word::WordBatchRunner.
+/// Width-generic grid kernels behind word::WordBatchRunner — the one
+/// packed kernel, serving both fault universes (the bit universe is the
+/// width-1 word universe under the solid background).
 ///
-/// Same structure as sim_kernels.hpp, lifted to the word-oriented model:
-/// one `word_run_pass` streams the whole background set through a chunk of
-/// 63·W bit faults on the SAME packed memory (state carries across
-/// backgrounds exactly like the scalar word runner) under one fixed ⇕
-/// choice, and the drivers shard the (chunk × expansion) grid across a
-/// util::ThreadPool with atomic-free per-worker AND accumulators and an
-/// atomic fail-fast flag. Results are bit-identical across widths and
-/// worker counts.
+/// The kernels are templates over the lane-block type (LaneMask,
+/// LaneBlock<4>, LaneBlock<8>): one `word_run_pass` streams the whole
+/// background set through a chunk of 63·W bit faults on the SAME packed
+/// memory (state carries across backgrounds exactly like the scalar word
+/// runner) under one fixed ⇕ choice, and the drivers shard the (chunk ×
+/// expansion) grid across a util::ThreadPool with atomic-free per-worker
+/// AND accumulators and an atomic fail-fast flag. Because each plane word
+/// of a block is bit-identical to a scalar chunk, results are identical
+/// across lane widths and worker counts. The pass is reached through a
+/// `WordPassFn` pointer so the runner can substitute the
+/// `target("avx2"/"avx512f")`-attributed wrappers from lane_kernels.cpp
+/// when the host CPU supports them.
 ///
 /// Traces: when the optional per-pass sinks are supplied, the pass also
 /// records which lanes mismatched per (background, site) and per
@@ -65,8 +71,7 @@ struct WordPlan {
     WordRunOptions opts;
     util::ThreadPool* pool{nullptr};
     std::vector<unsigned> expansions;
-    std::vector<sim::ReadSite> sites;
-    std::vector<std::vector<int>> site_id;  ///< (element, op) -> flat site
+    std::vector<sim::ReadSite> sites;  ///< read sites in textual order
 };
 
 /// Flat coordinate of the (background, site) read grid.
@@ -87,26 +92,30 @@ using WordPassFn = void (*)(const WordPlan&, const InjectedBitFault*, int,
                             unsigned, Block*, std::vector<Block>*,
                             SparseGuaranteedRuns<Block>*);
 
-template <typename Block>
+/// `Width` fixes the word width at compile time (0 = plan.opts.width at
+/// run time); the width-1 instantiation is the bit universe's pass.
+template <typename Block, int Width = 0>
 void word_run_pass(const WordPlan& plan, const InjectedBitFault* faults,
                    int count, unsigned choice, Block* detected_out,
                    std::vector<Block>* site_now,
                    SparseGuaranteedRuns<Block>* observations) {
+    using Memory = PackedWordMemoryT<Block, Width>;
     const Block used = block_used_lanes<Block>(count);
+    const int width = Width != 0 ? Width : plan.opts.width;
 
     // Workers are long-lived, so each keeps one armed scratch memory
     // (sim/pass_scratch.hpp): a chunk it already holds at this geometry
     // costs only a plane clear, any other chunk a reset and inject with no
     // malloc traffic.
-    thread_local sim::detail::ArmedPassScratch<
-        Block, PackedWordMemoryT<Block>, InjectedBitFault, int, int>
+    thread_local sim::detail::ArmedPassScratch<Block, Memory,
+                                               InjectedBitFault>
         scratch;
-    PackedWordMemoryT<Block>& memory = scratch.arm(
+    Memory& memory = scratch.arm(
         std::span<const InjectedBitFault>(faults,
                                           static_cast<std::size_t>(count)),
         plan.opts.words, plan.opts.width);
 
-    typename PackedWordMemoryT<Block>::ReadResult got[64];
+    typename Memory::ReadResult got[Width != 0 ? Width : 64];
     Block detected = block_zero<Block>();
     // Backgrounds stream through the packed lanes on the same memory, so
     // state carries from one background run into the next exactly as in
@@ -115,6 +124,9 @@ void word_run_pass(const WordPlan& plan, const InjectedBitFault* faults,
         const std::uint64_t b0 = plan.backgrounds[k].bits;
         const std::uint64_t b1 = plan.backgrounds[k].complement().bits;
         int any_seen = 0;
+        // Reads are numbered in textual order, so the flat id of the
+        // element's first read site is the count of reads before it.
+        int first_site = 0;
         for (std::size_t e = 0; e < plan.test.size(); ++e) {
             const auto& element = plan.test[e];
             bool desc = element.order == march::AddressOrder::Descending;
@@ -123,10 +135,11 @@ void word_run_pass(const WordPlan& plan, const InjectedBitFault* faults,
                 ++any_seen;
             }
             const int n = plan.opts.words;
+            int site = first_site;
             for (int step = 0; step < n; ++step) {
                 const int word = desc ? n - 1 - step : step;
-                for (std::size_t o = 0; o < element.ops.size(); ++o) {
-                    const march::MarchOp& op = element.ops[o];
+                site = first_site;
+                for (const march::MarchOp& op : element.ops) {
                     switch (op.kind) {
                         case march::OpKind::Write:
                             memory.write(word, op.value ? b1 : b0);
@@ -135,11 +148,13 @@ void word_run_pass(const WordPlan& plan, const InjectedBitFault* faults,
                             memory.wait();
                             break;
                         case march::OpKind::Read: {
+                            const auto site_index =
+                                static_cast<std::size_t>(site++);
                             const std::uint64_t expected =
                                 op.value ? b1 : b0;
                             memory.read(word, got);
                             Block site_mask = block_zero<Block>();
-                            for (int bit = 0; bit < plan.opts.width; ++bit) {
+                            for (int bit = 0; bit < width; ++bit) {
                                 const Block expmask = block_fill<Block>(
                                     ((expected >> bit) & 1u) != 0);
                                 const Block mismatch =
@@ -155,23 +170,19 @@ void word_run_pass(const WordPlan& plan, const InjectedBitFault* faults,
                                 // under.
                                 if (observations != nullptr)
                                     observations->append(
-                                        word_site_index(
-                                            plan, k,
-                                            static_cast<std::size_t>(
-                                                plan.site_id[e][o])),
+                                        word_site_index(plan, k, site_index),
                                         word, bit, mismatch);
                             }
                             if (site_now != nullptr &&
                                 !block_none(site_mask))
                                 (*site_now)[word_site_index(
-                                    plan, k,
-                                    static_cast<std::size_t>(
-                                        plan.site_id[e][o]))] |= site_mask;
+                                    plan, k, site_index)] |= site_mask;
                             break;
                         }
                     }
                 }
             }
+            first_site = site;
         }
     }
     *detected_out = detected;
@@ -284,11 +295,29 @@ WordChunkResult<Block> word_run_chunk(const WordPlan& plan,
     return out;
 }
 
-template <typename Block>
-std::vector<WordRunTrace> word_run(
+/// How word_run records a guaranteed failing read or observation into a
+/// per-fault trace: `Trace` is the trace type (it needs a `detected`
+/// flag), `read` and `observation` append one entry. WordTraceEmit builds
+/// the word universe's WordRunTrace; another emitter builds another trace
+/// type from the same coordinates without a second copy.
+struct WordTraceEmit {
+    using Trace = WordRunTrace;
+    static void read(Trace& trace, int background, const sim::ReadSite& site) {
+        trace.failing_reads.push_back({background, site});
+    }
+    static void observation(Trace& trace, int background,
+                            const sim::ReadSite& site, int word,
+                            std::uint64_t bits) {
+        trace.failing_observations.push_back({background, site, word, bits});
+    }
+};
+
+template <typename Block, typename Emit = WordTraceEmit>
+std::vector<typename Emit::Trace> word_run(
     const WordPlan& plan, WordPassFn<Block> pass,
     std::span<const InjectedBitFault> population) {
-    std::vector<WordRunTrace> result(population.size());
+    using Trace = typename Emit::Trace;
+    std::vector<Trace> result(population.size());
     if (population.empty()) return result;
     const std::size_t chunks = block_chunk_total<Block>(population.size());
     const auto per = static_cast<std::size_t>(block_fault_lanes<Block>);
@@ -311,7 +340,7 @@ std::vector<WordRunTrace> word_run(
         // to the per-fault traces. Coordinates ascend (bkg, site) and
         // runs are sorted by (word, bit), so each trace sees its words in
         // ascending order — the canonical trace order.
-        const auto lane_result = [&](int lane) -> WordRunTrace& {
+        const auto lane_result = [&](int lane) -> Trace& {
             // Inverse of fault_lane: population index of a fault lane.
             return result[base +
                           static_cast<std::size_t>(
@@ -329,8 +358,8 @@ std::vector<WordRunTrace> word_run(
                 const std::size_t coord = word_site_index(plan, k, s);
                 sim::for_each_lane(
                     chunk.site_fail[coord], [&](int lane) {
-                        lane_result(lane).failing_reads.push_back(
-                            {static_cast<int>(k), plan.sites[s]});
+                        Emit::read(lane_result(lane), static_cast<int>(k),
+                                   plan.sites[s]);
                     });
                 // Each lane keeps one open (word, bits) accumulator,
                 // flushed when the run moves that lane to a new word and
@@ -341,10 +370,10 @@ std::vector<WordRunTrace> word_run(
                         LaneAcc& a = acc[static_cast<std::size_t>(lane)];
                         if (a.word != entry.word) {
                             if (a.word >= 0)
-                                lane_result(lane)
-                                    .failing_observations.push_back(
-                                        {static_cast<int>(k),
-                                         plan.sites[s], a.word, a.bits});
+                                Emit::observation(lane_result(lane),
+                                                  static_cast<int>(k),
+                                                  plan.sites[s], a.word,
+                                                  a.bits);
                             a.word = entry.word;
                             a.bits = 0;
                         }
@@ -354,9 +383,8 @@ std::vector<WordRunTrace> word_run(
                 }
                 sim::for_each_lane(dirty, [&](int lane) {
                     LaneAcc& a = acc[static_cast<std::size_t>(lane)];
-                    lane_result(lane).failing_observations.push_back(
-                        {static_cast<int>(k), plan.sites[s], a.word,
-                         a.bits});
+                    Emit::observation(lane_result(lane), static_cast<int>(k),
+                                      plan.sites[s], a.word, a.bits);
                     a.word = -1;
                     a.bits = 0;
                 });
@@ -365,13 +393,17 @@ std::vector<WordRunTrace> word_run(
     return result;
 }
 
-/// Pass-function getters mirroring sim_kernels.hpp: the widest safe
-/// codegen per width, defined in lane_kernels.cpp. The W=8 getter picks
-/// between the zmm wrapper, the 256-bit (ymm-pair) clone and the generic
-/// instantiation per the resolved LaneIsa — all bit-identical.
-[[nodiscard]] WordPassFn<LaneMask> word_pass_w1();
-[[nodiscard]] WordPassFn<LaneBlock<4>> word_pass_w4();
+/// Pass-function getters: the widest safe codegen for each lane-block
+/// width — the `target`-attributed AVX wrapper when the host CPU has the
+/// feature, the generic-codegen template instantiation otherwise. Defined
+/// in lane_kernels.cpp. `width` is the word width of the plan: 1 hands out
+/// the compile-time width-1 pass, any other width the run-time-width one.
+/// The W=8 getter picks between the zmm wrapper, the 256-bit (ymm-pair)
+/// clone and the generic instantiation per the resolved LaneIsa — all
+/// bit-identical.
+[[nodiscard]] WordPassFn<LaneMask> word_pass_w1(int width);
+[[nodiscard]] WordPassFn<LaneBlock<4>> word_pass_w4(int width);
 [[nodiscard]] WordPassFn<LaneBlock<8>> word_pass_w8(
-    sim::LaneIsa isa = sim::LaneIsa::Avx512);
+    int width, sim::LaneIsa isa = sim::LaneIsa::Avx512);
 
 }  // namespace mtg::word::detail

@@ -24,7 +24,7 @@
 #include "net/framing.hpp"
 #include "net/remote_backend.hpp"
 #include "net/worker.hpp"
-#include "sim/batch_runner.hpp"
+#include "sim/march_runner.hpp"
 #include "util/contracts.hpp"
 #include "util/thread_pool.hpp"
 #include "word/word_batch_runner.hpp"
@@ -79,9 +79,13 @@ void expect_word_traces_eq(const std::vector<word::WordRunTrace>& got,
     }
 }
 
+/// The per-kind scalar-oracle check of the bit universe: every fault kind,
+/// on tests with ⇕ elements and retention waits, across lane widths and
+/// worker counts.
 TEST(EngineDifferential, BitQueriesMatchScalarOracleEverywhere) {
     const sim::RunOptions opts{.memory_size = 5, .max_any_expansion = 6};
-    for (const char* name : {"MATS", "March SS"}) {
+    const std::vector<FaultKind>& kinds = fault::all_fault_kinds();
+    for (const char* name : {"MATS", "March SS", "MATS+Del"}) {
         const auto& test = march::find_march_test(name).test;
 
         // Scalar-backend reference: the per-fault oracles.
@@ -89,7 +93,7 @@ TEST(EngineDifferential, BitQueriesMatchScalarOracleEverywhere) {
         Query query;
         query.test = test;
         query.universe = BitUniverse{opts};
-        query.kinds = kBitKinds;
+        query.kinds = kinds;
 
         query.want = Want::Detects;
         const Result ref_detects = scalar.run(query);
@@ -104,8 +108,8 @@ TEST(EngineDifferential, BitQueriesMatchScalarOracleEverywhere) {
 
         // The legacy free functions (now wrappers over Engine::global())
         // agree with the scalar session.
-        EXPECT_EQ(sim::covers_all(test, kBitKinds, opts), ref_all.all);
-        EXPECT_EQ(sim::first_uncovered(test, kBitKinds, opts).has_value(),
+        EXPECT_EQ(sim::covers_all(test, kinds, opts), ref_all.all);
+        EXPECT_EQ(sim::first_uncovered(test, kinds, opts).has_value(),
                   !ref_all.all);
 
         for (int width : {1, 4, 8}) {
@@ -179,27 +183,32 @@ TEST(EngineDifferential, WordQueriesMatchScalarOracleEverywhere) {
     }
 }
 
+/// The packed dictionary sweep against the scalar oracle: the reference
+/// places every instance itself and traces it on a Scalar session, so the
+/// sweep's placement and its traces are both checked independently of the
+/// packed kernel. Kinds cover decoder faults, state coupling and
+/// retention; tests cover ⇕ elements and `del`.
 TEST(EngineDifferential, DictionarySweepMatchesPlacedGuaranteedTraces) {
     const sim::RunOptions opts{.memory_size = 8, .max_any_expansion = 6};
-    const auto& test = march::march_c_minus();
-    const std::vector<FaultKind> kinds = {FaultKind::Saf0, FaultKind::TfUp,
-                                          FaultKind::CfidUp0};
-
+    const std::vector<FaultKind> kinds = {
+        FaultKind::Saf0, FaultKind::TfUp,     FaultKind::CfidUp0,
+        FaultKind::Af,   FaultKind::AfMap,    FaultKind::CfstS1F0,
+        FaultKind::Drf0,
+    };
     const std::vector<fault::FaultInstance> instances =
         fault::instantiate(kinds);
-    const Engine eng;
-    const Result sweep = eng.dictionary_sweep(test, kinds, opts);
-    ASSERT_EQ(sweep.instances, instances);
-    ASSERT_EQ(sweep.traces.size(), instances.size());
-    for (std::size_t i = 0; i < instances.size(); ++i) {
-        const auto placed =
-            sim::place_instance(instances[i], opts.memory_size);
-        EXPECT_EQ(sweep.traces[i].failing_observations,
-                  sim::guaranteed_failing_observations(test, placed, opts))
-            << "#" << i;
-        EXPECT_EQ(sweep.traces[i].failing_reads,
-                  sim::guaranteed_failing_reads(test, placed, opts))
-            << "#" << i;
+    std::vector<sim::InjectedFault> placed;
+    for (const fault::FaultInstance& instance : instances)
+        placed.push_back(sim::place_instance(instance, opts.memory_size));
+
+    const Engine packed;
+    const Engine scalar(EngineConfig{.backend = BackendKind::Scalar});
+    for (const char* name : {"March C-", "MATS+Del"}) {
+        const auto& test = march::find_march_test(name).test;
+        const Result sweep = packed.dictionary_sweep(test, kinds, opts);
+        ASSERT_EQ(sweep.instances, instances) << name;
+        expect_traces_eq(sweep.traces, scalar.traces(test, placed, opts),
+                         name);
     }
 }
 

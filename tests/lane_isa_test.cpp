@@ -1,19 +1,21 @@
 /// \file lane_isa_test.cpp
-/// LaneIsa dispatch (PR 8): the W=8 pass exists in three semantically
-/// identical codegen flavours — zmm wrappers (target("avx512f")), the
-/// ymm-pair "256-bit clone" (target("avx2")) and the baseline-codegen
-/// template instantiation. MTG_LANE_ISA / set_requested_lane_isa pick a
-/// flavour, Auto applies the small-work-grid heuristic, and every
-/// flavour must be bit-identical on both the bit- and word-oriented
-/// kernels. Mirrors lane_width_test.cpp, one level down the dispatch.
+/// LaneIsa dispatch: the W=8 pass exists in three semantically identical
+/// codegen flavours — zmm wrappers (target("avx512f")), the ymm-pair
+/// "256-bit clone" (target("avx2")) and the baseline-codegen template
+/// instantiation — for both word widths the kernel is compiled at (the
+/// width-1 pass bit queries run, and the run-time-width pass).
+/// MTG_LANE_ISA / set_requested_lane_isa pick a flavour, Auto applies the
+/// small-work-grid heuristic, and every flavour must be bit-identical for
+/// bit and word queries alike. Mirrors lane_width_test.cpp, one level
+/// down the dispatch.
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "engine/engine.hpp"
 #include "fault/kinds.hpp"
 #include "march/library.hpp"
-#include "sim/batch_runner.hpp"
 #include "sim/lane_dispatch.hpp"
 #include "util/thread_pool.hpp"
 #include "word/background.hpp"
@@ -100,9 +102,10 @@ TEST(LaneIsaDispatch, RequestedIsaRoundTrips) {
     EXPECT_EQ(sim::requested_lane_isa(), original);
 }
 
-/// Every ISA flavour must produce bit-identical detects / traces on the
-/// bit-oriented kernel at forced W=8 — same template, different
-/// instruction selection. Flavours the host lacks degrade to a runnable
+/// Every ISA flavour must produce bit-identical detects / traces for bit
+/// queries, which run the width-1 word pass, at forced W=8 — same
+/// template, different instruction selection. The W=4 session runs the
+/// width-1 AVX2 wrapper. Flavours the host lacks degrade to a runnable
 /// one, so the test is meaningful everywhere and exhaustive on AVX-512
 /// CI hosts.
 TEST(LaneIsaDifferential, BitKernelBitIdenticalAcrossIsas) {
@@ -111,33 +114,45 @@ TEST(LaneIsaDifferential, BitKernelBitIdenticalAcrossIsas) {
     const sim::RunOptions opts{.memory_size = 14, .max_any_expansion = 4};
     const auto population =
         sim::full_population(FaultKind::CfidUp0, opts.memory_size);
+    const auto bit_session = [&](int width) {
+        return engine::Engine(
+            engine::EngineConfig{.pool = &serial, .lane_width = width});
+    };
 
     std::vector<bool> expected_detects;
     std::vector<sim::RunTrace> expected_traces;
     {
         RequestedIsa forced(LaneIsa::Generic);
-        const sim::BatchRunner runner(test, opts, &serial, 8);
-        expected_detects = runner.detects(population);
-        expected_traces = runner.run(population);
+        const engine::Engine session = bit_session(8);
+        expected_detects = session.detects(test, population, opts);
+        expected_traces = session.traces(test, population, opts);
     }
-    for (LaneIsa isa : {LaneIsa::Avx2, LaneIsa::Avx512, LaneIsa::Auto}) {
-        RequestedIsa forced(isa);
-        const sim::BatchRunner runner(test, opts, &serial, 8);
-        EXPECT_EQ(runner.detects(population), expected_detects)
-            << "isa " << static_cast<int>(isa);
-        const auto traces = runner.run(population);
-        ASSERT_EQ(traces.size(), expected_traces.size());
+    const auto expect_same = [&](const engine::Engine& session,
+                                 const char* label) {
+        EXPECT_EQ(session.detects(test, population, opts), expected_detects)
+            << label;
+        const auto traces = session.traces(test, population, opts);
+        ASSERT_EQ(traces.size(), expected_traces.size()) << label;
         for (std::size_t i = 0; i < traces.size(); ++i) {
             EXPECT_EQ(traces[i].detected, expected_traces[i].detected)
-                << "isa " << static_cast<int>(isa) << " fault " << i;
+                << label << " fault " << i;
             EXPECT_EQ(traces[i].failing_reads,
                       expected_traces[i].failing_reads)
-                << "isa " << static_cast<int>(isa) << " fault " << i;
+                << label << " fault " << i;
             EXPECT_EQ(traces[i].failing_observations,
                       expected_traces[i].failing_observations)
-                << "isa " << static_cast<int>(isa) << " fault " << i;
+                << label << " fault " << i;
         }
+    };
+    for (LaneIsa isa : {LaneIsa::Avx2, LaneIsa::Avx512, LaneIsa::Auto}) {
+        RequestedIsa forced(isa);
+        expect_same(bit_session(8),
+                    isa == LaneIsa::Avx2     ? "W8 avx2"
+                    : isa == LaneIsa::Avx512 ? "W8 avx512"
+                                             : "W8 auto");
     }
+    expect_same(bit_session(4), "W4");
+    expect_same(bit_session(1), "W1");
 }
 
 /// Same differential on the word kernel — the clone covers both pass

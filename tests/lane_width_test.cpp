@@ -2,18 +2,19 @@
 /// Lane-width correctness: the packed kernels must produce bit-identical
 /// detects / detects_all / traces at every lane-block width W ∈ {1, 4, 8}
 /// (every width is runnable on every host — wide blocks without the
-/// matching ISA just run generic codegen), on both the bit- and
-/// word-oriented kernels, for every fault kind, plus the pure dispatch
-/// rules behind MTG_LANE_WIDTH / CPUID resolution.
+/// matching ISA just run generic codegen), for bit-universe queries (the
+/// width-1 word pass, reached through Engine sessions) and word-universe
+/// runners alike, for every fault kind, plus the pure dispatch rules
+/// behind MTG_LANE_WIDTH / CPUID resolution.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <vector>
 
+#include "engine/engine.hpp"
 #include "fault/kinds.hpp"
 #include "march/library.hpp"
-#include "sim/batch_runner.hpp"
 #include "sim/lane_dispatch.hpp"
 #include "sim/march_runner.hpp"
 #include "util/thread_pool.hpp"
@@ -28,6 +29,24 @@ using fault::FaultKind;
 
 const std::vector<int> kWidths{1, 4, 8};
 
+/// A packed bit session pinned to `pool` and lane width `width`.
+engine::Engine bit_session(util::ThreadPool& pool, int width) {
+    return engine::Engine(
+        engine::EngineConfig{.pool = &pool, .lane_width = width});
+}
+
+/// The detects-all verdict of an explicit bit population on `session`.
+bool detects_all(const engine::Engine& session, const march::MarchTest& test,
+                 const std::vector<sim::InjectedFault>& population,
+                 const sim::RunOptions& opts) {
+    engine::Query query;
+    query.test = test;
+    query.universe = engine::BitUniverse{opts};
+    query.want = engine::Want::DetectsAll;
+    query.bit_faults = population;
+    return session.run(query).all;
+}
+
 std::vector<FaultKind> all_kinds() {
     return {FaultKind::Saf0,      FaultKind::Saf1,      FaultKind::TfUp,
             FaultKind::TfDown,    FaultKind::Wdf0,      FaultKind::Wdf1,
@@ -40,9 +59,9 @@ std::vector<FaultKind> all_kinds() {
             FaultKind::Af,        FaultKind::AfMap};
 }
 
-/// detects / detects_all / run must agree with the W=1 kernel for every
-/// fault kind; W=1 itself is proven against the scalar oracle by the PR 1
-/// differential tests, so transitively every width matches the oracle.
+/// Bit detects / detects_all / traces must agree with the W=1 lane block
+/// for every fault kind; W=1 itself is proven against the scalar oracle by
+/// packed_sim_test, so transitively every width matches the oracle.
 TEST(LaneWidth, BitKernelBitIdenticalAcrossWidthsForEveryKind) {
     util::ThreadPool serial(1);
     const auto& test = march::march_ss();  // two ⇕ elements, waits, rich mix
@@ -51,19 +70,20 @@ TEST(LaneWidth, BitKernelBitIdenticalAcrossWidthsForEveryKind) {
         const auto population = sim::full_population(kind, opts.memory_size);
         ASSERT_FALSE(population.empty());
 
-        const sim::BatchRunner scalar(test, opts, &serial, 1);
-        const auto expected_detects = scalar.detects(population);
-        const bool expected_all = scalar.detects_all(population);
-        const auto expected_traces = scalar.run(population);
+        const engine::Engine scalar = bit_session(serial, 1);
+        const auto expected_detects = scalar.detects(test, population, opts);
+        const bool expected_all = detects_all(scalar, test, population, opts);
+        const auto expected_traces = scalar.traces(test, population, opts);
 
         for (int width : kWidths) {
-            const sim::BatchRunner runner(test, opts, &serial, width);
-            ASSERT_EQ(runner.lane_width(), width);
-            EXPECT_EQ(runner.detects(population), expected_detects)
+            const engine::Engine session = bit_session(serial, width);
+            EXPECT_EQ(session.detects(test, population, opts),
+                      expected_detects)
                 << "kind " << fault::fault_kind_name(kind) << " width " << width;
-            EXPECT_EQ(runner.detects_all(population), expected_all)
+            EXPECT_EQ(detects_all(session, test, population, opts),
+                      expected_all)
                 << "kind " << fault::fault_kind_name(kind) << " width " << width;
-            const auto traces = runner.run(population);
+            const auto traces = session.traces(test, population, opts);
             ASSERT_EQ(traces.size(), expected_traces.size());
             for (std::size_t i = 0; i < traces.size(); ++i) {
                 EXPECT_EQ(traces[i].detected, expected_traces[i].detected)
@@ -100,9 +120,10 @@ TEST(LaneWidth, MultiChunkPopulationsMatchTheScalarOracle) {
         oracle.push_back(sim::detects(test, fault, opts));
 
     for (int width : kWidths) {
-        const sim::BatchRunner runner(test, opts, &serial, width);
-        EXPECT_EQ(runner.detects(population), oracle) << "width " << width;
-        EXPECT_EQ(runner.detects_all(population),
+        const engine::Engine session = bit_session(serial, width);
+        EXPECT_EQ(session.detects(test, population, opts), oracle)
+            << "width " << width;
+        EXPECT_EQ(detects_all(session, test, population, opts),
                   std::find(oracle.begin(), oracle.end(), false) ==
                       oracle.end())
             << "width " << width;
@@ -157,15 +178,15 @@ TEST(LaneWidth, WideKernelsAreDeterministicAcrossWorkerCounts) {
 
     util::ThreadPool serial(1);
     for (int width : kWidths) {
-        const sim::BatchRunner reference(test, opts, &serial, width);
-        const auto expected = reference.detects(population);
+        const engine::Engine reference = bit_session(serial, width);
+        const auto expected = reference.detects(test, population, opts);
         for (unsigned workers : {2u, 5u}) {
             util::ThreadPool pool(workers);
-            const sim::BatchRunner runner(test, opts, &pool, width);
-            EXPECT_EQ(runner.detects(population), expected)
+            const engine::Engine session = bit_session(pool, width);
+            EXPECT_EQ(session.detects(test, population, opts), expected)
                 << "width " << width << " workers " << workers;
-            EXPECT_EQ(runner.detects_all(population),
-                      reference.detects_all(population))
+            EXPECT_EQ(detects_all(session, test, population, opts),
+                      detects_all(reference, test, population, opts))
                 << "width " << width << " workers " << workers;
         }
     }
@@ -214,15 +235,19 @@ TEST(LaneDispatch, ClampPicksTheNarrowestFillingWidth) {
 }
 
 /// Constructing a runner with an explicit width keeps that width exact
-/// even for tiny populations (the differential tests above rely on it).
+/// even for tiny populations (the differential tests above rely on it),
+/// including the width-1 plans bit-universe queries run on.
 TEST(LaneDispatch, ExplicitRunnerWidthIsNotClamped) {
     util::ThreadPool serial(1);
     const auto& test = march::find_march_test("MATS++").test;
-    const sim::RunOptions opts{.memory_size = 4, .max_any_expansion = 4};
-    const auto population = sim::full_population(FaultKind::Saf0, 4);
-    const sim::BatchRunner w8(test, opts, &serial, 8);
-    const sim::BatchRunner w1(test, opts, &serial, 1);
+    const word::WordRunOptions opts{
+        .words = 4, .width = 1, .max_any_expansion = 4};
+    const auto backgrounds = word::solid_background(1);
+    const auto population = word::coverage_population(FaultKind::Saf0, opts);
+    const word::WordBatchRunner w8(test, backgrounds, opts, &serial, 8);
+    const word::WordBatchRunner w1(test, backgrounds, opts, &serial, 1);
     EXPECT_EQ(w8.lane_width(), 8);
+    EXPECT_EQ(w1.lane_width(), 1);
     EXPECT_EQ(w8.detects(population), w1.detects(population));
 }
 

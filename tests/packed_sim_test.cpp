@@ -1,7 +1,9 @@
-/// Randomized differential test: PackedSimMemory lane-i behaviour must be
-/// bit-identical to a scalar SimMemory carrying the same injected fault,
-/// over random operation sequences, for every FaultKind — the scalar
-/// simulator is the ground-truth oracle for the bit-parallel kernel.
+/// Randomized differential test of the bit universe on the one packed
+/// kernel: the width-1 word memory (cell c = word c, bit 0) must behave
+/// lane for lane like a scalar SimMemory carrying the same injected fault,
+/// over random operation sequences, for every FaultKind — the scalar bit
+/// simulator is the ground-truth oracle. Engine bit queries on the packed
+/// backend must reproduce the scalar verdicts and guaranteed traces.
 
 #include <gtest/gtest.h>
 
@@ -9,15 +11,15 @@
 #include <string>
 #include <vector>
 
+#include "engine/engine.hpp"
 #include "fault/kinds.hpp"
 #include "march/library.hpp"
 #include "march/parser.hpp"
-#include "sim/batch_runner.hpp"
 #include "sim/march_runner.hpp"
-#include "sim/packed_memory.hpp"
 #include "sim/pass_scratch.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
+#include "word/packed_word_memory.hpp"
 
 namespace mtg::sim {
 namespace {
@@ -25,6 +27,26 @@ namespace {
 using fault::FaultKind;
 
 constexpr int kCells = 6;
+
+/// The packed memory the bit universe runs on: width 1 fixed at compile
+/// time, one plane word per lane block.
+using BitMemory = word::PackedWordMemoryT<LaneMask, 1>;
+
+/// Cell c of the bit memory is bit 0 of word c.
+word::InjectedBitFault at_width_one(const InjectedFault& fault) {
+    return {fault.kind, {fault.cell_a, 0}, {fault.cell_b, 0}};
+}
+
+/// One packed read of cell `addr`.
+BitMemory::ReadResult read_cell(BitMemory& memory, int addr) {
+    BitMemory::ReadResult got;
+    memory.read(addr, &got);
+    return got;
+}
+
+Trit peek_cell(const BitMemory& memory, int addr, int lane) {
+    return memory.peek({addr, 0}, lane);
+}
 
 /// Random placement of `kind` on a `cells`-cell memory.
 InjectedFault random_placement(FaultKind kind, SplitMix64& rng,
@@ -43,10 +65,10 @@ InjectedFault random_placement(FaultKind kind, SplitMix64& rng,
 void run_differential(const InjectedFault* fault, SplitMix64& rng, int lane,
                       int ops) {
     SimMemory scalar(kCells);
-    PackedSimMemory packed(kCells);
+    BitMemory packed(kCells, 1);
     if (fault) {
         scalar.inject(*fault);
-        packed.inject(*fault, LaneMask{1} << lane);
+        packed.inject(at_width_one(*fault), LaneMask{1} << lane);
     }
     const std::string label =
         fault ? fault_kind_name(fault->kind) : "fault-free";
@@ -60,7 +82,7 @@ void run_differential(const InjectedFault* fault, SplitMix64& rng, int lane,
             packed.write(addr, d);
         } else if (choice < 9) {
             const Trit expected = scalar.read(addr);
-            const auto got = packed.read(addr);
+            const auto got = read_cell(packed, addr);
             const bool known = (got.known >> lane) & 1u;
             ASSERT_EQ(known, is_known(expected))
                 << "read @" << addr << " step " << step << " fault "
@@ -76,7 +98,7 @@ void run_differential(const InjectedFault* fault, SplitMix64& rng, int lane,
             packed.wait();
         }
         for (int c = 0; c < kCells; ++c)
-            ASSERT_EQ(packed.peek(c, lane), scalar.peek(c))
+            ASSERT_EQ(peek_cell(packed, c, lane), scalar.peek(c))
                 << "cell " << c << " step " << step << " fault "
                 << label;
     }
@@ -105,7 +127,7 @@ TEST(PackedSim, SixtyThreeLanesRunIndependently) {
     SplitMix64 rng(0x5EEDULL);
     std::vector<InjectedFault> faults;
     std::vector<SimMemory> scalars;
-    PackedSimMemory packed(kCells);
+    BitMemory packed(kCells, 1);
     const auto& kinds = fault::all_fault_kinds();
     for (int lane = 1; lane < kLaneCount; ++lane) {
         const FaultKind kind =
@@ -113,7 +135,7 @@ TEST(PackedSim, SixtyThreeLanesRunIndependently) {
         faults.push_back(random_placement(kind, rng));
         scalars.emplace_back(kCells);
         scalars.back().inject(faults.back());
-        packed.inject(faults.back(), LaneMask{1} << lane);
+        packed.inject(at_width_one(faults.back()), LaneMask{1} << lane);
     }
     SimMemory reference(kCells);  // lane 0
 
@@ -127,7 +149,7 @@ TEST(PackedSim, SixtyThreeLanesRunIndependently) {
             packed.write(addr, d);
         } else if (choice < 9) {
             const Trit ref = reference.read(addr);
-            const auto got = packed.read(addr);
+            const auto got = read_cell(packed, addr);
             ASSERT_EQ(((got.known >> 0) & 1u) != 0, is_known(ref));
             for (int lane = 1; lane < kLaneCount; ++lane) {
                 const Trit expected = scalars[static_cast<std::size_t>(
@@ -148,19 +170,28 @@ TEST(PackedSim, SixtyThreeLanesRunIndependently) {
         }
     }
     for (int c = 0; c < kCells; ++c) {
-        ASSERT_EQ(packed.peek(c, 0), reference.peek(c));
+        ASSERT_EQ(peek_cell(packed, c, 0), reference.peek(c));
         for (int lane = 1; lane < kLaneCount; ++lane)
-            ASSERT_EQ(packed.peek(c, lane),
+            ASSERT_EQ(peek_cell(packed, c, lane),
                       scalars[static_cast<std::size_t>(lane - 1)].peek(c))
                 << "cell " << c << " lane " << lane;
     }
 }
 
 TEST(PackedSim, RejectsTwoFaultsInOneLane) {
-    PackedSimMemory packed(4);
-    packed.inject(InjectedFault::single(FaultKind::Saf0, 1), 0b10);
-    EXPECT_THROW(packed.inject(InjectedFault::single(FaultKind::Saf1, 2), 0b110),
-                 ContractViolation);
+    BitMemory packed(4, 1);
+    packed.inject(at_width_one(InjectedFault::single(FaultKind::Saf0, 1)),
+                  0b10);
+    EXPECT_THROW(
+        packed.inject(at_width_one(InjectedFault::single(FaultKind::Saf1, 2)),
+                      0b110),
+        ContractViolation);
+}
+
+TEST(PackedSim, WidthOneInstantiationRejectsOtherWidths) {
+    EXPECT_THROW(BitMemory(4, 2), ContractViolation);
+    BitMemory packed(4, 1);
+    EXPECT_THROW(packed.reset(4, 8), ContractViolation);
 }
 
 /// Scalar-oracle recomputation of the guaranteed failing reads: intersects
@@ -224,17 +255,29 @@ std::vector<Observation> scalar_guaranteed_observations(
     return guaranteed;
 }
 
-/// BatchRunner must reproduce the scalar detects() verdict and the
+/// The detects-all verdict of an explicit population on `session`.
+bool detects_all(const engine::Engine& session, const march::MarchTest& test,
+                 const std::vector<InjectedFault>& population,
+                 const RunOptions& opts) {
+    engine::Query query;
+    query.test = test;
+    query.universe = engine::BitUniverse{opts};
+    query.want = engine::Want::DetectsAll;
+    query.bit_faults = population;
+    return session.run(query).all;
+}
+
+/// Packed bit queries must reproduce the scalar detects() verdict and the
 /// guaranteed failing reads/observations (as sets) for whole populations.
-TEST(BatchRunner, MatchesScalarSweepOnLibraryTests) {
+TEST(PackedBitQueries, MatchScalarSweepOnLibraryTests) {
     const RunOptions opts{.memory_size = 5, .max_any_expansion = 6};
+    const engine::Engine session;
     for (const char* name : {"MATS", "MATS++", "March C-", "March SS"}) {
         const auto& test = march::find_march_test(name).test;
         for (FaultKind kind : fault::all_fault_kinds()) {
             const auto population = full_population(kind, opts.memory_size);
-            const BatchRunner runner(test, opts);
-            const auto batched = runner.detects(population);
-            const auto traces = runner.run(population);
+            const auto batched = session.detects(test, population, opts);
+            const auto traces = session.traces(test, population, opts);
             ASSERT_EQ(batched.size(), population.size());
             for (std::size_t i = 0; i < population.size(); ++i) {
                 const bool scalar = detects(test, population[i], opts);
@@ -255,14 +298,15 @@ TEST(BatchRunner, MatchesScalarSweepOnLibraryTests) {
     }
 }
 
-TEST(BatchRunner, PopulationsLargerThanOneChunk) {
-    // 12 cells -> 132 ordered pairs: three packed chunks.
+TEST(PackedBitQueries, PopulationsLargerThanOneChunk) {
+    // 12 cells -> 132 ordered pairs: three packed chunks at W=1.
     const RunOptions opts{.memory_size = 12, .max_any_expansion = 6};
     const auto& test = march::march_c_minus();
     const auto population =
         full_population(FaultKind::CfidUp0, opts.memory_size);
     ASSERT_GT(population.size(), 2u * 63u);
-    const auto batched = BatchRunner(test, opts).detects(population);
+    const engine::Engine session(engine::EngineConfig{.lane_width = 1});
+    const auto batched = session.detects(test, population, opts);
     for (std::size_t i = 0; i < population.size(); ++i)
         ASSERT_TRUE(batched[i]) << i;
     EXPECT_TRUE(covers_everywhere(test, FaultKind::CfidUp0, opts));
@@ -297,17 +341,19 @@ TEST(PackedSim, ResetReuseMatchesFreshMemory) {
     // behave exactly like a freshly constructed one, across a geometry
     // change and a different fault population.
     SplitMix64 rng(0x4E5E7ULL);
-    PackedSimMemory reused(4);
-    reused.inject(InjectedFault::coupling(FaultKind::CfidUp1, 0, 3),
-                  LaneMask{1} << 7);
-    reused.inject(InjectedFault::single(FaultKind::Rdf0, 1),
+    BitMemory reused(4, 1);
+    reused.inject(
+        at_width_one(InjectedFault::coupling(FaultKind::CfidUp1, 0, 3)),
+        LaneMask{1} << 7);
+    reused.inject(at_width_one(InjectedFault::single(FaultKind::Rdf0, 1)),
                   LaneMask{1} << 11);
     reused.write(0, 1);
-    (void)reused.read(3);
+    (void)read_cell(reused, 3);
 
-    reused.reset(6);
-    PackedSimMemory fresh(6);
-    const auto fault = InjectedFault::coupling(FaultKind::CfstS1F0, 2, 4);
+    reused.reset(6, 1);
+    BitMemory fresh(6, 1);
+    const auto fault =
+        at_width_one(InjectedFault::coupling(FaultKind::CfstS1F0, 2, 4));
     reused.inject(fault, LaneMask{1} << 7);
     fresh.inject(fault, LaneMask{1} << 7);
     for (int step = 0; step < 60; ++step) {
@@ -318,8 +364,8 @@ TEST(PackedSim, ResetReuseMatchesFreshMemory) {
             reused.write(cell, d);
             fresh.write(cell, d);
         } else if (choice < 9) {
-            const auto a = reused.read(cell);
-            const auto b = fresh.read(cell);
+            const auto a = read_cell(reused, cell);
+            const auto b = read_cell(fresh, cell);
             ASSERT_EQ(a.value, b.value) << "step " << step;
             ASSERT_EQ(a.known, b.known) << "step " << step;
         } else {
@@ -327,18 +373,19 @@ TEST(PackedSim, ResetReuseMatchesFreshMemory) {
             fresh.wait();
         }
         for (int c = 0; c < 6; ++c)
-            ASSERT_EQ(reused.peek(c, 7), fresh.peek(c, 7))
+            ASSERT_EQ(peek_cell(reused, c, 7), peek_cell(fresh, c, 7))
                 << "cell " << c << " step " << step;
     }
 }
 
-TEST(BatchRunner, EmptyPopulationIsTriviallyCovered) {
+TEST(PackedBitQueries, EmptyPopulationIsTriviallyCovered) {
     const RunOptions opts{.memory_size = 1, .max_any_expansion = 6};
-    const BatchRunner runner(march::march_c_minus(), opts);
+    const auto& test = march::march_c_minus();
+    const engine::Engine session;
     const auto empty = full_population(FaultKind::CfidUp0, 1);
-    EXPECT_TRUE(runner.detects_all(empty));
-    EXPECT_TRUE(runner.detects(empty).empty());
-    EXPECT_TRUE(runner.run(empty).empty());
+    EXPECT_TRUE(detects_all(session, test, empty, opts));
+    EXPECT_TRUE(session.detects(test, empty, opts).empty());
+    EXPECT_TRUE(session.traces(test, empty, opts).empty());
     // covers_everywhere on the degenerate memory: vacuously true for
     // two-cell kinds, still meaningful for single-cell kinds.
     EXPECT_TRUE(covers_everywhere(march::march_c_minus(), FaultKind::CfidUp0,
@@ -393,14 +440,14 @@ std::vector<InjectedFault> change_one_fault(std::vector<InjectedFault> a) {
 /// memory holding the same chunk and one scalar SimMemory per fault
 /// through one random op sequence: every read must agree between the two
 /// packed memories block for block and with the oracle lane for lane.
-void expect_armed_matches_fresh(PackedSimMemory& armed,
+void expect_armed_matches_fresh(BitMemory& armed,
                                 const std::vector<InjectedFault>& chunk,
                                 int cells, SplitMix64& rng,
                                 const char* label) {
-    PackedSimMemory fresh(cells);
+    BitMemory fresh(cells, 1);
     std::vector<SimMemory> oracle;
     for (std::size_t i = 0; i < chunk.size(); ++i) {
-        fresh.inject(chunk[i],
+        fresh.inject(at_width_one(chunk[i]),
                      LaneMask{1} << fault_lane(static_cast<int>(i)));
         oracle.emplace_back(cells);
         oracle.back().inject(chunk[i]);
@@ -414,8 +461,8 @@ void expect_armed_matches_fresh(PackedSimMemory& armed,
             fresh.write(addr, d);
             for (SimMemory& m : oracle) m.write(addr, d);
         } else if (choice < 9) {
-            const auto got = armed.read(addr);
-            const auto want = fresh.read(addr);
+            const auto got = read_cell(armed, addr);
+            const auto want = read_cell(fresh, addr);
             ASSERT_EQ(got.value, want.value) << label << " step " << step;
             ASSERT_EQ(got.known, want.known) << label << " step " << step;
             for (std::size_t i = 0; i < oracle.size(); ++i) {
@@ -444,20 +491,24 @@ TEST(PassScratch, RearmMatchesFreshMemoryAndScalarOracle) {
     const auto b = random_chunk(rng, kCells);
     const auto a1 = change_one_fault(a);
     ASSERT_NE(a1, a);
-    detail::ArmedPassScratch<LaneMask, PackedSimMemory, InjectedFault, int>
+    detail::ArmedPassScratch<LaneMask, BitMemory, word::InjectedBitFault>
         scratch;
     for (const ArmStep& step : rearm_sequence(a, b, a1)) {
-        PackedSimMemory& armed = scratch.arm(*step.chunk, step.cells);
-        ASSERT_EQ(armed.size(), step.cells) << step.label;
+        std::vector<word::InjectedBitFault> chunk;
+        for (const InjectedFault& fault : *step.chunk)
+            chunk.push_back(at_width_one(fault));
+        BitMemory& armed = scratch.arm(chunk, step.cells, 1);
+        ASSERT_EQ(armed.words(), step.cells) << step.label;
         expect_armed_matches_fresh(armed, *step.chunk, step.cells, rng,
                                    step.label);
         if (HasFatalFailure()) return;
     }
 }
 
-/// The same sequence through the batch kernels' own thread-local scratch,
-/// at every block width on a serial pool: detection flags and guaranteed
-/// traces must match the scalar oracle after every re-arm.
+/// The same sequence through the packed kernel's own thread-local scratch
+/// (Engine bit queries on a serial pool), at every block width: detection
+/// flags and guaranteed traces must match the scalar oracle after every
+/// re-arm.
 TEST(PassScratch, BatchPassesMatchScalarOracleAcrossReArms) {
     SplitMix64 rng(0x5C4A7CULL);
     const auto a = random_chunk(rng, kCells);
@@ -469,10 +520,11 @@ TEST(PassScratch, BatchPassesMatchScalarOracleAcrossReArms) {
             const RunOptions opts{.memory_size = step.cells,
                                   .max_any_expansion = 6};
             const auto& test = march::march_c_minus();
-            const BatchRunner runner(test, opts, &serial, width);
+            const engine::Engine session(
+                engine::EngineConfig{.pool = &serial, .lane_width = width});
             const auto& population = *step.chunk;
-            const auto flags = runner.detects(population);
-            const auto traces = runner.run(population);
+            const auto flags = session.detects(test, population, opts);
+            const auto traces = session.traces(test, population, opts);
             for (std::size_t i = 0; i < population.size(); ++i) {
                 const bool scalar = detects(test, population[i], opts);
                 ASSERT_EQ(flags[i], scalar)
@@ -486,7 +538,7 @@ TEST(PassScratch, BatchPassesMatchScalarOracleAcrossReArms) {
                                                          opts))
                     << step.label << " W" << width << " fault " << i;
             }
-            EXPECT_EQ(runner.detects_all(population),
+            EXPECT_EQ(detects_all(session, test, population, opts),
                       std::all_of(flags.begin(), flags.end(),
                                   [](bool f) { return f; }))
                 << step.label << " W" << width;

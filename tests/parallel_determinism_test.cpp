@@ -1,7 +1,8 @@
-/// Thread-count independence: the sharded batched runners must return
-/// bit-identical results for worker counts {1, 2, hardware_concurrency}
-/// and agree with the scalar oracles — threading is an execution detail,
-/// never a semantic one.
+/// Thread-count independence: the sharded packed kernel must return
+/// bit-identical results for worker counts {1, 2, hardware_concurrency},
+/// for bit queries (Engine sessions on the packed backend) and word
+/// runners alike, and agree with the scalar oracles — threading is an
+/// execution detail, never a semantic one.
 
 #include <gtest/gtest.h>
 
@@ -9,9 +10,9 @@
 #include <thread>
 #include <vector>
 
+#include "engine/engine.hpp"
 #include "fault/kinds.hpp"
 #include "march/library.hpp"
-#include "sim/batch_runner.hpp"
 #include "sim/march_runner.hpp"
 #include "util/thread_pool.hpp"
 #include "word/background.hpp"
@@ -30,7 +31,7 @@ std::vector<unsigned> worker_counts() {
     return {1u, 2u, hardware};
 }
 
-TEST(ParallelDeterminism, BatchRunnerDetectsAndTracesMatchEveryPoolSize) {
+TEST(ParallelDeterminism, BitDetectsAndTracesMatchEveryPoolSize) {
     const sim::RunOptions opts{.memory_size = 5, .max_any_expansion = 6};
     const std::vector<FaultKind> kinds = {
         FaultKind::Saf0,   FaultKind::TfUp,      FaultKind::Rdf1,
@@ -52,12 +53,13 @@ TEST(ParallelDeterminism, BatchRunnerDetectsAndTracesMatchEveryPoolSize) {
             std::vector<sim::RunTrace> reference_traces;
             for (unsigned workers : worker_counts()) {
                 util::ThreadPool pool(workers);
-                const sim::BatchRunner runner(test, opts, &pool);
-                ASSERT_EQ(runner.detects(population), scalar)
+                const engine::Engine session(
+                    engine::EngineConfig{.pool = &pool});
+                ASSERT_EQ(session.detects(test, population, opts), scalar)
                     << name << ' ' << fault_kind_name(kind) << " workers "
                     << workers;
 
-                const auto traces = runner.run(population);
+                const auto traces = session.traces(test, population, opts);
                 ASSERT_EQ(traces.size(), population.size());
                 if (reference_traces.empty()) {
                     reference_traces = traces;
@@ -96,9 +98,14 @@ TEST(ParallelDeterminism, DetectsAllFailFastAgreesWithFullEvaluation) {
                 all = all && sim::detects(test, fault, opts);
             for (unsigned workers : worker_counts()) {
                 util::ThreadPool pool(workers);
-                EXPECT_EQ(sim::BatchRunner(test, opts, &pool)
-                              .detects_all(population),
-                          all)
+                const engine::Engine session(
+                    engine::EngineConfig{.pool = &pool});
+                engine::Query query;
+                query.test = test;
+                query.universe = engine::BitUniverse{opts};
+                query.want = engine::Want::DetectsAll;
+                query.bit_faults = population;
+                EXPECT_EQ(session.run(query).all, all)
                     << name << ' ' << fault_kind_name(kind) << " workers "
                     << workers;
             }

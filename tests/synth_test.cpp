@@ -18,7 +18,6 @@
 #include "fault/kinds.hpp"
 #include "march/library.hpp"
 #include "march/parser.hpp"
-#include "sim/batch_runner.hpp"
 #include "sim/march_runner.hpp"
 #include "synth/beam_search.hpp"
 #include "synth/scorer.hpp"

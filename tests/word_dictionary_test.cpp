@@ -15,7 +15,7 @@
 #include "diagnosis/word_dictionary.hpp"
 #include "march/library.hpp"
 #include "march/parser.hpp"
-#include "sim/batch_runner.hpp"
+#include "sim/march_runner.hpp"
 #include "word/background.hpp"
 #include "word/word_batch_runner.hpp"
 

@@ -463,7 +463,7 @@ TEST(PassScratch, RearmMatchesFreshMemoryAndScalarOracle) {
     const auto a1 = change_one_fault(a);
     ASSERT_NE(a1, a);
     sim::detail::ArmedPassScratch<LaneMask, PackedWordMemory,
-                                  InjectedBitFault, int, int>
+                                  InjectedBitFault>
         scratch;
     for (const ArmStep& step : rearm_sequence(a, b, a1)) {
         PackedWordMemory& armed =
