@@ -216,8 +216,9 @@ void BM_CoversEverywhere(benchmark::State& state) {
     const auto& test = march::march_c_minus();
     sim::RunOptions opts;
     opts.memory_size = static_cast<int>(state.range(0));
+    const engine::Engine& session = engine::Engine::global();
     for (auto _ : state)
-        benchmark::DoNotOptimize(sim::covers_everywhere(
+        benchmark::DoNotOptimize(session.covers_everywhere(
             test, fault::FaultKind::CfidUp0, opts));
 }
 BENCHMARK(BM_CoversEverywhere)->Arg(4)->Arg(8)->Arg(16)

@@ -317,8 +317,8 @@ void print_summary() {
                                 std::to_string(backgrounds.size()) + ")"
                           : "solid (1)",
                  std::to_string(word::word_complexity(test, backgrounds)),
-                 word::covers_everywhere(test, backgrounds,
-                                         fault::FaultKind::CfidUp1, opts)
+                 engine::Engine::global().covers_everywhere(
+                     test, backgrounds, fault::FaultKind::CfidUp1, opts)
                      ? "covered"
                      : "ESCAPES"});
         }
@@ -347,8 +347,9 @@ void BM_WordCoversIntraWord(benchmark::State& state) {
     const auto backgrounds = word::counting_backgrounds(width);
     word::WordRunOptions opts;
     opts.width = width;
+    const engine::Engine& session = engine::Engine::global();
     for (auto _ : state)
-        benchmark::DoNotOptimize(word::covers_everywhere(
+        benchmark::DoNotOptimize(session.covers_everywhere(
             test, backgrounds, fault::FaultKind::CfidUp1, opts));
 }
 BENCHMARK(BM_WordCoversIntraWord)->Arg(4)->Arg(8)

@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
         test, sim::InjectedFault::coupling(fault::FaultKind::CfidUp0,
                                            /*aggressor=*/2, /*victim=*/5));
     std::printf("observed failure signature: %s\ncandidates:\n",
-                observed.str().c_str());
+                dict.render(observed).c_str());
     for (const auto& candidate : dict.diagnose(observed))
         std::printf("  %s\n", candidate.name().c_str());
     return 0;

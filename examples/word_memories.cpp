@@ -10,7 +10,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "diagnosis/word_dictionary.hpp"
+#include "diagnosis/dictionary.hpp"
 #include "engine/engine.hpp"
 #include "fault/kinds.hpp"
 #include "march/library.hpp"
@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
     diag.set_header({"backgrounds", "instances", "detected",
                      "distinguished", "resolution"});
     for (bool use_counting : {false, true}) {
-        const auto dict = diagnosis::WordFaultDictionary::build(
+        const auto dict = diagnosis::FaultDictionary::build(
             test, use_counting ? counting : solid, kinds, opts);
         char res[16];
         std::snprintf(res, sizeof(res), "%.2f", dict.resolution());

@@ -2,6 +2,7 @@
 
 #include <chrono>
 
+#include "engine/engine.hpp"
 #include "util/contracts.hpp"
 #include "util/trit.hpp"
 
@@ -62,7 +63,7 @@ private:
         if (!kinds_) return;
         MarchTest test(elements_);
         if (sim::is_well_formed(test, run_) &&
-            sim::covers_all(test, *kinds_, run_))
+            engine::Engine::global().covers_all(test, *kinds_, run_))
             found_ = test;
     }
 

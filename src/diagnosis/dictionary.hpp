@@ -8,6 +8,14 @@
 /// dictionary maps signatures to fault instances; its *resolution* measures
 /// how many instances the test distinguishes — the diagnostic quality
 /// metric that separates e.g. PMOVI from March C-.
+///
+/// One dictionary serves both fault universes. A word test (bit test ×
+/// background set) observes a bit fault as (background, read site, word
+/// address, failing bit mask) entries; a bit test on n cells is the word
+/// test on n words of width 1 under the solid background, cell c being
+/// (word c, bit 0). Signatures are built by one engine dictionary sweep
+/// over the canonically placed instance population; signature_of runs the
+/// scalar word::guaranteed_trace oracle on one placed fault.
 
 #include <string>
 #include <unordered_map>
@@ -16,29 +24,38 @@
 #include "fault/instance.hpp"
 #include "march/march_test.hpp"
 #include "sim/march_runner.hpp"
+#include "word/word_trace.hpp"
 
 namespace mtg::diagnosis {
 
-/// Output trace of one fault under one March test: the (read site, failing
-/// address) observations with a guaranteed mismatch (stable across ⇕
-/// expansions), in execution order. Address-awareness is what lets the
-/// dictionary separate faults that fail the same reads at different cells
-/// (e.g. the two roles of a decoder-map fault).
+/// Output trace of one fault under one test: the guaranteed failing word
+/// observations (stable across ⇕ expansions), in the canonical word-trace
+/// order (background, textual site, ascending word). Address-awareness is
+/// what lets the dictionary separate faults that fail the same reads at
+/// different cells (e.g. the two roles of an idempotent coupling fault).
 struct Signature {
-    std::vector<sim::Observation> failing;
+    std::vector<word::WordObservation> failing;
 
     [[nodiscard]] bool detected() const { return !failing.empty(); }
 
-    /// "E1.0@c2 E4.2@c5" style rendering.
+    /// "B0.E1.0@w2#5 B1.E4.2@w3#1" style rendering (bit masks in hex).
+    /// An injective encoding of the observation list: the dictionary keys
+    /// and sorts its buckets by it.
     [[nodiscard]] std::string str() const;
 
     friend bool operator==(const Signature&, const Signature&) = default;
-    friend auto operator<=>(const Signature& a, const Signature& b) {
-        return a.str() <=> b.str();
-    }
 };
 
-/// Signature of a concrete injected fault.
+/// Signature of a concrete injected bit fault under a word test, via the
+/// scalar oracle.
+[[nodiscard]] Signature signature_of(
+    const march::MarchTest& test,
+    const std::vector<word::Background>& backgrounds,
+    const word::InjectedBitFault& fault,
+    const word::WordRunOptions& opts = {});
+
+/// Signature of a concrete injected fault under a bit test: the word
+/// overload at width 1 under the solid background.
 [[nodiscard]] Signature signature_of(const march::MarchTest& test,
                                      const sim::InjectedFault& fault,
                                      const sim::RunOptions& opts = {});
@@ -49,11 +66,20 @@ struct DictionaryEntry {
     std::vector<fault::FaultInstance> instances;
 };
 
-/// The fault dictionary of a March test over a fault list. Instances are
-/// placed at the canonical cells used by the §6 coverage matrix.
+/// The fault dictionary of a test over a fault list. Instances are placed
+/// at the canonical positions of word::place_instance — for a bit test,
+/// the cells of sim::place_instance used by the §6 coverage matrix.
 class FaultDictionary {
 public:
-    /// Builds the dictionary (one simulation sweep per instance).
+    /// Builds the dictionary of a word test with one engine trace sweep.
+    static FaultDictionary build(
+        const march::MarchTest& test,
+        const std::vector<word::Background>& backgrounds,
+        const std::vector<fault::FaultKind>& kinds,
+        const word::WordRunOptions& opts = {});
+
+    /// Builds the dictionary of a bit test: the word build at width 1
+    /// under the solid background. It renders signatures in cell form.
     static FaultDictionary build(const march::MarchTest& test,
                                  const std::vector<fault::FaultKind>& kinds,
                                  const sim::RunOptions& opts = {});
@@ -85,15 +111,20 @@ public:
     [[nodiscard]] std::vector<fault::FaultInstance> diagnose_linear(
         const Signature& observed) const;
 
+    /// A signature as this dictionary prints it: cell form ("E1.0@c2
+    /// E4.2@c5") for a bit-test build, Signature::str() otherwise.
+    [[nodiscard]] std::string render(const Signature& signature) const;
+
     /// Table rendering: signature -> instance names.
     [[nodiscard]] std::string str() const;
 
 private:
-    std::vector<DictionaryEntry> entries_;  // sorted by signature
+    std::vector<DictionaryEntry> entries_;  // sorted by Signature::str()
     /// Rendered signature -> index into entries_.
     std::unordered_map<std::string, std::size_t> index_;
     int instance_count_{0};
     int detected_count_{0};
+    bool cell_form_{false};
 };
 
 }  // namespace mtg::diagnosis

@@ -131,16 +131,13 @@ public:
 
 // The bit universe on the one packed kernel: an n-cell bit memory is an
 // n-word × 1-bit memory under the solid background, cell c being (word c,
-// bit 0). bit_runner, word_faults and BitTraceEmit are the only code that
-// knows the mapping.
+// bit 0). word::bit_view defines the mapping of options and faults;
+// BitTraceEmit maps the kernel's trace entries back.
 
 word::WordBatchRunner bit_runner(const BitContext& ctx) {
-    return word::WordBatchRunner(
-        ctx.test, word::solid_background(1),
-        {.words = ctx.opts.memory_size,
-         .width = 1,
-         .max_any_expansion = ctx.opts.max_any_expansion},
-        ctx.pool, ctx.lane_width);
+    return word::WordBatchRunner(ctx.test, word::solid_background(1),
+                                 word::bit_view(ctx.opts), ctx.pool,
+                                 ctx.lane_width);
 }
 
 /// The population in word form, in a per-thread buffer that the next call
@@ -154,8 +151,7 @@ std::span<const word::InjectedBitFault> word_faults(
     thread_local std::vector<word::InjectedBitFault> faults;
     faults.clear();
     for (const sim::InjectedFault& fault : population)
-        faults.push_back(
-            {fault.kind, {fault.cell_a, 0}, {fault.cell_b, 0}});
+        faults.push_back(word::bit_view(fault));
     return faults;
 }
 

@@ -8,7 +8,7 @@
 /// traces — for both fault universes (bit populations on an n-cell memory,
 /// bit-fault placements on a words × width word memory). The Engine picks
 /// the backend once per session; every consumer above it (generator gate,
-/// coverage matrix, dictionaries, compatibility wrappers) is backend-
+/// coverage matrix, diagnosis dictionary, query server) is backend-
 /// agnostic.
 ///
 /// Three implementations ship today:
@@ -19,7 +19,7 @@
 ///     (63·W-lane packed passes, (chunk × ⇕) grid sharded across the
 ///     thread pool) for both universes. A bit query runs as the width-1
 ///     word universe under the solid background, cell c being (word c,
-///     bit 0); backend.cpp is the only place that knows that mapping.
+///     bit 0) — word::bit_view.
 ///   - RemoteBackend (net/remote_backend.hpp): splits the population into
 ///     shard_ranges, scatters them to worker peers speaking the net/wire
 ///     format and merges the replies — per-fault verdicts by

@@ -261,9 +261,13 @@ std::shared_ptr<const WordPopulationEntry> Engine::word_population(
     return cache_->word(kinds, opts, pruned);
 }
 
-Result Engine::run(const Query& query) const {
-    want_counts_[static_cast<std::size_t>(query.want)].fetch_add(
+void Engine::count(Want want) const {
+    want_counts_[static_cast<std::size_t>(want)].fetch_add(
         1, std::memory_order_relaxed);
+}
+
+Result Engine::run(const Query& query) const {
+    count(query.want);
     if (const auto* bit = std::get_if<BitUniverse>(&query.universe))
         return run_bit(query, *bit);
     return run_word(query, std::get<WordUniverse>(query.universe));
@@ -419,6 +423,7 @@ std::vector<bool> Engine::detects(
     const march::MarchTest& test,
     std::span<const sim::InjectedFault> population,
     const sim::RunOptions& opts) const {
+    count(Want::Detects);
     const BitContext ctx{test, opts, config_.pool, config_.lane_width};
     return backend_->detects(ctx, population);
 }
@@ -427,6 +432,7 @@ std::vector<sim::RunTrace> Engine::traces(
     const march::MarchTest& test,
     std::span<const sim::InjectedFault> population,
     const sim::RunOptions& opts) const {
+    count(Want::Traces);
     const BitContext ctx{test, opts, config_.pool, config_.lane_width};
     return backend_->traces(ctx, population);
 }
@@ -448,6 +454,7 @@ std::vector<bool> Engine::detects(
     const std::vector<word::Background>& backgrounds,
     std::span<const word::InjectedBitFault> population,
     const word::WordRunOptions& opts) const {
+    count(Want::Detects);
     const WordContext ctx{test, backgrounds, opts, config_.pool,
                           config_.lane_width};
     return backend_->detects(ctx, population);
@@ -458,6 +465,7 @@ std::vector<word::WordRunTrace> Engine::traces(
     const std::vector<word::Background>& backgrounds,
     std::span<const word::InjectedBitFault> population,
     const word::WordRunOptions& opts) const {
+    count(Want::Traces);
     const WordContext ctx{test, backgrounds, opts, config_.pool,
                           config_.lane_width};
     return backend_->traces(ctx, population);

@@ -31,10 +31,10 @@
 /// production 63·W-lane word kernel, which answers bit queries as the
 /// width-1 word universe under the solid background) or Remote (shard
 /// ranges scattered to a worker fleet and merged by concatenation/AND —
-/// see net/remote_backend.hpp). All backends are bit-identical; the
-/// legacy free functions (sim::covers_everywhere, sim::covers_all, word::
-/// covers_everywhere, the guaranteed_* trace accessors, both dictionary
-/// build paths) are thin wrappers over Engine::global().
+/// see net/remote_backend.hpp). All backends are bit-identical. Nothing
+/// below the Engine (sim/, word/) calls back into it: population-level
+/// questions are asked of a session the caller names — Engine::global()
+/// or a local Engine.
 ///
 /// Re-entrancy: Engine::run (and every convenience over it) is safe to
 /// call from any number of threads simultaneously. The backends are
@@ -236,9 +236,8 @@ struct EngineConfig {
 /// and the population caches. Queries are const and safe to issue from
 /// multiple threads (the caches are internally locked, the backends are
 /// stateless, and the pool serialises concurrent jobs). Engine::global()
-/// is the process-wide packed session the legacy free functions route
-/// through; build a local Engine to pin a different backend, pool or
-/// width.
+/// is the process-wide packed session; build a local Engine to pin a
+/// different backend, pool or width.
 class Engine {
 public:
     explicit Engine(EngineConfig config = {});
@@ -262,7 +261,7 @@ public:
     /// is monotonic, not transactionally consistent.
     struct Stats {
         PopulationCache::Stats cache;
-        std::size_t queries{0};           ///< total run() invocations
+        std::size_t queries{0};  ///< run() plus detects()/traces() calls
         std::size_t want_detects{0};
         std::size_t want_detects_all{0};
         std::size_t want_traces{0};
@@ -357,7 +356,8 @@ public:
     }
 
     /// The process-wide session (packed backend, global pool, auto width)
-    /// behind the legacy compatibility wrappers.
+    /// the generator, the coverage matrix and the diagnosis dictionary
+    /// query.
     [[nodiscard]] static Engine& global();
 
 private:
@@ -366,6 +366,8 @@ private:
     std::shared_ptr<PopulationCache> cache_;
     /// Per-Want query counters, indexed by static_cast<int>(Want).
     mutable std::array<std::atomic<std::size_t>, 4> want_counts_{};
+
+    void count(Want want) const;
 
     [[nodiscard]] Result run_bit(const Query& query,
                                  const BitUniverse& universe) const;

@@ -3,7 +3,7 @@
 /// \file placement.hpp
 /// Canonical representative placement shared by the bit and word stacks.
 ///
-/// The coverage matrix and both diagnosis dictionaries place each fault
+/// The coverage matrix and the diagnosis dictionary place each fault
 /// instance at fixed representative positions so their populations stay
 /// aligned: the "lo" slot at count/3 and the "hi" slot at 2·count/3 of the
 /// address range (cells for the bit stack, words for the word stack), with

@@ -48,7 +48,7 @@ struct RedundancyReport {
 /// fault primitive contributes its role instances as columns; instances are
 /// placed at representative cells of the simulated memory (the March
 /// structure makes placements symmetric — validated separately by
-/// sim::covers_everywhere).
+/// engine::Engine::covers_everywhere).
 [[nodiscard]] CoverageMatrix build_coverage_matrix(
     const march::MarchTest& test, const std::vector<fault::FaultKind>& kinds,
     const sim::RunOptions& opts = {});

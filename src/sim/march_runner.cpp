@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "engine/engine.hpp"
 #include "fault/instance.hpp"
 #include "fault/placement.hpp"
 #include "march/expansion.hpp"
@@ -118,23 +117,6 @@ bool detects(const MarchTest& test, const InjectedFault& fault,
     return true;
 }
 
-bool covers_everywhere(const MarchTest& test, fault::FaultKind kind,
-                       const RunOptions& opts) {
-    return engine::Engine::global().covers_everywhere(test, kind, opts);
-}
-
-std::optional<fault::FaultKind> first_uncovered(
-    const MarchTest& test, const std::vector<fault::FaultKind>& kinds,
-    const RunOptions& opts) {
-    return engine::Engine::global().first_uncovered(test, kinds, opts);
-}
-
-bool covers_all(const MarchTest& test,
-                const std::vector<fault::FaultKind>& kinds,
-                const RunOptions& opts) {
-    return engine::Engine::global().covers_all(test, kinds, opts);
-}
-
 bool is_well_formed(const MarchTest& test, const RunOptions& opts) {
     for (unsigned choice : expansion_choices(test, opts)) {
         SimMemory memory(opts.memory_size);
@@ -168,26 +150,6 @@ bool is_well_formed(const MarchTest& test, const RunOptions& opts) {
     return true;
 }
 
-std::vector<Observation> guaranteed_failing_observations(
-    const MarchTest& test, const InjectedFault& fault,
-    const RunOptions& opts) {
-    const std::vector<InjectedFault> population{fault};
-    return engine::Engine::global()
-        .traces(test, population, opts)
-        .front()
-        .failing_observations;
-}
-
-std::vector<ReadSite> guaranteed_failing_reads(const MarchTest& test,
-                                               const InjectedFault& fault,
-                                               const RunOptions& opts) {
-    const std::vector<InjectedFault> population{fault};
-    return engine::Engine::global()
-        .traces(test, population, opts)
-        .front()
-        .failing_reads;
-}
-
 std::vector<InjectedFault> full_population(fault::FaultKind kind,
                                            int memory_size) {
     std::vector<InjectedFault> population;
@@ -204,17 +166,6 @@ std::vector<InjectedFault> full_population(fault::FaultKind kind,
         population.reserve(static_cast<std::size_t>(memory_size));
         for (int c = 0; c < memory_size; ++c)
             population.push_back(InjectedFault::single(kind, c));
-    }
-    return population;
-}
-
-std::vector<InjectedFault> full_population(
-    const std::vector<fault::FaultKind>& kinds, int memory_size) {
-    std::vector<InjectedFault> population;
-    for (fault::FaultKind kind : kinds) {
-        const std::vector<InjectedFault> placed =
-            full_population(kind, memory_size);
-        population.insert(population.end(), placed.begin(), placed.end());
     }
     return population;
 }

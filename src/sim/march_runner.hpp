@@ -8,13 +8,11 @@
 /// the runner enumerates all 2^k combinations (k = number of ⇕ elements,
 /// capped; beyond the cap the two uniform choices are used).
 ///
-/// The population-level entry points below (covers_everywhere,
-/// first_uncovered, covers_all, guaranteed_*) are thin compatibility
-/// wrappers over the process-wide engine::Engine session — new code
-/// should issue engine Queries directly (see engine/engine.hpp); the
-/// per-fault run_once/detects pair remains the scalar oracle.
+/// The per-fault run_once/detects pair is the scalar oracle. Population-
+/// level questions — paper-§6 coverage of a kind (every placement of
+/// full_population detected), the first uncovered kind of a list,
+/// guaranteed traces — are engine::Engine queries (see engine/engine.hpp).
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -51,7 +49,7 @@ struct RunOptions {
 };
 
 /// One observed mismatch: which read of the test failed, at which address.
-/// The (site, cell) pair is the unit of output tracing used for diagnosis.
+/// The (site, cell) pair is the unit of bit-test output tracing.
 struct Observation {
     ReadSite site;
     int cell{0};
@@ -78,28 +76,6 @@ struct RunTrace {
                            const InjectedFault& fault,
                            const RunOptions& opts = {});
 
-/// Places the fault at every cell (single-cell) or every ordered cell pair
-/// (two-cell) of the memory and requires detection everywhere. This is the
-/// paper-§6 notion of a March test "covering" a fault model.
-[[nodiscard]] bool covers_everywhere(const march::MarchTest& test,
-                                     fault::FaultKind kind,
-                                     const RunOptions& opts = {});
-
-/// Checks every primitive of a fault list. Returns the first kind NOT
-/// covered, or nullopt when the list is fully covered.
-[[nodiscard]] std::optional<fault::FaultKind> first_uncovered(
-    const march::MarchTest& test, const std::vector<fault::FaultKind>& kinds,
-    const RunOptions& opts = {});
-
-/// Single batched verdict over the whole list: one population spanning
-/// every kind's full placement set, evaluated by one sharded fail-fast
-/// packed sweep. Equivalent to !first_uncovered(...) but pays one
-/// runner setup and keeps every worker busy across kind boundaries — the
-/// generator's validation gate.
-[[nodiscard]] bool covers_all(const march::MarchTest& test,
-                              const std::vector<fault::FaultKind>& kinds,
-                              const RunOptions& opts = {});
-
 /// Sanity property: on a fault-free memory every read must observe a known,
 /// matching value in every ⇕ expansion (no read of uninitialised cells, no
 /// wrong expected values). All library and generated tests must satisfy it.
@@ -114,37 +90,19 @@ struct RunTrace {
 [[nodiscard]] std::vector<unsigned> expansion_choices(
     const march::MarchTest& test, const RunOptions& opts = {});
 
-/// Read sites that mismatch for `fault` in EVERY ⇕ expansion — the sites
-/// with *guaranteed* observation, used as coverage-matrix entries.
-/// Canonical order: textual (element, op) order of the test.
-[[nodiscard]] std::vector<ReadSite> guaranteed_failing_reads(
-    const march::MarchTest& test, const InjectedFault& fault,
-    const RunOptions& opts = {});
-
-/// (site, address) observations that mismatch in EVERY ⇕ expansion — the
-/// address-aware output trace used by the diagnosis dictionary.
-/// Canonical order: textual site order, then ascending cell address.
-[[nodiscard]] std::vector<Observation> guaranteed_failing_observations(
-    const march::MarchTest& test, const InjectedFault& fault,
-    const RunOptions& opts = {});
-
 /// Every concrete placement of `kind` on an n-cell memory: n single-cell
-/// instances, or the n·(n-1) ordered (aggressor, victim) pairs. This is the
-/// population covers_everywhere sweeps. Degenerate memories yield the
-/// mathematically empty population (n=1 has no ordered pair; n=0 nothing).
+/// instances, or the n·(n-1) ordered (aggressor, victim) pairs. A test
+/// "covers" a fault model in the paper-§6 sense when it detects every
+/// placement. Degenerate memories yield the mathematically empty
+/// population (n=1 has no ordered pair; n=0 nothing).
 [[nodiscard]] std::vector<InjectedFault> full_population(fault::FaultKind kind,
                                                          int memory_size);
 
-/// Concatenated full populations of every kind in `kinds`, in list order —
-/// the all-kind population behind the generator's single sharded gate.
-[[nodiscard]] std::vector<InjectedFault> full_population(
-    const std::vector<fault::FaultKind>& kinds, int memory_size);
-
 /// Canonical concrete placement of a fault instance on representative cells
 /// of an n-cell memory (n >= 3): single-cell faults at n/3; two-cell faults
-/// on (n/3, 2n/3) ordered by the instance's aggressor role. Shared by the
-/// coverage matrix and the diagnosis dictionary so their populations stay
-/// aligned.
+/// on (n/3, 2n/3) ordered by the instance's aggressor role. It places the
+/// bit-universe dictionary sweep the coverage matrix is built from;
+/// word::place_instance coincides with it at width 1.
 [[nodiscard]] InjectedFault place_instance(const fault::FaultInstance& instance,
                                            int memory_size);
 

@@ -118,7 +118,8 @@ private:
     [[nodiscard]] sim::LaneIsa isa_for(std::size_t population) const;
 };
 
-/// The exact placement set word::covers_everywhere sweeps for `kind`:
+/// The exact placement set a word-universe coverage query
+/// (engine::Engine::covers_everywhere) sweeps for `kind`:
 /// every (word, bit) for single-bit kinds; for two-cell kinds every
 /// ordered intra-word bit pair of the representative word, every ordered
 /// inter-word pair on the representative bit, plus one cross-bit pair.
@@ -128,9 +129,9 @@ private:
 /// Canonical concrete placement of a fault instance on a words × width
 /// memory: representative words words/3 and 2·words/3 (ordered by the
 /// instance's aggressor role) on the representative bit width/2 — the
-/// word-path analogue of sim::place_instance, so the word diagnosis
-/// dictionary's population lines up with the bit dictionary's (at
-/// width 1 and words = memory_size the placements coincide).
+/// word-path analogue of sim::place_instance (at width 1 and words =
+/// memory_size the placements coincide), and the population of the
+/// diagnosis dictionary.
 [[nodiscard]] InjectedBitFault place_instance(
     const fault::FaultInstance& instance, const WordRunOptions& opts);
 

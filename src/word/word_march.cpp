@@ -1,6 +1,5 @@
 #include "word/word_march.hpp"
 
-#include "engine/engine.hpp"
 #include "march/expansion.hpp"
 
 namespace mtg::word {
@@ -90,15 +89,6 @@ bool detects(const MarchTest& test, const std::vector<Background>& backgrounds,
             return false;
     }
     return true;
-}
-
-bool covers_everywhere(const MarchTest& test,
-                       const std::vector<Background>& backgrounds,
-                       fault::FaultKind kind, const WordRunOptions& opts) {
-    // One engine query over the whole (cached) placement set; the scalar
-    // per-fault loop remains available through detects() as the oracle.
-    return engine::Engine::global().covers_everywhere(test, backgrounds, kind,
-                                                      opts);
 }
 
 bool is_well_formed(const MarchTest& test,

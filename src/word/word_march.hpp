@@ -6,13 +6,12 @@
 /// background b with w0/r0 meaning write/expect b and w1/r1 meaning
 /// write/expect ~b.
 ///
-/// covers_everywhere is a thin compatibility wrapper over the
-/// process-wide engine::Engine session (see engine/engine.hpp);
-/// run_once_detects/detects remain the scalar oracle.
-
-#include <optional>
+/// run_once_detects/detects are the scalar oracle; population-level
+/// questions (coverage of a kind's placement set, batched traces) are
+/// engine::Engine queries (see engine/engine.hpp).
 
 #include "march/march_test.hpp"
+#include "sim/march_runner.hpp"
 #include "word/background.hpp"
 #include "word/word_memory.hpp"
 
@@ -24,6 +23,20 @@ struct WordRunOptions {
     int width{8};
     int max_any_expansion{4};  ///< 2^k ⇕ expansions per background run
 };
+
+/// A bit test on n cells as a word test: n words of width 1, run under
+/// word::solid_background(1).
+[[nodiscard]] inline WordRunOptions bit_view(const sim::RunOptions& opts) {
+    return {.words = opts.memory_size,
+            .width = 1,
+            .max_any_expansion = opts.max_any_expansion};
+}
+
+/// A bit fault in the width-1 word view: cell c is (word c, bit 0).
+[[nodiscard]] inline InjectedBitFault bit_view(
+    const sim::InjectedFault& fault) {
+    return {fault.kind, {fault.cell_a, 0}, {fault.cell_b, 0}};
+}
 
 /// Complexity of the expanded word test: per-word operations summed over
 /// all backgrounds.
@@ -50,16 +63,6 @@ struct WordRunOptions {
 /// as the bit-oriented runner).
 [[nodiscard]] std::vector<unsigned> expansion_choices(
     const march::MarchTest& test, const WordRunOptions& opts = {});
-
-/// Exhaustive placement check for a fault kind:
-///  - single-bit kinds: every (word, bit);
-///  - two-cell kinds: every intra-word bit pair (both orders) in a
-///    representative word AND every inter-word pair of representative bits
-///    (both orders).
-[[nodiscard]] bool covers_everywhere(const march::MarchTest& test,
-                                     const std::vector<Background>& backgrounds,
-                                     fault::FaultKind kind,
-                                     const WordRunOptions& opts = {});
 
 /// Sanity: on a fault-free memory every read sees its expected word under
 /// every background and ⇕ expansion.

@@ -158,17 +158,4 @@ WordRunTrace guaranteed_trace(const MarchTest& test,
     return result;
 }
 
-std::vector<WordReadSite> guaranteed_failing_reads(
-    const MarchTest& test, const std::vector<Background>& backgrounds,
-    const InjectedBitFault& fault, const WordRunOptions& opts) {
-    return guaranteed_trace(test, backgrounds, fault, opts).failing_reads;
-}
-
-std::vector<WordObservation> guaranteed_failing_observations(
-    const MarchTest& test, const std::vector<Background>& backgrounds,
-    const InjectedBitFault& fault, const WordRunOptions& opts) {
-    return guaranteed_trace(test, backgrounds, fault, opts)
-        .failing_observations;
-}
-
 }  // namespace mtg::word

@@ -14,13 +14,13 @@
 /// non-empty guaranteed bit mask).
 ///
 /// Canonical ordering (asserted by tests/word_trace_test.cpp and relied on
-/// by the word diagnosis dictionary's signature comparison): failing reads
+/// by the diagnosis dictionary's signature comparison): failing reads
 /// ascend by (background, element, op); failing observations by
 /// (background, element, op, word). Failing bits live in the `bits` mask,
 /// so the bit dimension never needs an ordering.
 ///
-/// The scalar functions below run one WordMemory per ⇕ expansion — the
-/// cross-validation oracle. The production path is the packed
+/// The scalar guaranteed_trace below runs one WordMemory per ⇕ expansion —
+/// the cross-validation oracle. The production path is the packed
 /// WordBatchRunner::run(), which extracts bit-identical traces for 63·W
 /// faults per memory sweep (see word_kernels.hpp).
 
@@ -71,18 +71,9 @@ struct WordRunTrace {
 
 /// Full guaranteed trace via the scalar WordMemory, one run per ⇕
 /// expansion — the oracle the packed word kernel is differenced against.
+/// Its failing observations are the diagnosis dictionary's signature
+/// material (diagnosis::signature_of).
 [[nodiscard]] WordRunTrace guaranteed_trace(
-    const march::MarchTest& test, const std::vector<Background>& backgrounds,
-    const InjectedBitFault& fault, const WordRunOptions& opts = {});
-
-/// Just the guaranteed (background, site) reads, canonical order.
-[[nodiscard]] std::vector<WordReadSite> guaranteed_failing_reads(
-    const march::MarchTest& test, const std::vector<Background>& backgrounds,
-    const InjectedBitFault& fault, const WordRunOptions& opts = {});
-
-/// Just the guaranteed (background, site, word, bits) observations,
-/// canonical order — the word dictionary's signature material.
-[[nodiscard]] std::vector<WordObservation> guaranteed_failing_observations(
     const march::MarchTest& test, const std::vector<Background>& backgrounds,
     const InjectedBitFault& fault, const WordRunOptions& opts = {});
 

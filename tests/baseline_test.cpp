@@ -2,6 +2,7 @@
 
 #include "baseline/exhaustive.hpp"
 #include "core/generator.hpp"
+#include "engine/engine.hpp"
 #include "sim/march_runner.hpp"
 
 namespace mtg::baseline {
@@ -17,8 +18,9 @@ TEST(Exhaustive, FindsFourNTestForSaf) {
     ASSERT_TRUE(result.test.has_value());
     EXPECT_EQ(result.test->complexity(), 4);
     EXPECT_TRUE(sim::is_well_formed(*result.test));
-    EXPECT_TRUE(sim::covers_everywhere(*result.test, FaultKind::Saf0));
-    EXPECT_TRUE(sim::covers_everywhere(*result.test, FaultKind::Saf1));
+    const engine::Engine& engine = engine::Engine::global();
+    EXPECT_TRUE(engine.covers_everywhere(*result.test, FaultKind::Saf0));
+    EXPECT_TRUE(engine.covers_everywhere(*result.test, FaultKind::Saf1));
 }
 
 /// Optimality certificate for Table 3 row 1: no March test of complexity

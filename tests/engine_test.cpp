@@ -1,6 +1,6 @@
-/// Engine ≡ legacy API: every Query kind must match the old free
-/// functions and the scalar oracles bit-for-bit across execution
-/// backends (Scalar vs Packed vs Remote over loopback peers), lane widths
+/// Engine ≡ scalar oracles: every Query kind must match the scalar
+/// oracles bit-for-bit across execution backends (Scalar vs Packed vs
+/// Remote over loopback peers, and the process-wide session), lane widths
 /// {1, 4, 8} and worker counts {1, 2, hardware_concurrency} — the
 /// backend, width, pool and peer count are execution details, never
 /// semantic ones. Also covers the Engine's population cache and the
@@ -106,10 +106,11 @@ TEST(EngineDifferential, BitQueriesMatchScalarOracleEverywhere) {
                               ref_detects.detected.end(),
                               [](bool b) { return b; }));
 
-        // The legacy free functions (now wrappers over Engine::global())
-        // agree with the scalar session.
-        EXPECT_EQ(sim::covers_all(test, kinds, opts), ref_all.all);
-        EXPECT_EQ(sim::first_uncovered(test, kinds, opts).has_value(),
+        // The process-wide session's conveniences agree with the scalar
+        // session.
+        const Engine& global = Engine::global();
+        EXPECT_EQ(global.covers_all(test, kinds, opts), ref_all.all);
+        EXPECT_EQ(global.first_uncovered(test, kinds, opts).has_value(),
                   !ref_all.all);
 
         for (int width : {1, 4, 8}) {
@@ -155,13 +156,14 @@ TEST(EngineDifferential, WordQueriesMatchScalarOracleEverywhere) {
     query.want = Want::DetectsAll;
     const Result ref_all = scalar.run(query);
 
-    // Legacy word wrapper agrees per kind.
+    // The process-wide session's word coverage agrees per kind.
     for (FaultKind kind : kinds) {
         Query single = query;
         single.kinds = {kind};
         single.want = Want::DetectsAll;
-        EXPECT_EQ(word::covers_everywhere(test, backgrounds, kind, opts),
-                  scalar.run(single).all);
+        EXPECT_EQ(
+            Engine::global().covers_everywhere(test, backgrounds, kind, opts),
+            scalar.run(single).all);
     }
 
     for (int width : {1, 4, 8}) {
@@ -582,13 +584,21 @@ TEST(EngineCache, PopulationsAreSharedAndKeyed) {
     const auto a = eng.bit_population(kBitKinds, 8);
     const auto b = eng.bit_population(kBitKinds, 8);
     EXPECT_EQ(a.get(), b.get());  // cache hit: same expansion object
-    EXPECT_EQ(a->faults,
-              sim::full_population(engine::canonical_kinds(kBitKinds), 8));
+    // The entry concatenates each kind's full population in canonical
+    // kind order.
+    const auto concatenated = [](int memory_size) {
+        std::vector<sim::InjectedFault> faults;
+        for (FaultKind kind : engine::canonical_kinds(kBitKinds)) {
+            const auto placed = sim::full_population(kind, memory_size);
+            faults.insert(faults.end(), placed.begin(), placed.end());
+        }
+        return faults;
+    };
+    EXPECT_EQ(a->faults, concatenated(8));
 
     const auto c = eng.bit_population(kBitKinds, 9);
     EXPECT_NE(a.get(), c.get());  // different memory size, different entry
-    EXPECT_EQ(c->faults,
-              sim::full_population(engine::canonical_kinds(kBitKinds), 9));
+    EXPECT_EQ(c->faults, concatenated(9));
 
     word::WordRunOptions opts;
     opts.words = 6;

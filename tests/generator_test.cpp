@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "core/generator.hpp"
+#include "engine/engine.hpp"
 #include "sim/march_runner.hpp"
 
 namespace mtg::core {
@@ -29,7 +30,8 @@ TEST(Generator, ResultIsSimulatorClean) {
     ASSERT_TRUE(result.valid);
     EXPECT_TRUE(sim::is_well_formed(result.test));
     for (FaultKind kind : fault::parse_fault_kinds("SAF,TF"))
-        EXPECT_TRUE(sim::covers_everywhere(result.test, kind));
+        EXPECT_TRUE(
+            engine::Engine::global().covers_everywhere(result.test, kind));
 }
 
 TEST(Generator, ArtifactsAreConsistent) {
@@ -109,7 +111,8 @@ TEST(Generator, UserDefinedSinglePrimitive) {
     const GenerationResult result = generator.generate_for("CFid<^,0>");
     ASSERT_TRUE(result.valid) << result.summary();
     EXPECT_LE(result.complexity, 8);
-    EXPECT_TRUE(sim::covers_everywhere(result.test, FaultKind::CfidUp0));
+    EXPECT_TRUE(engine::Engine::global().covers_everywhere(
+        result.test, FaultKind::CfidUp0));
 }
 
 }  // namespace

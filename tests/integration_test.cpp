@@ -2,6 +2,7 @@
 
 #include "core/generator.hpp"
 #include "diagnosis/dictionary.hpp"
+#include "engine/engine.hpp"
 #include "march/library.hpp"
 #include "setcover/coverage_matrix.hpp"
 #include "word/word_march.hpp"
@@ -25,8 +26,8 @@ TEST(Integration, GeneratedTestsLiftToWords) {
         EXPECT_TRUE(word::is_well_formed(result.test, backgrounds, opts))
             << list;
         for (FaultKind kind : fault::parse_fault_kinds(list)) {
-            EXPECT_TRUE(word::covers_everywhere(result.test, backgrounds,
-                                                kind, opts))
+            EXPECT_TRUE(engine::Engine::global().covers_everywhere(
+                result.test, backgrounds, kind, opts))
                 << list << " / " << fault::fault_kind_name(kind);
         }
     }
@@ -49,8 +50,8 @@ TEST(Integration, GeneratedTestsAreDiagnosable) {
 }
 
 /// The §6 analysis agrees with the simulator on every generated result:
-/// completeness per coverage matrix implies no escape in covers_everywhere
-/// and vice versa.
+/// completeness per coverage matrix implies no escape in the Engine's
+/// coverage verdict and vice versa.
 TEST(Integration, RedundancyAnalysisConsistentWithSimulator) {
     core::Generator generator;
     for (const char* list : {"SAF", "SAF,TF,ADF", "CFst"}) {
@@ -58,7 +59,9 @@ TEST(Integration, RedundancyAnalysisConsistentWithSimulator) {
         const auto result = generator.generate(kinds);
         ASSERT_TRUE(result.valid) << list;
         EXPECT_TRUE(result.redundancy.complete) << list;
-        EXPECT_FALSE(sim::first_uncovered(result.test, kinds).has_value())
+        EXPECT_FALSE(engine::Engine::global()
+                         .first_uncovered(result.test, kinds)
+                         .has_value())
             << list;
     }
 }
@@ -80,14 +83,15 @@ TEST(Integration, FullPipelineDeterministic) {
 /// are stable for n in {4, 8, 12} (the theory is size-independent for
 /// n >= 3).
 TEST(Integration, CoverageVerdictsStableAcrossMemorySizes) {
+    const engine::Engine& engine = engine::Engine::global();
     for (int n : {4, 8, 12}) {
         sim::RunOptions opts;
         opts.memory_size = n;
-        EXPECT_TRUE(sim::covers_everywhere(march::march_c_minus(),
-                                           FaultKind::CfidDown1, opts))
+        EXPECT_TRUE(engine.covers_everywhere(march::march_c_minus(),
+                                             FaultKind::CfidDown1, opts))
             << n;
         EXPECT_FALSE(
-            sim::covers_everywhere(march::mats(), FaultKind::CfidUp0, opts))
+            engine.covers_everywhere(march::mats(), FaultKind::CfidUp0, opts))
             << n;
     }
 }

@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
+#include "engine/engine.hpp"
 #include "fault/kinds.hpp"
 #include "march/library.hpp"
-#include "sim/march_runner.hpp"
 
 namespace mtg {
 namespace {
@@ -25,14 +25,15 @@ class KnownCoverage : public ::testing::TestWithParam<CoverageCase> {};
 TEST_P(KnownCoverage, MatchesLiterature) {
     const CoverageCase& param = GetParam();
     const MarchTest& test = march::find_march_test(param.test_name).test;
+    const engine::Engine& engine = engine::Engine::global();
 
     for (FaultKind kind : fault::parse_fault_kinds(param.covered)) {
-        EXPECT_TRUE(sim::covers_everywhere(test, kind))
+        EXPECT_TRUE(engine.covers_everywhere(test, kind))
             << param.test_name << " should cover " << fault::fault_kind_name(kind);
     }
     if (std::string(param.not_covered).empty()) return;
     for (FaultKind kind : fault::parse_fault_kinds(param.not_covered)) {
-        EXPECT_FALSE(sim::covers_everywhere(test, kind))
+        EXPECT_FALSE(engine.covers_everywhere(test, kind))
             << param.test_name << " should NOT fully cover "
             << fault::fault_kind_name(kind);
     }
@@ -83,29 +84,34 @@ INSTANTIATE_TEST_SUITE_P(
 /// Read-disturb coverage needs back-to-back reads: March SR has them,
 /// March C- does not (DRDF escapes March C-; RDF is caught by any read).
 TEST(KnownCoverageExtras, ReadDisturbs) {
-    EXPECT_TRUE(sim::covers_everywhere(march::find_march_test("March SR").test,
-                                       FaultKind::Rdf0));
-    EXPECT_TRUE(sim::covers_everywhere(march::march_c_minus(), FaultKind::Rdf0));
-    EXPECT_TRUE(sim::covers_everywhere(march::march_c_minus(), FaultKind::Rdf1));
+    const engine::Engine& engine = engine::Engine::global();
+    EXPECT_TRUE(engine.covers_everywhere(
+        march::find_march_test("March SR").test, FaultKind::Rdf0));
+    EXPECT_TRUE(
+        engine.covers_everywhere(march::march_c_minus(), FaultKind::Rdf0));
+    EXPECT_TRUE(
+        engine.covers_everywhere(march::march_c_minus(), FaultKind::Rdf1));
     EXPECT_FALSE(
-        sim::covers_everywhere(march::march_c_minus(), FaultKind::Drdf0));
-    EXPECT_TRUE(sim::covers_everywhere(march::march_ss(), FaultKind::Drdf0));
-    EXPECT_TRUE(sim::covers_everywhere(march::march_ss(), FaultKind::Drdf1));
+        engine.covers_everywhere(march::march_c_minus(), FaultKind::Drdf0));
+    EXPECT_TRUE(engine.covers_everywhere(march::march_ss(), FaultKind::Drdf0));
+    EXPECT_TRUE(engine.covers_everywhere(march::march_ss(), FaultKind::Drdf1));
 }
 
 /// Data-retention faults need an explicit delay element.
 TEST(KnownCoverageExtras, RetentionNeedsDelay) {
-    EXPECT_FALSE(sim::covers_everywhere(march::mats_plus(), FaultKind::Drf0));
+    const engine::Engine& engine = engine::Engine::global();
+    EXPECT_FALSE(engine.covers_everywhere(march::mats_plus(), FaultKind::Drf0));
     const auto& with_delay = march::find_march_test("MATS+Del").test;
-    EXPECT_TRUE(sim::covers_everywhere(with_delay, FaultKind::Drf0));
-    EXPECT_TRUE(sim::covers_everywhere(with_delay, FaultKind::Drf1));
+    EXPECT_TRUE(engine.covers_everywhere(with_delay, FaultKind::Drf0));
+    EXPECT_TRUE(engine.covers_everywhere(with_delay, FaultKind::Drf1));
 }
 
 /// Write disturbs require a non-transition write followed by a read.
 TEST(KnownCoverageExtras, WriteDisturbs) {
-    EXPECT_FALSE(sim::covers_everywhere(march::mats(), FaultKind::Wdf0));
-    EXPECT_TRUE(sim::covers_everywhere(march::march_ss(), FaultKind::Wdf0));
-    EXPECT_TRUE(sim::covers_everywhere(march::march_ss(), FaultKind::Wdf1));
+    const engine::Engine& engine = engine::Engine::global();
+    EXPECT_FALSE(engine.covers_everywhere(march::mats(), FaultKind::Wdf0));
+    EXPECT_TRUE(engine.covers_everywhere(march::march_ss(), FaultKind::Wdf0));
+    EXPECT_TRUE(engine.covers_everywhere(march::march_ss(), FaultKind::Wdf1));
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include "core/march_builder.hpp"
 #include "core/rewrite.hpp"
 #include "core/test_pattern_graph.hpp"
+#include "engine/engine.hpp"
 #include "sim/march_runner.hpp"
 
 namespace mtg::core {
@@ -34,7 +35,7 @@ TEST(MarchBuilder, PaperWorkedExampleGivesValid8n) {
     EXPECT_EQ(test.complexity(), 8) << test.str();
     EXPECT_TRUE(sim::is_well_formed(test));
     for (FaultKind kind : {FaultKind::CfidUp0, FaultKind::CfidUp1})
-        EXPECT_TRUE(sim::covers_everywhere(test, kind))
+        EXPECT_TRUE(engine::Engine::global().covers_everywhere(test, kind))
             << test.str() << " misses " << fault::fault_kind_name(kind);
 }
 
@@ -58,8 +59,9 @@ TEST(MarchBuilder, SingleCellChainBuildsCompactTest) {
         build_march(reorder(concatenate_tps({saf0, saf1})));
     EXPECT_EQ(test.complexity(), 4) << test.str();
     EXPECT_TRUE(sim::is_well_formed(test));
-    EXPECT_TRUE(sim::covers_everywhere(test, FaultKind::Saf0));
-    EXPECT_TRUE(sim::covers_everywhere(test, FaultKind::Saf1));
+    const engine::Engine& engine = engine::Engine::global();
+    EXPECT_TRUE(engine.covers_everywhere(test, FaultKind::Saf0));
+    EXPECT_TRUE(engine.covers_everywhere(test, FaultKind::Saf1));
     for (const auto& element : test.elements())
         EXPECT_EQ(element.order, AddressOrder::Any);  // Rule 5
 }
@@ -73,8 +75,9 @@ TEST(MarchBuilder, TransitionFaultChain) {
         build_march(reorder(concatenate_tps({tf_up, tf_down})));
     EXPECT_EQ(test.complexity(), 5) << test.str();
     EXPECT_TRUE(sim::is_well_formed(test));
-    EXPECT_TRUE(sim::covers_everywhere(test, FaultKind::TfUp));
-    EXPECT_TRUE(sim::covers_everywhere(test, FaultKind::TfDown));
+    const engine::Engine& engine = engine::Engine::global();
+    EXPECT_TRUE(engine.covers_everywhere(test, FaultKind::TfUp));
+    EXPECT_TRUE(engine.covers_everywhere(test, FaultKind::TfDown));
 }
 
 TEST(MarchBuilder, RetentionChainEmitsDelay) {
@@ -83,7 +86,8 @@ TEST(MarchBuilder, RetentionChainEmitsDelay) {
     const march::MarchTest test = build_march(reorder(concatenate_tps({drf})));
     EXPECT_TRUE(test.has_wait());
     EXPECT_TRUE(sim::is_well_formed(test));
-    EXPECT_TRUE(sim::covers_everywhere(test, FaultKind::Drf0));
+    EXPECT_TRUE(
+        engine::Engine::global().covers_everywhere(test, FaultKind::Drf0));
 }
 
 TEST(MarchBuilder, CfstVictimHonoursAggressorState) {
@@ -109,7 +113,9 @@ TEST(MarchBuilder, AfPairNeedsBothDirections) {
     const march::MarchTest test =
         build_march(reorder(concatenate_tps({af_ij, af_ji})));
     EXPECT_TRUE(sim::is_well_formed(test)) << test.str();
-    EXPECT_TRUE(sim::covers_everywhere(test, FaultKind::Af)) << test.str();
+    EXPECT_TRUE(
+        engine::Engine::global().covers_everywhere(test, FaultKind::Af))
+        << test.str();
 }
 
 TEST(MarchBuilder, EmptyChainRejected) {

@@ -6,6 +6,7 @@
 
 #include <string>
 
+#include "engine/engine.hpp"
 #include "march/expansion.hpp"
 #include "march/library.hpp"
 #include "march/parser.hpp"
@@ -48,8 +49,9 @@ TEST(ExpansionCap, CapZeroStillEvaluatesBothUniformOrders) {
     EXPECT_EQ(expansion_choices(test, opts).size(), 2u);
     // The capped run must agree with the full expansion on this test (its
     // detection here does not depend on mixed orders).
-    EXPECT_TRUE(covers_everywhere(test, FaultKind::Saf0, opts));
-    EXPECT_TRUE(covers_everywhere(test, FaultKind::Saf0));
+    const engine::Engine& engine = engine::Engine::global();
+    EXPECT_TRUE(engine.covers_everywhere(test, FaultKind::Saf0, opts));
+    EXPECT_TRUE(engine.covers_everywhere(test, FaultKind::Saf0));
 }
 
 TEST(ExpansionCap, CapAboveTheBoundIsAContractViolation) {
@@ -78,10 +80,11 @@ TEST(ExpansionCap, CappedRunIsOptimisticAboutMixedOrders) {
     RunOptions full;
     RunOptions capped;
     capped.max_any_expansion = 0;
+    const engine::Engine& engine = engine::Engine::global();
     for (FaultKind kind :
          {FaultKind::CfidUp0, FaultKind::CfidDown1, FaultKind::CfinUp}) {
-        if (covers_everywhere(test, kind, full)) {
-            EXPECT_TRUE(covers_everywhere(test, kind, capped))
+        if (engine.covers_everywhere(test, kind, full)) {
+            EXPECT_TRUE(engine.covers_everywhere(test, kind, capped))
                 << fault_kind_name(kind);
         }
     }

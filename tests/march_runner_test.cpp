@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "engine/engine.hpp"
 #include "march/library.hpp"
 #include "march/parser.hpp"
 #include "sim/march_runner.hpp"
@@ -64,19 +65,22 @@ TEST(Detects, ScanMissesCouplingFaults) {
 }
 
 TEST(CoversEverywhere, PlacementsAtEveryCellAndPair) {
-    EXPECT_TRUE(covers_everywhere(march::mats(), FaultKind::Saf0));
-    EXPECT_TRUE(covers_everywhere(march::mats(), FaultKind::Saf1));
+    const engine::Engine& engine = engine::Engine::global();
+    EXPECT_TRUE(engine.covers_everywhere(march::mats(), FaultKind::Saf0));
+    EXPECT_TRUE(engine.covers_everywhere(march::mats(), FaultKind::Saf1));
     // MATS cannot cover idempotent coupling faults.
-    EXPECT_FALSE(covers_everywhere(march::mats(), FaultKind::CfidUp0));
+    EXPECT_FALSE(engine.covers_everywhere(march::mats(), FaultKind::CfidUp0));
 }
 
 TEST(FirstUncovered, FindsTheGap) {
-    const auto gap = first_uncovered(march::mats(),
-                                     {FaultKind::Saf0, FaultKind::CfidUp0});
+    const engine::Engine& engine = engine::Engine::global();
+    const auto gap = engine.first_uncovered(
+        march::mats(), {FaultKind::Saf0, FaultKind::CfidUp0});
     ASSERT_TRUE(gap.has_value());
     EXPECT_EQ(*gap, FaultKind::CfidUp0);
 
-    EXPECT_FALSE(first_uncovered(march::mats(), {FaultKind::Saf0}).has_value());
+    EXPECT_FALSE(
+        engine.first_uncovered(march::mats(), {FaultKind::Saf0}).has_value());
 }
 
 TEST(IsWellFormed, LibraryTestsNeverReadUnknownOrWrongValues) {
@@ -96,23 +100,28 @@ TEST(GuaranteedFailingReads, IntersectionOverExpansions) {
     // SAF1 at some cell: the r0 of element 1 always fails regardless of
     // sweep orders.
     const auto test = parse_march("{~(w0); ~(r0); ~(w1); ~(r1)}");
-    const auto sites = guaranteed_failing_reads(
-        test, InjectedFault::single(FaultKind::Saf1, 2));
+    const std::vector<InjectedFault> population{
+        InjectedFault::single(FaultKind::Saf1, 2)};
+    const std::vector<RunTrace> traces =
+        engine::Engine::global().traces(test, population);
+    const std::vector<ReadSite>& sites = traces.front().failing_reads;
     ASSERT_FALSE(sites.empty());
     EXPECT_EQ(sites[0], (ReadSite{1, 0}));
 }
 
 TEST(GuaranteedFailingReads, EmptyWhenUndetected) {
-    const auto sites = guaranteed_failing_reads(
-        march::scan(), InjectedFault::coupling(FaultKind::CfidUp0, 1, 2));
-    EXPECT_TRUE(sites.empty());
+    const std::vector<InjectedFault> population{
+        InjectedFault::coupling(FaultKind::CfidUp0, 1, 2)};
+    const std::vector<RunTrace> traces =
+        engine::Engine::global().traces(march::scan(), population);
+    EXPECT_TRUE(traces.front().failing_reads.empty());
 }
 
 TEST(RunOptions, SmallerMemoryStillWorks) {
     RunOptions opts;
     opts.memory_size = 3;
-    EXPECT_TRUE(covers_everywhere(march::march_c_minus(), FaultKind::CfidUp1,
-                                  opts));
+    EXPECT_TRUE(engine::Engine::global().covers_everywhere(
+        march::march_c_minus(), FaultKind::CfidUp1, opts));
 }
 
 }  // namespace

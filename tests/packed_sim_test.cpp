@@ -309,7 +309,7 @@ TEST(PackedBitQueries, PopulationsLargerThanOneChunk) {
     const auto batched = session.detects(test, population, opts);
     for (std::size_t i = 0; i < population.size(); ++i)
         ASSERT_TRUE(batched[i]) << i;
-    EXPECT_TRUE(covers_everywhere(test, FaultKind::CfidUp0, opts));
+    EXPECT_TRUE(session.covers_everywhere(test, FaultKind::CfidUp0, opts));
 }
 
 TEST(FullPopulation, EnumeratesPlacements) {
@@ -324,16 +324,6 @@ TEST(FullPopulation, DegenerateMemoriesYieldEmptyPopulations) {
     EXPECT_EQ(full_population(FaultKind::Saf0, 1).size(), 1u);
     EXPECT_TRUE(full_population(FaultKind::CfidUp0, 0).empty());
     EXPECT_TRUE(full_population(FaultKind::Saf0, 0).empty());
-}
-
-TEST(FullPopulation, AllKindOverloadConcatenatesInListOrder) {
-    const std::vector<FaultKind> kinds = {FaultKind::Saf0,
-                                          FaultKind::CfidUp0};
-    const auto population = full_population(kinds, 4);
-    ASSERT_EQ(population.size(), 4u + 12u);
-    EXPECT_EQ(population.front().kind, FaultKind::Saf0);
-    EXPECT_EQ(population.back().kind, FaultKind::CfidUp0);
-    EXPECT_TRUE(full_population(std::vector<FaultKind>{}, 4).empty());
 }
 
 TEST(PackedSim, ResetReuseMatchesFreshMemory) {
@@ -388,10 +378,10 @@ TEST(PackedBitQueries, EmptyPopulationIsTriviallyCovered) {
     EXPECT_TRUE(session.traces(test, empty, opts).empty());
     // covers_everywhere on the degenerate memory: vacuously true for
     // two-cell kinds, still meaningful for single-cell kinds.
-    EXPECT_TRUE(covers_everywhere(march::march_c_minus(), FaultKind::CfidUp0,
-                                  opts));
-    EXPECT_TRUE(covers_everywhere(march::march_c_minus(), FaultKind::Saf0,
-                                  opts));
+    EXPECT_TRUE(session.covers_everywhere(march::march_c_minus(),
+                                          FaultKind::CfidUp0, opts));
+    EXPECT_TRUE(session.covers_everywhere(march::march_c_minus(),
+                                          FaultKind::Saf0, opts));
 }
 
 // ---- armed pass scratch ----------------------------------------------------

@@ -148,13 +148,14 @@ TEST(ParallelDeterminism, CoversAllMatchesPerKindSweep) {
     // of the per-kind covers_everywhere verdicts.
     const sim::RunOptions opts{.memory_size = 5, .max_any_expansion = 6};
     const auto static_list = fault::parse_fault_kinds("SAF,TF,CFin,CFid,CFst");
+    const engine::Engine& engine = engine::Engine::global();
     for (const char* name : {"MATS", "MATS++", "March C-"}) {
         const auto& test = march::find_march_test(name).test;
-        EXPECT_EQ(sim::covers_all(test, static_list, opts),
-                  !sim::first_uncovered(test, static_list, opts).has_value())
+        EXPECT_EQ(engine.covers_all(test, static_list, opts),
+                  !engine.first_uncovered(test, static_list, opts).has_value())
             << name;
     }
-    EXPECT_TRUE(sim::covers_all(march::march_c_minus(), {}, opts));
+    EXPECT_TRUE(engine.covers_all(march::march_c_minus(), {}, opts));
 }
 
 }  // namespace

@@ -23,6 +23,7 @@
 #include "synth/scorer.hpp"
 #include "synth/skeleton.hpp"
 #include "util/thread_pool.hpp"
+#include "word/background.hpp"
 
 namespace mtg {
 namespace {
@@ -202,12 +203,23 @@ TEST(EngineStats, CountsQueriesPerWant) {
     query.want = engine::Want::Traces;
     (void)engine.run(query);
 
+    // The explicit-population conveniences count too, in both universes.
+    const std::vector<sim::InjectedFault> bit_faults{
+        sim::InjectedFault::single(FaultKind::Saf0, 1)};
+    (void)engine.detects(query.test, bit_faults);
+    (void)engine.traces(query.test, bit_faults);
+    const std::vector<word::InjectedBitFault> word_faults{
+        word::InjectedBitFault::single(FaultKind::Saf0, {1, 0})};
+    const auto backgrounds = word::solid_background(8);
+    (void)engine.detects(query.test, backgrounds, word_faults);
+    (void)engine.traces(query.test, backgrounds, word_faults);
+
     const engine::Engine::Stats stats = engine.stats();
-    EXPECT_EQ(stats.want_detects, 2u);
+    EXPECT_EQ(stats.want_detects, 4u);
     EXPECT_EQ(stats.want_detects_all, 1u);
-    EXPECT_EQ(stats.want_traces, 1u);
+    EXPECT_EQ(stats.want_traces, 3u);
     EXPECT_EQ(stats.want_sweeps, 0u);
-    EXPECT_EQ(stats.queries, 4u);
+    EXPECT_EQ(stats.queries, 8u);
     EXPECT_GE(stats.cache.hits + stats.cache.misses, 1u);
 }
 

@@ -3,6 +3,7 @@
 #include <iterator>
 
 #include "core/generator.hpp"
+#include "engine/engine.hpp"
 #include "fault/fault_list.hpp"
 #include "march/library.hpp"
 #include "march/parser.hpp"
@@ -123,12 +124,13 @@ TEST(Table3Row6, FiveNCfinTestVerifiedByHand) {
     const auto test = march::parse_march("{v(w0); v(r0,w1,w0); v(r0)}");
     EXPECT_EQ(test.complexity(), 5);
     EXPECT_TRUE(sim::is_well_formed(test));
-    EXPECT_TRUE(sim::covers_everywhere(test, fault::FaultKind::CfinUp));
-    EXPECT_TRUE(sim::covers_everywhere(test, fault::FaultKind::CfinDown));
+    const engine::Engine& engine = engine::Engine::global();
+    EXPECT_TRUE(engine.covers_everywhere(test, fault::FaultKind::CfinUp));
+    EXPECT_TRUE(engine.covers_everywhere(test, fault::FaultKind::CfinDown));
     // And its mirror works too.
     const auto mirror = march::parse_march("{^(w0); ^(r0,w1,w0); ^(r0)}");
-    EXPECT_TRUE(sim::covers_everywhere(mirror, fault::FaultKind::CfinUp));
-    EXPECT_TRUE(sim::covers_everywhere(mirror, fault::FaultKind::CfinDown));
+    EXPECT_TRUE(engine.covers_everywhere(mirror, fault::FaultKind::CfinUp));
+    EXPECT_TRUE(engine.covers_everywhere(mirror, fault::FaultKind::CfinDown));
 }
 
 /// Known-test complexity equivalences claimed by Table 3's last column.

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "engine/engine.hpp"
 #include "fault/kinds.hpp"
 #include "march/library.hpp"
 #include "util/rng.hpp"
@@ -256,7 +257,9 @@ TEST(WordBatchRunner, CoversEverywhereMatchesScalarSweep) {
         for (const InjectedBitFault& fault :
              coverage_population(c.kind, opts))
             scalar = scalar && detects(test, backgrounds, fault, opts);
-        EXPECT_EQ(covers_everywhere(test, backgrounds, c.kind, opts), scalar)
+        EXPECT_EQ(engine::Engine::global().covers_everywhere(
+                      test, backgrounds, c.kind, opts),
+                  scalar)
             << c.march << ' ' << fault_kind_name(c.kind) << " counting="
             << c.counting;
     }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "engine/engine.hpp"
 #include "march/library.hpp"
 #include "word/background.hpp"
 #include "word/word_march.hpp"
@@ -121,10 +122,11 @@ TEST(WordMarch, WellFormedUnderAllBackgrounds) {
 }
 
 TEST(WordMarch, SingleBitFaultsNeedOnlySolid) {
-    EXPECT_TRUE(covers_everywhere(march::mats_plus_plus(), solid_background(8),
-                                  FaultKind::Saf0));
-    EXPECT_TRUE(covers_everywhere(march::mats_plus_plus(), solid_background(8),
-                                  FaultKind::TfDown));
+    const engine::Engine& engine = engine::Engine::global();
+    EXPECT_TRUE(engine.covers_everywhere(
+        march::mats_plus_plus(), solid_background(8), FaultKind::Saf0));
+    EXPECT_TRUE(engine.covers_everywhere(
+        march::mats_plus_plus(), solid_background(8), FaultKind::TfDown));
 }
 
 /// The headline theorem of the word-oriented extension: a solid background
@@ -133,10 +135,11 @@ TEST(WordMarch, SingleBitFaultsNeedOnlySolid) {
 /// background set catches every intra-word pair.
 TEST(WordMarch, IntraWordCouplingNeedsCountingBackgrounds) {
     const auto& test = march::march_c_minus();
-    EXPECT_FALSE(covers_everywhere(test, solid_background(8),
-                                   FaultKind::CfidUp1));
-    EXPECT_TRUE(covers_everywhere(test, counting_backgrounds(8),
-                                  FaultKind::CfidUp1));
+    const engine::Engine& engine = engine::Engine::global();
+    EXPECT_FALSE(engine.covers_everywhere(test, solid_background(8),
+                                          FaultKind::CfidUp1));
+    EXPECT_TRUE(engine.covers_everywhere(test, counting_backgrounds(8),
+                                         FaultKind::CfidUp1));
 }
 
 TEST(WordMarch, InterWordCouplingCoveredEvenWithSolid) {
@@ -162,7 +165,8 @@ TEST(WordMarch, FullStaticListWithCountingBackgrounds) {
     opts.width = 4;
     for (FaultKind kind :
          fault::parse_fault_kinds("SAF,TF,CFin,CFid,CFst")) {
-        EXPECT_TRUE(covers_everywhere(test, backgrounds, kind, opts))
+        EXPECT_TRUE(engine::Engine::global().covers_everywhere(
+            test, backgrounds, kind, opts))
             << fault::fault_kind_name(kind);
     }
 }
@@ -170,16 +174,16 @@ TEST(WordMarch, FullStaticListWithCountingBackgrounds) {
 TEST(WordMarch, SolidBackgroundPreservesBitwiseEscapes) {
     // MATS misses TF<v> bit-wise, and a single solid background cannot
     // repair that (no falling transition is ever read back).
-    EXPECT_FALSE(covers_everywhere(march::mats(), solid_background(8),
-                                   FaultKind::TfDown));
+    EXPECT_FALSE(engine::Engine::global().covers_everywhere(
+        march::mats(), solid_background(8), FaultKind::TfDown));
 }
 
 TEST(WordMarch, BackgroundBoundariesAddTransitions) {
     // Consecutive backgrounds run on the same memory: re-initialising from
     // ~b_k to b_(k+1) exercises falling writes that the bit-oriented test
     // alone never reads — MATS + counting backgrounds does catch TF<v>.
-    EXPECT_TRUE(covers_everywhere(march::mats(), counting_backgrounds(8),
-                                  FaultKind::TfDown));
+    EXPECT_TRUE(engine::Engine::global().covers_everywhere(
+        march::mats(), counting_backgrounds(8), FaultKind::TfDown));
 }
 
 }  // namespace
