@@ -186,6 +186,48 @@ void print_scalar_vs_batched() {
     summary.print();
 }
 
+/// State coupling against transition coupling on one kernel: Engine bit
+/// Detects of March C- over the CFst and the CFid populations of a 64-cell
+/// memory (16,128 placements each), one-thread pool. A CFst fault is
+/// enforced by the writes to its aggressor and victim cells only, so its
+/// throughput should track CFid's. Emits the `static_coupling`
+/// BENCH_sim.json line (median-of-5 timings).
+void print_static_coupling() {
+    const auto& test = march::march_c_minus();
+    const sim::RunOptions opts{.memory_size = 64, .max_any_expansion = 6};
+    util::ThreadPool serial(1);
+    const engine::Engine session(engine::EngineConfig{.pool = &serial});
+    const auto cfst =
+        session.bit_population(fault::parse_fault_kinds("CFst"),
+                               opts.memory_size)
+            ->faults;
+    const auto cfid =
+        session.bit_population(fault::parse_fault_kinds("CFid"),
+                               opts.memory_size)
+            ->faults;
+    const double cfst_fps =
+        static_cast<double>(cfst.size()) /
+        seconds_per_sweep([&] { return session.detects(test, cfst, opts); });
+    const double cfid_fps =
+        static_cast<double>(cfid.size()) /
+        seconds_per_sweep([&] { return session.detects(test, cfid, opts); });
+    std::printf(
+        "State vs transition coupling (March C-, n=%d, 1 thread):\n"
+        "  CFst (%zu faults): %12.0f faults/sec\n"
+        "  CFid (%zu faults): %12.0f faults/sec\n\n",
+        opts.memory_size, cfst.size(), cfst_fps, cfid.size(), cfid_fps);
+
+    benchutil::JsonSummary summary("sim");
+    summary.field("workload", "static_coupling")
+        .field("march", "March C-")
+        .field("memory_size", opts.memory_size)
+        .field("cfst_population", cfst.size())
+        .field("cfst_faults_per_sec", cfst_fps)
+        .field("cfid_population", cfid.size())
+        .field("cfid_faults_per_sec", cfid_fps);
+    summary.print();
+}
+
 void BM_SingleRun(benchmark::State& state) {
     const auto& test = march::march_c_minus();
     const auto fault =
@@ -251,6 +293,7 @@ BENCHMARK(BM_WellFormedCheck)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 int main(int argc, char** argv) {
     print_summary();
     print_scalar_vs_batched();
+    print_static_coupling();
     benchmark::Initialize(&argc, argv);
     benchmark::RunSpecifiedBenchmarks();
     return 0;

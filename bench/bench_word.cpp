@@ -11,6 +11,7 @@
 #include "bench_timing.hpp"
 
 #include "engine/engine.hpp"
+#include "fault/kinds.hpp"
 #include "march/library.hpp"
 #include "net/remote_backend.hpp"
 #include "net/worker.hpp"
@@ -299,6 +300,43 @@ void print_trace_head_to_head() {
     summary.print();
 }
 
+/// Retention: Detects of MATS+Del (two del elements, one wait per word
+/// each) over the SAF population of a 256 words × 8 bits memory under the
+/// solid background, one thread. A wait costs the DRF entries of the
+/// chunk, none here, so the del elements add no per-bit scan. Emits the
+/// `retention` BENCH_word.json line (median-of-5 timings).
+void print_retention() {
+    const auto& test = march::find_march_test("MATS+Del").test;
+    word::WordRunOptions opts;
+    opts.words = 256;
+    opts.width = 8;
+    const auto backgrounds = word::solid_background(opts.width);
+    const auto population =
+        engine::Engine()
+            .word_population(fault::parse_fault_kinds("SAF"), opts)
+            ->faults;
+    util::ThreadPool serial(1);
+    const word::WordBatchRunner runner(test, backgrounds, opts, &serial);
+    const double fps =
+        static_cast<double>(population.size()) /
+        seconds_per_sweep([&] { return runner.detects(population); });
+    std::printf(
+        "Retention (MATS+Del, %d words x %d bits, solid, %zu SAF "
+        "placements, 1 thread):\n"
+        "  packed          : %12.0f faults/sec\n\n",
+        opts.words, opts.width, population.size(), fps);
+
+    benchutil::JsonSummary summary("word");
+    summary.field("workload", "retention")
+        .field("march", "MATS+Del")
+        .field("words", opts.words)
+        .field("width", opts.width)
+        .field("backgrounds", backgrounds.size())
+        .field("population", population.size())
+        .field("retention_faults_per_sec", fps);
+    summary.print();
+}
+
 void print_summary() {
     TextTable table;
     table.set_header({"width", "backgrounds", "ops/word",
@@ -362,6 +400,7 @@ int main(int argc, char** argv) {
     print_summary();
     print_scalar_vs_packed();
     print_trace_head_to_head();
+    print_retention();
     benchmark::Initialize(&argc, argv);
     benchmark::RunSpecifiedBenchmarks();
     return 0;

@@ -23,8 +23,24 @@
 /// an intra-word victim written in the same cycle is corrupted after its
 /// own write; AfMap redirects whole-word accesses (word-level decoders
 /// fail for whole words), and intra-word AfMap is inert, as in the scalar
-/// model. Per-fault coupling/static/map entries are word-sparse (one lane
-/// lives in one plane word), so their cost stays scalar at any width.
+/// model. Per-fault coupling/static/map/retention entries are word-sparse
+/// (one lane lives in one plane word), so their cost stays scalar at any
+/// width.
+///
+/// Per-op cost: a write costs its word's bits plus the decoder-map,
+/// coupling and static-coupling entries filed at its word; a read costs
+/// its word's bits plus the decoder-map entries at its word; a wait costs
+/// the DRF entries. No op walks the whole memory or every fault.
+///
+/// Invariant that lets reads and waits skip static coupling: a lane holds
+/// one fault (inject() rejects a second), so the cells of a CFst lane
+/// change only when its aggressor word or its victim word is written —
+/// read() changes only RDF/DRDF lanes, wait() only DRF lanes, a decoder
+/// redirect only AfMap lanes and phase-2 coupling only CFin/CFid/Af
+/// lanes. Each CFst entry is therefore filed under its aggressor word and,
+/// when different, its victim word, and write(w) enforces the entries at
+/// w. Enforcement is idempotent (the aggressor is never the victim), so
+/// dropping the calls that cannot change a lane changes no bit.
 ///
 /// The word width is a template parameter: `Width` = 0 reads it at run
 /// time, any other value fixes it at compile time, so the width-1
@@ -76,7 +92,8 @@ public:
           known_(value_.size(), sim::block_zero<Block>()),
           single_(value_.size()),
           coupling_(static_cast<std::size_t>(words)),
-          afmap_(static_cast<std::size_t>(words)) {
+          afmap_(static_cast<std::size_t>(words)),
+          static_(static_cast<std::size_t>(words)) {
         MTG_EXPECTS(words > 0);
         MTG_EXPECTS(width >= 1 && width <= 64);
         MTG_EXPECTS(Width == 0 || width == Width);
@@ -102,7 +119,9 @@ public:
         coupling_dirty_.clear();
         for (std::size_t w : afmap_dirty_) afmap_[w].clear();
         afmap_dirty_.clear();
-        static_.clear();
+        for (std::size_t w : static_dirty_) static_[w].clear();
+        static_dirty_.clear();
+        retention_.clear();
         occupied_ = sim::block_zero<Block>();
         words_ = words;
         width_ = width;
@@ -117,6 +136,7 @@ public:
         if (word_count != coupling_.size()) {
             coupling_.resize(word_count);
             afmap_.resize(word_count);
+            static_.resize(word_count);
         }
         clear_cells();
     }
@@ -152,8 +172,12 @@ public:
             case fault::FaultKind::Drdf1: s.drdf1 |= lanes; return;
             case fault::FaultKind::Irf0: s.irf0 |= lanes; return;
             case fault::FaultKind::Irf1: s.irf1 |= lanes; return;
-            case fault::FaultKind::Drf0: s.drf0 |= lanes; return;
-            case fault::FaultKind::Drf1: s.drf1 |= lanes; return;
+            case fault::FaultKind::Drf0:
+                push_retention(a, false, lanes);
+                return;
+            case fault::FaultKind::Drf1:
+                push_retention(a, true, lanes);
+                return;
             case fault::FaultKind::CfinUp:
             case fault::FaultKind::CfinDown:
             case fault::FaultKind::CfidUp0:
@@ -170,16 +194,16 @@ public:
                 });
                 return;
             case fault::FaultKind::CfstS0F0:
-                push_static(a, index(fault.b), false, false, lanes);
+                push_static(fault, false, false, lanes);
                 return;
             case fault::FaultKind::CfstS0F1:
-                push_static(a, index(fault.b), false, true, lanes);
+                push_static(fault, false, true, lanes);
                 return;
             case fault::FaultKind::CfstS1F0:
-                push_static(a, index(fault.b), true, false, lanes);
+                push_static(fault, true, false, lanes);
                 return;
             case fault::FaultKind::CfstS1F1:
-                push_static(a, index(fault.b), true, true, lanes);
+                push_static(fault, true, true, lanes);
                 return;
             case fault::FaultKind::AfMap:
                 // Word-level decoder fault; intra-word AfMap is inert in
@@ -207,8 +231,10 @@ public:
 
     /// Writes the W-bit `value` to `word` in every lane, applying fault
     /// effects (the written word is the same for all lanes; the stored
-    /// result differs per lane).
-    void write(int word, std::uint64_t value) {
+    /// result differs per lane). Always inlined: the pass calls it for
+    /// every write op, and past GCC's inline size limit that call cost
+    /// the width-1 pass about 10%.
+    [[gnu::always_inline]] void write(int word, std::uint64_t value) {
         MTG_EXPECTS(word >= 0 && word < words_);
         const int width = this->width();
         const auto w = static_cast<std::size_t>(word);
@@ -331,7 +357,19 @@ public:
             sim::block_word_ref(known_[v], bw) |= t;
         }
 
-        enforce_static_coupling();
+        // State coupling: the entries whose aggressor or victim sits in
+        // this word — the only ones this store can disturb (see the
+        // invariant in the file comment).
+        for (const StaticEntry& s : static_[w]) {
+            const int bw = static_cast<int>(s.word);
+            const LaneMask av = sim::block_word(value_[s.aggressor], bw);
+            const LaneMask ak = sim::block_word(known_[s.aggressor], bw);
+            const LaneMask match = s.lanes & ak & (s.sense ? av : ~av);
+            if (!match) continue;
+            LaneMask& vv = sim::block_word_ref(value_[s.victim], bw);
+            vv = s.force ? (vv | match) : (vv & ~match);
+            sim::block_word_ref(known_[s.victim], bw) |= match;
+        }
     }
 
     /// Reads `word` in every lane, applying read-fault effects. `out` must
@@ -396,21 +434,17 @@ public:
             out[b].known |= seen_k & active;
             out[b].value &= out[b].known;  // normalise: X lanes report 0
         }
-
-        enforce_static_coupling();
     }
 
-    /// Elapses the data-retention period in every lane.
+    /// Elapses the data-retention period in every lane: each DRF lane
+    /// holding a known value decays to the entry's value.
     void wait() {
-        for (std::size_t at = 0; at < value_.size(); ++at) {
-            const SingleBitMasks& s = single_[at];
-            if (sim::block_none(s.drf0 | s.drf1)) continue;
-            const Block is0 = known_[at] & ~value_[at];
-            const Block is1 = known_[at] & value_[at];
-            value_[at] =
-                (value_[at] & ~(s.drf0 & is1)) | (s.drf1 & is0);
+        for (const RetentionEntry& r : retention_) {
+            const LaneMask decay =
+                r.lanes & sim::block_word(known_[r.at], r.word);
+            LaneMask& vv = sim::block_word_ref(value_[r.at], r.word);
+            vv = r.to_one ? (vv | decay) : (vv & ~decay);
         }
-        enforce_static_coupling();
     }
 
     /// Raw bit value of one lane without triggering read faults (tests).
@@ -422,8 +456,8 @@ public:
     }
 
 private:
-    /// Per-bit-position lane blocks of the single-bit fault kinds
-    /// (aggregated across faults, so these stay dense).
+    /// Per-bit-position lane blocks of the single-bit fault kinds other
+    /// than DRF (aggregated across faults, so these stay dense).
     struct SingleBitMasks {
         Block saf0{}, saf1{};
         Block tf_up{}, tf_down{};
@@ -431,7 +465,6 @@ private:
         Block rdf0{}, rdf1{};
         Block drdf0{}, drdf1{};
         Block irf0{}, irf1{};
-        Block drf0{}, drf1{};
     };
     /// Transition/Af coupling bound to an aggressor bit of some word.
     struct CouplingEntry {
@@ -441,13 +474,29 @@ private:
         int word;            ///< plane word of the block holding the lanes
         LaneMask lanes;
     };
-    /// State coupling ⟨sv,fv⟩ — enforced after every state change.
+    /// State coupling ⟨s; f⟩: while the aggressor holds `sense`, the
+    /// victim is forced to `force`. Filed under the aggressor word and,
+    /// when different, the victim word, and enforced by writes to those
+    /// words. Packed into 16 bytes so filing an entry twice costs no more
+    /// memory than one unpacked entry.
     struct StaticEntry {
-        std::size_t aggressor;
-        std::size_t victim;
-        bool sense;  ///< aggressor value that sensitises
-        bool force;  ///< value forced onto the victim
-        int word;
+        LaneMask lanes;
+        std::uint32_t aggressor;    ///< flat (word, bit) index
+        std::uint32_t victim : 27;  ///< flat (word, bit) index
+        std::uint32_t word : 3;  ///< plane word of the block holding the lanes
+        std::uint32_t sense : 1;  ///< aggressor value that sensitises
+        std::uint32_t force : 1;  ///< value forced onto the victim
+    };
+    /// Bit positions a StaticEntry can index (its 27-bit victim field).
+    static constexpr std::size_t kStaticIndexLimit = std::size_t{1} << 27;
+    static_assert(sim::block_words<Block> <= 8,
+                  "StaticEntry::word holds a plane word index below 8");
+    /// Data-retention fault: a wait decays the known bit at `at` to
+    /// `to_one`.
+    struct RetentionEntry {
+        std::size_t at;  ///< flat (word, bit) index
+        int word;        ///< plane word of the block holding the lanes
+        bool to_one;
         LaneMask lanes;
     };
     /// Word-decoder fault: whole-word accesses land on `victim_word`.
@@ -464,13 +513,15 @@ private:
     std::vector<SingleBitMasks> single_;
     std::vector<std::vector<CouplingEntry>> coupling_;  ///< by aggr. word
     std::vector<std::vector<MapEntry>> afmap_;          ///< by aggr. word
-    std::vector<StaticEntry> static_;
+    std::vector<std::vector<StaticEntry>> static_;  ///< by aggr./victim word
+    std::vector<RetentionEntry> retention_;  ///< the bits holding a DRF
     Block occupied_{};  ///< lanes already holding a fault
-    // Flat bit / aggressor-word indices a reset() must undo (duplicates
-    // are fine — clearing is idempotent).
+    // Flat bit / word indices a reset() must undo (duplicates are fine —
+    // clearing is idempotent).
     std::vector<std::size_t> single_dirty_;
     std::vector<std::size_t> coupling_dirty_;
     std::vector<std::size_t> afmap_dirty_;
+    std::vector<std::size_t> static_dirty_;
 
     [[nodiscard]] std::size_t index(BitAddr at) const {
         MTG_EXPECTS(at.word >= 0 && at.word < words_);
@@ -480,23 +531,32 @@ private:
                static_cast<std::size_t>(at.bit);
     }
 
-    void push_static(std::size_t aggressor, std::size_t victim, bool sense,
-                     bool force, const Block& lanes) {
+    void push_static(const InjectedBitFault& fault, bool sense, bool force,
+                     const Block& lanes) {
+        const std::size_t aggressor = index(fault.a);
+        const std::size_t victim = index(fault.b);
+        MTG_EXPECTS(aggressor < kStaticIndexLimit &&
+                    victim < kStaticIndexLimit);
+        const auto aw = static_cast<std::size_t>(fault.a.word);
+        const auto vw = static_cast<std::size_t>(fault.b.word);
+        // A word enters the dirty list with its first entry, so the list
+        // stays bounded by the word count.
+        if (static_[aw].empty()) static_dirty_.push_back(aw);
+        if (static_[vw].empty()) static_dirty_.push_back(vw);
         for_each_block_word(lanes, [&](int w, LaneMask m) {
-            static_.push_back({aggressor, victim, sense, force, w, m});
+            const StaticEntry entry{m, static_cast<std::uint32_t>(aggressor),
+                                    static_cast<std::uint32_t>(victim),
+                                    static_cast<std::uint32_t>(w), sense,
+                                    force};
+            static_[aw].push_back(entry);
+            if (vw != aw) static_[vw].push_back(entry);
         });
     }
 
-    void enforce_static_coupling() {
-        for (const StaticEntry& s : static_) {
-            const LaneMask av = sim::block_word(value_[s.aggressor], s.word);
-            const LaneMask ak = sim::block_word(known_[s.aggressor], s.word);
-            const LaneMask match = s.lanes & ak & (s.sense ? av : ~av);
-            if (!match) continue;
-            LaneMask& vv = sim::block_word_ref(value_[s.victim], s.word);
-            vv = s.force ? (vv | match) : (vv & ~match);
-            sim::block_word_ref(known_[s.victim], s.word) |= match;
-        }
+    void push_retention(std::size_t at, bool to_one, const Block& lanes) {
+        for_each_block_word(lanes, [&](int w, LaneMask m) {
+            retention_.push_back({at, w, to_one, m});
+        });
     }
 };
 

@@ -175,27 +175,37 @@ TEST(QueryServer, ConcurrentTcpClientsMatchLocalEngineByteForByte) {
     EXPECT_EQ(server.stats().sessions, static_cast<std::size_t>(kClients));
 }
 
-/// A query heavy enough to hold the single bulk executor for half a
-/// second (per-fault detects of CFid + CFst on a 128-cell memory: ~130k
-/// placements), forced onto the bulk lane with the explicit class
-/// override — so requests admitted behind it are deterministically
-/// queued, not racing its completion. Detects rather than Traces keeps
-/// the reply to a ~33 KB mask the un-drained client socket can buffer
-/// (a multi-MB trace dump would wedge the executor in write_line), and a
+/// A query heavy enough to hold the single bulk executor for about a
+/// second, forced onto the bulk lane with the explicit class override —
+/// so requests admitted behind it are deterministically queued, not
+/// racing its completion. Its cost comes from the test's structure, not
+/// from any one fault kind's: `k` order-dependent ⇕ elements with
+/// `max_any` = k give 2^k expansions, each one full pass over the CFid
+/// population of a 16-cell memory. Detects rather than Traces keeps the
+/// reply to a short mask the un-drained client socket can buffer (a
+/// multi-MB trace dump would wedge the executor in write_line), and a
 /// DictionarySweep won't do either: dictionaries are canonical
-/// *instances*, a few dozen traces, finished in microseconds.
+/// *instances*, a few dozen traces, finished in microseconds. The tests
+/// check that the bulk lane is still busy (`bulk_done == 0`) at every
+/// point they rely on it, so a blocker that gets cheap fails loudly.
 QueryRequest blocking_bulk_query(std::int64_t id) {
-    QueryRequest request =
-        make_request(id, QueryOp::Detects, "March C-", "CFid,CFst");
     // Debug and sanitizer builds run the simulation 10-100x slower; the
     // blocker only has to outlast the admission of a handful of tiny
     // requests, so scale it down rather than time the whole leg out.
 #if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__) || \
     !defined(NDEBUG)
-    request.memory_size = 48;
+    constexpr int kAnyElements = 10;
 #else
-    request.memory_size = 128;
+    constexpr int kAnyElements = 15;
 #endif
+    std::string test = "{^(w0)";
+    for (int i = 0; i < kAnyElements; ++i)
+        test += i % 2 == 0 ? "; ~(r0,w1)" : "; ~(r1,w0)";
+    test += kAnyElements % 2 == 0 ? "; ^(r0)}" : "; ^(r1)}";
+    QueryRequest request =
+        make_request(id, QueryOp::Detects, std::move(test), "CFid");
+    request.memory_size = 16;
+    request.max_any = kAnyElements;
     request.klass = QueryClass::Bulk;
     return request;
 }
@@ -212,6 +222,8 @@ TEST(QueryServer, IdenticalInFlightQueriesCoalesceOntoOneBackendRun) {
     QueryClient blocker(blocker_client_fd);
     ASSERT_TRUE(blocker.send(blocking_bulk_query(100)));
     std::this_thread::sleep_for(50ms);
+    ASSERT_EQ(server.stats().bulk_done, 0u)
+        << "the blocker finished before the subscribers were sent";
 
     // Five sessions ask the identical bulk question while the executor is
     // busy: the first admission creates the queued task, the other four
@@ -232,6 +244,8 @@ TEST(QueryServer, IdenticalInFlightQueriesCoalesceOntoOneBackendRun) {
         if (i % 2 == 1) request.kinds = "TF,SAF";
         ASSERT_TRUE(clients.back().send(request));
     }
+    ASSERT_EQ(server.stats().bulk_done, 0u)
+        << "the blocker finished while the subscribers were being sent";
 
     const engine::Engine local;
     for (int i = 0; i < kSubscribers; ++i) {
@@ -276,6 +290,8 @@ TEST(QueryServer, InteractiveProbeCompletesWhileSweepInFlight) {
 
     ASSERT_TRUE(sweeper.send(blocking_bulk_query(1)));
     std::this_thread::sleep_for(50ms);
+    ASSERT_EQ(server.stats().bulk_done, 0u)
+        << "the sweep finished before the probe was sent";
 
     // The probe must be answered by the reserved interactive lane while
     // the sweep still holds the bulk lane — not queued behind it.
@@ -284,6 +300,8 @@ TEST(QueryServer, InteractiveProbeCompletesWhileSweepInFlight) {
     const auto probe_reply = prober.roundtrip(probe, /*timeout_ms=*/30000);
     const Clock::time_point probe_done = Clock::now();
     ASSERT_TRUE(probe_reply.has_value());
+    ASSERT_EQ(server.stats().bulk_done, 0u)
+        << "the sweep finished before the probe's reply arrived";
     const engine::Engine local;
     EXPECT_EQ(*probe_reply, expected_reply(local, probe));
 

@@ -14,12 +14,14 @@
 #include "engine/engine.hpp"
 #include "fault/kinds.hpp"
 #include "march/library.hpp"
+#include "march/parser.hpp"
 #include "util/rng.hpp"
 #include "word/background.hpp"
 #include "word/packed_word_memory.hpp"
 #include "word/word_batch_runner.hpp"
 #include "word/word_march.hpp"
 #include "word/word_memory.hpp"
+#include "word/word_trace.hpp"
 
 namespace mtg::word {
 namespace {
@@ -301,6 +303,201 @@ TEST(CoveragePopulation, NeverContainsDuplicatePlacements) {
                             << " == #" << j;
             }
         }
+    }
+}
+
+// ---- static coupling filed by word, DRF entries --------------------------
+//
+// The packed memory files each CFst entry under its aggressor word and its
+// victim word (once when they coincide) and enforces it on writes to those
+// words only; wait() walks the DRF entries only. These populations put
+// many such entries into one chunk: victims shared across aggressor words,
+// a word that is victim word to some entries and aggressor word to others,
+// and DRF of both polarities next to the other kinds a wait or a read
+// must leave alone.
+
+constexpr int kBookWords = 4;
+constexpr int kBookWidth = 8;
+
+FaultKind cfst_kind(std::size_t i) {
+    constexpr FaultKind kinds[] = {FaultKind::CfstS0F0, FaultKind::CfstS0F1,
+                                   FaultKind::CfstS1F0, FaultKind::CfstS1F1};
+    return kinds[i % 4];
+}
+
+/// CFst only: every ordered intra-word pair of word 1, then inter-word
+/// pairs whose victims share word 2 (aggressors in words 0, 1, 3) and
+/// word 3 (aggressors in words 0, 2).
+std::vector<InjectedBitFault> static_coupling_population() {
+    std::vector<InjectedBitFault> population;
+    for (int a = 0; a < kBookWidth; ++a)
+        for (int v = 0; v < kBookWidth; ++v)
+            if (a != v)
+                population.push_back(InjectedBitFault::coupling(
+                    cfst_kind(population.size()), {1, a}, {1, v}));
+    for (const auto& [victim_word, aggressor_words] :
+         {std::pair{2, std::vector{0, 1, 3}}, std::pair{3, std::vector{0, 2}}})
+        for (int aw : aggressor_words)
+            for (int bit = 0; bit < kBookWidth; ++bit)
+                population.push_back(InjectedBitFault::coupling(
+                    cfst_kind(population.size()), {aw, bit},
+                    {victim_word, (bit + aw) % kBookWidth}));
+    return population;
+}
+
+/// DRF only, both polarities; every word's bit 0 holds both.
+std::vector<InjectedBitFault> retention_population() {
+    std::vector<InjectedBitFault> population;
+    for (int w = 0; w < kBookWords; ++w)
+        for (int bit = 0; bit < kBookWidth; ++bit) {
+            const FaultKind kind =
+                (w + bit) % 2 == 0 ? FaultKind::Drf0 : FaultKind::Drf1;
+            population.push_back(InjectedBitFault::single(kind, {w, bit}));
+            if (bit == 0)
+                population.push_back(InjectedBitFault::single(
+                    kind == FaultKind::Drf0 ? FaultKind::Drf1
+                                            : FaultKind::Drf0,
+                    {w, bit}));
+        }
+    return population;
+}
+
+/// CFst mixed with AfMap, Af, RDF, DRDF, DRF and SAF: one single-bit
+/// fault and one two-cell fault per bit position. DRF1 sits at positions
+/// that hold no DRF0.
+std::vector<InjectedBitFault> mixed_population() {
+    constexpr FaultKind singles[] = {
+        FaultKind::Saf0, FaultKind::Saf1,  FaultKind::Rdf0,
+        FaultKind::Rdf1, FaultKind::Drdf0, FaultKind::Drdf1,
+        FaultKind::Drf0, FaultKind::Drf1};
+    constexpr FaultKind pairs[] = {FaultKind::CfstS0F1, FaultKind::AfMap,
+                                   FaultKind::CfstS1F0, FaultKind::Af};
+    std::vector<InjectedBitFault> population;
+    for (int w = 0; w < kBookWords; ++w)
+        for (int bit = 0; bit < kBookWidth; ++bit) {
+            const int p = w * kBookWidth + bit;
+            population.push_back(
+                InjectedBitFault::single(singles[p % 8], {w, bit}));
+            const BitAddr victim =
+                p % 3 == 0 ? BitAddr{w, (bit + 5) % kBookWidth}
+                           : BitAddr{(w + 1 + p % 2) % kBookWords,
+                                     (bit + 3) % kBookWidth};
+            population.push_back(
+                InjectedBitFault::coupling(pairs[p % 4], {w, bit}, victim));
+        }
+    return population;
+}
+
+TEST(PackedBookkeeping, DetectsAndTracesMatchScalarOracles) {
+    WordRunOptions opts;
+    opts.words = kBookWords;
+    opts.width = kBookWidth;
+    const struct {
+        const char* label;
+        std::vector<InjectedBitFault> faults;
+    } populations[] = {{"CFst", static_coupling_population()},
+                       {"DRF", retention_population()},
+                       {"mixed", mixed_population()}};
+    const march::MarchTest tests[] = {
+        march::march_ss(),
+        march::find_march_test("MATS+Del").test,
+        march::parse_march("{~(w0,del,r0,w1,del,r1)}"),
+        march::parse_march("{^(w1); ~(del,del); ^(r1,w0); ~(del,del); ^(r0)}"),
+    };
+    for (const bool counting : {false, true}) {
+        const auto backgrounds = counting ? counting_backgrounds(kBookWidth)
+                                          : solid_background(kBookWidth);
+        for (const march::MarchTest& test : tests)
+            for (const auto& [label, population] : populations) {
+                std::vector<bool> want_detects;
+                std::vector<WordRunTrace> want_traces;
+                for (const InjectedBitFault& fault : population) {
+                    want_detects.push_back(
+                        detects(test, backgrounds, fault, opts));
+                    want_traces.push_back(
+                        guaranteed_trace(test, backgrounds, fault, opts));
+                }
+                for (const int lane_width : {1, 4, 8}) {
+                    const WordBatchRunner runner(test, backgrounds, opts,
+                                                 nullptr, lane_width);
+                    const std::vector<bool> got_detects =
+                        runner.detects(population);
+                    const std::vector<WordRunTrace> got_traces =
+                        runner.run(population);
+                    ASSERT_EQ(got_traces.size(), population.size());
+                    for (std::size_t i = 0; i < population.size(); ++i) {
+                        ASSERT_EQ(got_detects[i], want_detects[i])
+                            << test.str() << ' ' << label << " counting="
+                            << counting << " W=" << lane_width << " #" << i
+                            << ' ' << fault_kind_name(population[i].kind);
+                        ASSERT_TRUE(got_traces[i] == want_traces[i])
+                            << test.str() << ' ' << label << " counting="
+                            << counting << " W=" << lane_width << " #" << i
+                            << ' ' << fault_kind_name(population[i].kind);
+                    }
+                }
+            }
+    }
+}
+
+/// A memory re-armed CFst -> DRF -> CFst (reset, then inject) must run
+/// exactly like a freshly built one holding the same chunk: no static
+/// entry or DRF entry of an earlier chunk may survive the reset.
+TEST(PackedBookkeeping, RearmCfstDrfCfstMatchesFreshMemory) {
+    using Block = sim::LaneBlock<8>;
+    using Memory = PackedWordMemoryT<Block>;
+    const auto inject = [](Memory& memory,
+                           const std::vector<InjectedBitFault>& chunk) {
+        for (std::size_t i = 0; i < chunk.size(); ++i)
+            memory.inject(chunk[i],
+                          sim::block_lane_bit<Block>(
+                              sim::fault_lane(static_cast<int>(i))));
+    };
+    const auto cfst = static_coupling_population();
+    const auto drf = retention_population();
+    SplitMix64 rng(0xBEA7ULL);
+    Memory armed(kBookWords, kBookWidth);
+    const struct {
+        const char* label;
+        const std::vector<InjectedBitFault>* chunk;
+    } steps[] = {{"CFst", &cfst}, {"DRF after CFst", &drf},
+                 {"CFst after DRF", &cfst}};
+    for (const auto& step : steps) {
+        armed.reset(kBookWords, kBookWidth);
+        inject(armed, *step.chunk);
+        Memory fresh(kBookWords, kBookWidth);
+        inject(fresh, *step.chunk);
+        Memory::ReadResult got[kBookWidth], want[kBookWidth];
+        for (int op = 0; op < 120; ++op) {
+            const int choice = rng.range(0, 9);
+            const int word = rng.range(0, kBookWords - 1);
+            if (choice < 5) {
+                const auto value =
+                    rng.next() & ((std::uint64_t{1} << kBookWidth) - 1);
+                armed.write(word, value);
+                fresh.write(word, value);
+            } else if (choice < 8) {
+                armed.read(word, got);
+                fresh.read(word, want);
+                for (int bit = 0; bit < kBookWidth; ++bit) {
+                    ASSERT_TRUE(got[bit].value == want[bit].value)
+                        << step.label << " op " << op << " bit " << bit;
+                    ASSERT_TRUE(got[bit].known == want[bit].known)
+                        << step.label << " op " << op << " bit " << bit;
+                }
+            } else {
+                armed.wait();
+                fresh.wait();
+            }
+        }
+        for (int w = 0; w < kBookWords; ++w)
+            for (int bit = 0; bit < kBookWidth; ++bit)
+                for (int lane = 0; lane < sim::block_lane_count<Block>;
+                     ++lane)
+                    ASSERT_EQ(armed.peek({w, bit}, lane),
+                              fresh.peek({w, bit}, lane))
+                        << step.label << " bit (" << w << ',' << bit
+                        << ") lane " << lane;
     }
 }
 
