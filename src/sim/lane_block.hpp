@@ -19,9 +19,10 @@
 /// instantiated for `LaneMask` (the scalar W=1 fallback — plain `uint64_t`,
 /// zero abstraction cost) and `LaneBlock<4>` / `LaneBlock<8>`. All block
 /// code is plain C++ (unrolled word loops, no intrinsics), so every width
-/// is safe to *run* on every host; SIMD codegen is supplied by the
-/// `target`-attributed kernel wrappers in lane_kernels.cpp, selected at
-/// runtime by CPUID (see lane_dispatch.hpp).
+/// is safe to *run* on every host. A stock build lowers the wide blocks
+/// to baseline SSE2 pairs; the one SIMD-codegen exception is the W=8
+/// pass's `target("avx512f")` wrapper in word/word_kernels.cpp, chosen at
+/// runtime by CPUID and work size (see lane_dispatch.hpp).
 
 #include <bit>
 #include <cstddef>

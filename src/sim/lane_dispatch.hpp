@@ -1,7 +1,7 @@
 #pragma once
 
 /// \file lane_dispatch.hpp
-/// Runtime selection of the packed kernels' lane-block width.
+/// Runtime selection of the packed kernels' lane-block width and codegen.
 ///
 /// The width-generic kernels are instantiated for W ∈ {1, 4, 8} plane
 /// words (64/256/512 lanes per block). All instantiations are plain C++
@@ -12,10 +12,10 @@
 ///   2. otherwise CPUID picks the widest block the hardware retires as one
 ///      vector op: 8 on AVX-512F, 4 on AVX2, else 1.
 ///
-/// SIMD *codegen* for the wide widths comes from `target`-attributed
-/// wrappers in lane_kernels.cpp; those are only dispatched to when the
-/// matching CPUID feature is present, so a forced W=8 on a non-AVX host
-/// runs the generic-codegen instantiation instead of crashing.
+/// Codegen is one rule, active_lane_isa: only a large W=8 job on an
+/// AVX-512F host runs the `target("avx512f")` wrapper (word_kernels.cpp);
+/// every other pass runs the generic instantiation, so a forced W=8 on a
+/// non-AVX host runs baseline code instead of crashing.
 
 #include <cstddef>
 
@@ -34,9 +34,9 @@ namespace mtg::sim {
 [[nodiscard]] int resolve_lane_width(const char* override_value,
                                      bool has_avx2, bool has_avx512f);
 
-/// Width every BatchRunner / WordBatchRunner constructed without an
-/// explicit width uses. Resolved once from MTG_LANE_WIDTH and CPUID, then
-/// cached for the process lifetime.
+/// Width every WordBatchRunner constructed without an explicit width
+/// uses. Resolved once from MTG_LANE_WIDTH and CPUID, then cached for the
+/// process lifetime.
 [[nodiscard]] int active_lane_width();
 
 /// True when MTG_LANE_WIDTH forces a width. Forced widths are exact (the
@@ -56,49 +56,20 @@ namespace mtg::sim {
 [[nodiscard]] bool cpu_has_avx2();
 [[nodiscard]] bool cpu_has_avx512f();
 
-/// Codegen flavour of the W=8 pass wrappers. The W=8 block is two
-/// *semantically identical* SIMD lowerings: single zmm ops under
-/// `target("avx512f")`, or ymm pairs under `target("avx2")` (GCC/Clang
-/// split the 64-byte GNU vector type in half — the "256-bit clone";
-/// `-mprefer-vector-width=256` only steers the auto-vectoriser, explicit
-/// vector types need the narrower target to emit ymm). On AVX-512 hosts
-/// whose cores downclock under sustained zmm load, the clone wins for
-/// short bursts that never amortise the frequency-license ramp, so Auto
-/// picks it for small work grids. Every flavour is bit-identical (same
-/// template, different instruction selection).
-enum class LaneIsa {
-    Auto,     ///< heuristic: zmm for large work grids, ymm clone for small
-    Avx512,   ///< force the zmm wrappers (when CPUID allows)
-    Avx2,     ///< force the ymm-pair clone (when CPUID allows)
-    Generic,  ///< force the baseline-codegen template instantiation
-};
+/// Codegen of a W=8 pass: the zmm wrapper or the generic instantiation.
+/// Both are the same template, so every result bit is identical.
+/// active_lane_isa returns only Avx512 and Generic; Avx2 and Auto are no
+/// longer returned and stay only so callers that name them still build.
+enum class LaneIsa { Auto, Avx512, Avx2, Generic };
 
-/// Parses an MTG_LANE_ISA-style override ("auto", "avx512", "avx2",
-/// "generic", case-sensitive): Auto on null/empty/garbage.
-[[nodiscard]] LaneIsa parse_lane_isa(const char* value);
-
-/// Pure resolution rule behind the Auto heuristic, exposed for tests: the
-/// ISA a W=8 dispatch should use for a job of `work_items` (chunk ×
-/// expansion) pass executions given the reported CPU features. Forced
-/// ISAs fall back down the feature ladder when CPUID lacks them (the
-/// getters never hand out an unrunnable wrapper).
-[[nodiscard]] LaneIsa resolve_lane_isa(LaneIsa requested,
-                                       std::size_t work_items,
-                                       bool has_avx2, bool has_avx512f);
-
-/// Work-grid size below which Auto prefers the 256-bit clone on AVX-512
-/// hosts. Exposed so tests and the resolve rule agree on the boundary.
+/// Work items (chunk × ⇕ expansion pass executions) below which a W=8
+/// job runs the generic pass: a short burst of zmm work never amortises
+/// the AVX-512 frequency-license ramp.
 inline constexpr std::size_t kZmmWorkItemThreshold = 64;
 
-/// Process-wide requested ISA: MTG_LANE_ISA at first use, overridable at
-/// runtime for the dispatch differential tests (set Generic/Avx2/Avx512
-/// and re-run — results must be bit-identical).
-[[nodiscard]] LaneIsa requested_lane_isa();
-void set_requested_lane_isa(LaneIsa isa);
-
-/// The ISA a W=8 dispatch should hand to word_pass_w8 for a
-/// job of `work_items` pass executions: resolve_lane_isa over the
-/// process-wide request and the host CPUID features.
+/// The codegen a W=8 job of `work_items` pass executions runs: Avx512 on
+/// an AVX-512F host at kZmmWorkItemThreshold or more items, Generic
+/// otherwise.
 [[nodiscard]] LaneIsa active_lane_isa(std::size_t work_items);
 
 }  // namespace mtg::sim

@@ -2,7 +2,6 @@
 
 #include "fault/instance.hpp"
 #include "fault/placement.hpp"
-#include "sim/lane_dispatch.hpp"
 
 namespace mtg::word {
 
@@ -26,54 +25,18 @@ WordBatchRunner::WordBatchRunner(const MarchTest& test,
     plan_.sites = sim::read_sites(test);
 }
 
-int WordBatchRunner::width_for(std::size_t population) const {
-    return adaptive_ ? sim::clamp_lane_width(width_, population) : width_;
-}
-
-sim::LaneIsa WordBatchRunner::isa_for(std::size_t population) const {
-    // Work items = total pass executions of the job; the zmm-vs-ymm
-    // heuristic (resolve_lane_isa) keys off how long the job runs.
-    return sim::active_lane_isa(
-        sim::block_chunk_total<LaneBlock<8>>(population) *
-        plan_.expansions.size());
-}
-
-// Each dispatch (here and in run_with) hands the pass getters the plan's
-// word width: width 1 (the bit universe) runs the compile-time width-1
-// pass.
-
 std::vector<bool> WordBatchRunner::detects(
     std::span<const InjectedBitFault> population) const {
-    const int bits = plan_.opts.width;
-    switch (width_for(population.size())) {
-        case 4:
-            return detail::word_detects<LaneBlock<4>>(
-                plan_, detail::word_pass_w4(bits), population);
-        case 8:
-            return detail::word_detects<LaneBlock<8>>(
-                plan_, detail::word_pass_w8(bits, isa_for(population.size())),
-                population);
-        default:
-            return detail::word_detects<LaneMask>(
-                plan_, detail::word_pass_w1(bits), population);
-    }
+    return dispatch(population.size(), [&](auto pass) {
+        return detail::word_detects(plan_, pass, population);
+    });
 }
 
 bool WordBatchRunner::detects_all(
     std::span<const InjectedBitFault> population) const {
-    const int bits = plan_.opts.width;
-    switch (width_for(population.size())) {
-        case 4:
-            return detail::word_detects_all<LaneBlock<4>>(
-                plan_, detail::word_pass_w4(bits), population);
-        case 8:
-            return detail::word_detects_all<LaneBlock<8>>(
-                plan_, detail::word_pass_w8(bits, isa_for(population.size())),
-                population);
-        default:
-            return detail::word_detects_all<LaneMask>(
-                plan_, detail::word_pass_w1(bits), population);
-    }
+    return dispatch(population.size(), [&](auto pass) {
+        return detail::word_detects_all(plan_, pass, population);
+    });
 }
 
 std::vector<InjectedBitFault> coverage_population(fault::FaultKind kind,

@@ -23,15 +23,19 @@
 /// The block width W ∈ {1, 4, 8} is chosen once per process by runtime
 /// CPUID dispatch (AVX-512 → 8, AVX2 → 4, else 1; MTG_LANE_WIDTH
 /// overrides — see lane_dispatch.hpp) or per runner via the constructor,
-/// and is bit-identical across widths. The (chunk × expansion) work grid
-/// is sharded across a util::ThreadPool with atomic-free per-worker
-/// accumulators, and detects_all fail-fasts through a shared atomic flag.
-/// Results are bit-identical for every worker count.
+/// and is bit-identical across widths. Every query goes through one
+/// dispatch, population size → lane block → pass; only a W=8 pass has a
+/// second codegen to choose (sim::active_lane_isa). The (chunk ×
+/// expansion) work grid is sharded across a util::ThreadPool with
+/// atomic-free per-worker accumulators, and detects_all fail-fasts
+/// through a shared atomic flag. Results are bit-identical for every
+/// worker count.
 
 #include <span>
 #include <vector>
 
 #include "march/march_test.hpp"
+#include "sim/lane_dispatch.hpp"
 #include "util/thread_pool.hpp"
 #include "word/word_kernels.hpp"
 #include "word/word_march.hpp"
@@ -79,20 +83,11 @@ public:
     template <typename Emit>
     [[nodiscard]] std::vector<typename Emit::Trace> run_with(
         std::span<const InjectedBitFault> population) const {
-        const int bits = plan_.opts.width;
-        switch (width_for(population.size())) {
-            case 4:
-                return detail::word_run<LaneBlock<4>, Emit>(
-                    plan_, detail::word_pass_w4(bits), population);
-            case 8:
-                return detail::word_run<LaneBlock<8>, Emit>(
-                    plan_,
-                    detail::word_pass_w8(bits, isa_for(population.size())),
-                    population);
-            default:
-                return detail::word_run<LaneMask, Emit>(
-                    plan_, detail::word_pass_w1(bits), population);
-        }
+        return dispatch(population.size(),
+                        [&]<typename Block>(detail::WordPassFn<Block> pass) {
+                            return detail::word_run<Block, Emit>(plan_, pass,
+                                                                 population);
+                        });
     }
 
     [[nodiscard]] const march::MarchTest& test() const { return plan_.test; }
@@ -112,10 +107,24 @@ private:
     int width_;
     bool adaptive_;
 
-    [[nodiscard]] int width_for(std::size_t population) const;
-    /// Resolved W=8 codegen flavour (zmm / ymm clone / generic) for a
-    /// population of this size — see sim::resolve_lane_isa.
-    [[nodiscard]] sim::LaneIsa isa_for(std::size_t population) const;
+    /// Calls `job` with the pass for a population of this size: the lane
+    /// block of the (clamped) width, and for W=8 the codegen
+    /// sim::active_lane_isa picks for the job's chunk × expansion items.
+    template <typename Job>
+    auto dispatch(std::size_t population, Job job) const {
+        const int bits = plan_.opts.width;
+        switch (adaptive_ ? sim::clamp_lane_width(width_, population)
+                          : width_) {
+            case 4:
+                return job(detail::generic_pass<LaneBlock<4>>(bits));
+            case 8:
+                return job(detail::word_pass_w8(
+                    bits, sim::block_chunk_total<LaneBlock<8>>(population) *
+                              plan_.expansions.size()));
+            default:
+                return job(detail::generic_pass<LaneMask>(bits));
+        }
+    }
 };
 
 /// The exact placement set a word-universe coverage query

@@ -14,9 +14,9 @@
 /// AND accumulators and an atomic fail-fast flag. Because each plane word
 /// of a block is bit-identical to a scalar chunk, results are identical
 /// across lane widths and worker counts. The pass is reached through a
-/// `WordPassFn` pointer so the runner can substitute the
-/// `target("avx2"/"avx512f")`-attributed wrappers from lane_kernels.cpp
-/// when the host CPU supports them.
+/// `WordPassFn` pointer so that a large W=8 job on an AVX-512F host can run
+/// the `target("avx512f")` wrapper in word_kernels.cpp (see
+/// sim::active_lane_isa).
 ///
 /// Traces: when the optional per-pass sinks are supplied, the pass also
 /// records which lanes mismatched per (background, site) and per
@@ -40,7 +40,6 @@
 
 #include "march/march_test.hpp"
 #include "sim/lane_block.hpp"
-#include "sim/lane_dispatch.hpp"
 #include "sim/march_runner.hpp"
 #include "sim/pass_scratch.hpp"
 #include "sim/trace_masks.hpp"
@@ -393,17 +392,20 @@ std::vector<typename Emit::Trace> word_run(
     return result;
 }
 
-/// Pass-function getters: the widest safe codegen for each lane-block
-/// width — the `target`-attributed AVX wrapper when the host CPU has the
-/// feature, the generic-codegen template instantiation otherwise. Defined
-/// in lane_kernels.cpp. `width` is the word width of the plan: 1 hands out
-/// the compile-time width-1 pass, any other width the run-time-width one.
-/// The W=8 getter picks between the zmm wrapper, the 256-bit (ymm-pair)
-/// clone and the generic instantiation per the resolved LaneIsa — all
-/// bit-identical.
-[[nodiscard]] WordPassFn<LaneMask> word_pass_w1(int width);
-[[nodiscard]] WordPassFn<LaneBlock<4>> word_pass_w4(int width);
-[[nodiscard]] WordPassFn<LaneBlock<8>> word_pass_w8(
-    int width, sim::LaneIsa isa = sim::LaneIsa::Avx512);
+/// Pass-function getters, defined in word_kernels.cpp so that only that
+/// TU compiles the pass bodies. `width` is the word width of the plan: 1
+/// hands out the compile-time width-1 pass, any other width the
+/// run-time-width one.
+///
+/// generic_pass is the baseline-codegen instantiation (Block = LaneMask,
+/// LaneBlock<4> or LaneBlock<8>); every W=1 and W=4 job runs it.
+template <typename Block>
+[[nodiscard]] WordPassFn<Block> generic_pass(int width);
+
+/// The pass of a W=8 job of `work_items` pass executions: the zmm wrapper
+/// when sim::active_lane_isa(work_items) is Avx512, generic_pass
+/// otherwise. Both are bit-identical.
+[[nodiscard]] WordPassFn<LaneBlock<8>> word_pass_w8(int width,
+                                                    std::size_t work_items);
 
 }  // namespace mtg::word::detail

@@ -1,189 +1,112 @@
 /// \file lane_isa_test.cpp
-/// LaneIsa dispatch: the W=8 pass exists in three semantically identical
-/// codegen flavours — zmm wrappers (target("avx512f")), the ymm-pair
-/// "256-bit clone" (target("avx2")) and the baseline-codegen template
-/// instantiation — for both word widths the kernel is compiled at (the
-/// width-1 pass bit queries run, and the run-time-width pass).
-/// MTG_LANE_ISA / set_requested_lane_isa pick a flavour, Auto applies the
-/// small-work-grid heuristic, and every flavour must be bit-identical for
-/// bit and word queries alike. Mirrors lane_width_test.cpp, one level
-/// down the dispatch.
+/// W=8 codegen dispatch: the W=8 pass has two codegens of one template,
+/// the `target("avx512f")` wrapper and the generic instantiation. One rule
+/// (sim::active_lane_isa) hands out the wrapper for jobs of at least
+/// kZmmWorkItemThreshold pass executions on AVX-512F hosts, and both
+/// codegens must give bit-identical verdicts and traces, for the width-1
+/// pass bit queries run and the run-time-width word pass. The W=4 and W=1
+/// session comparisons are lane_width_test's.
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <vector>
 
-#include "engine/engine.hpp"
 #include "fault/kinds.hpp"
 #include "march/library.hpp"
 #include "sim/lane_dispatch.hpp"
+#include "sim/march_runner.hpp"
 #include "util/thread_pool.hpp"
 #include "word/background.hpp"
 #include "word/word_batch_runner.hpp"
+#include "word/word_kernels.hpp"
+#include "word/word_march.hpp"
 
 namespace mtg {
 namespace {
 
 using fault::FaultKind;
 using sim::LaneIsa;
+using Block = sim::LaneBlock<8>;
 
-/// RAII requested-ISA override so a failing ASSERT cannot leak a forced
-/// flavour into later tests.
-class RequestedIsa {
-public:
-    explicit RequestedIsa(LaneIsa isa) : saved_(sim::requested_lane_isa()) {
-        sim::set_requested_lane_isa(isa);
-    }
-    ~RequestedIsa() { sim::set_requested_lane_isa(saved_); }
-
-private:
-    LaneIsa saved_;
-};
-
-TEST(LaneIsaDispatch, ParsesLaneIsaOverride) {
-    EXPECT_EQ(sim::parse_lane_isa(nullptr), LaneIsa::Auto);
-    EXPECT_EQ(sim::parse_lane_isa(""), LaneIsa::Auto);
-    EXPECT_EQ(sim::parse_lane_isa("auto"), LaneIsa::Auto);
-    EXPECT_EQ(sim::parse_lane_isa("avx512"), LaneIsa::Avx512);
-    EXPECT_EQ(sim::parse_lane_isa("avx2"), LaneIsa::Avx2);
-    EXPECT_EQ(sim::parse_lane_isa("generic"), LaneIsa::Generic);
-    EXPECT_EQ(sim::parse_lane_isa("AVX2"), LaneIsa::Auto);  // case-sensitive
-    EXPECT_EQ(sim::parse_lane_isa("avx"), LaneIsa::Auto);
-    EXPECT_EQ(sim::parse_lane_isa("junk"), LaneIsa::Auto);
-}
-
-TEST(LaneIsaDispatch, ResolveHonoursForcedIsasDownTheFeatureLadder) {
-    // Generic is always runnable.
-    for (bool avx2 : {false, true})
-        for (bool avx512 : {false, true})
-            EXPECT_EQ(sim::resolve_lane_isa(LaneIsa::Generic, 1000, avx2,
-                                            avx512),
-                      LaneIsa::Generic);
-    // Forced flavours degrade to the widest the CPU actually has — the
-    // getters must never hand out an unrunnable wrapper.
-    EXPECT_EQ(sim::resolve_lane_isa(LaneIsa::Avx512, 1, true, true),
-              LaneIsa::Avx512);
-    EXPECT_EQ(sim::resolve_lane_isa(LaneIsa::Avx512, 1, true, false),
-              LaneIsa::Avx2);
-    EXPECT_EQ(sim::resolve_lane_isa(LaneIsa::Avx512, 1, false, false),
-              LaneIsa::Generic);
-    EXPECT_EQ(sim::resolve_lane_isa(LaneIsa::Avx2, 1, true, true),
-              LaneIsa::Avx2);
-    EXPECT_EQ(sim::resolve_lane_isa(LaneIsa::Avx2, 1, false, true),
-              LaneIsa::Generic);
-}
-
-TEST(LaneIsaDispatch, AutoPrefersTheCloneForSmallWorkGrids) {
+TEST(LaneIsaDispatch, ZmmOnlyForLargeJobsOnAvx512Hosts) {
     const std::size_t small = sim::kZmmWorkItemThreshold - 1;
     const std::size_t large = sim::kZmmWorkItemThreshold;
-    // AVX-512 host: zmm for large grids, ymm clone below the threshold
-    // (short bursts never amortise the frequency-license ramp).
-    EXPECT_EQ(sim::resolve_lane_isa(LaneIsa::Auto, large, true, true),
-              LaneIsa::Avx512);
-    EXPECT_EQ(sim::resolve_lane_isa(LaneIsa::Auto, small, true, true),
-              LaneIsa::Avx2);
-    // AVX2-only host: always the clone.
-    EXPECT_EQ(sim::resolve_lane_isa(LaneIsa::Auto, large, true, false),
-              LaneIsa::Avx2);
-    // AVX-512 without AVX2 (not a real host, but the ladder must hold).
-    EXPECT_EQ(sim::resolve_lane_isa(LaneIsa::Auto, small, false, true),
-              LaneIsa::Avx512);
-    // No vector ISA at all.
-    EXPECT_EQ(sim::resolve_lane_isa(LaneIsa::Auto, large, false, false),
-              LaneIsa::Generic);
-}
-
-TEST(LaneIsaDispatch, RequestedIsaRoundTrips) {
-    const LaneIsa original = sim::requested_lane_isa();
-    {
-        RequestedIsa forced(LaneIsa::Generic);
-        EXPECT_EQ(sim::requested_lane_isa(), LaneIsa::Generic);
+    const LaneIsa wide =
+        sim::cpu_has_avx512f() ? LaneIsa::Avx512 : LaneIsa::Generic;
+    EXPECT_EQ(sim::active_lane_isa(large), wide);
+    EXPECT_EQ(sim::active_lane_isa(100 * large), wide);
+    EXPECT_EQ(sim::active_lane_isa(small), LaneIsa::Generic);
+    EXPECT_EQ(sim::active_lane_isa(0), LaneIsa::Generic);
+    // The W=8 getter follows the rule, for both word widths.
+    for (int bits : {1, 8}) {
+        const auto generic = word::detail::generic_pass<Block>(bits);
+        EXPECT_EQ(word::detail::word_pass_w8(bits, small), generic);
+        EXPECT_EQ(word::detail::word_pass_w8(bits, large) != generic,
+                  sim::cpu_has_avx512f())
+            << "word width " << bits;
     }
-    EXPECT_EQ(sim::requested_lane_isa(), original);
 }
 
-/// Every ISA flavour must produce bit-identical detects / traces for bit
-/// queries, which run the width-1 word pass, at forced W=8 — same
-/// template, different instruction selection. The W=4 session runs the
-/// width-1 AVX2 wrapper. Flavours the host lacks degrade to a runnable
-/// one, so the test is meaningful everywhere and exhaustive on AVX-512
-/// CI hosts.
-TEST(LaneIsaDifferential, BitKernelBitIdenticalAcrossIsas) {
+word::detail::WordPlan make_plan(const march::MarchTest& test,
+                                 std::vector<word::Background> backgrounds,
+                                 const word::WordRunOptions& opts,
+                                 util::ThreadPool& pool) {
+    word::detail::WordPlan plan;
+    plan.test = test;
+    plan.backgrounds = std::move(backgrounds);
+    plan.opts = opts;
+    plan.pool = &pool;
+    plan.expansions = word::expansion_choices(test, opts);
+    plan.sites = sim::read_sites(test);
+    return plan;
+}
+
+/// Runs the pass word_pass_w8 hands a large job (the zmm wrapper on an
+/// AVX-512F host) and `generic` through every grid driver on `plan`.
+void expect_codegens_agree(const word::detail::WordPlan& plan,
+                           std::span<const word::InjectedBitFault> population,
+                           word::detail::WordPassFn<Block> generic) {
+    const auto zmm = word::detail::word_pass_w8(plan.opts.width,
+                                                sim::kZmmWorkItemThreshold);
+    EXPECT_EQ(word::detail::word_detects(plan, zmm, population),
+              word::detail::word_detects(plan, generic, population));
+    EXPECT_EQ(word::detail::word_detects_all(plan, zmm, population),
+              word::detail::word_detects_all(plan, generic, population));
+    const auto traces = word::detail::word_run(plan, zmm, population);
+    const auto expected = word::detail::word_run(plan, generic, population);
+    ASSERT_EQ(traces.size(), expected.size());
+    for (std::size_t i = 0; i < traces.size(); ++i)
+        EXPECT_EQ(traces[i], expected[i]) << "fault " << i;
+}
+
+/// The bit universe: n cells as n words of width 1 under the solid
+/// background, run by the compile-time width-1 pass.
+TEST(LaneIsaDifferential, BitUniverseCodegensAgree) {
     util::ThreadPool serial(1);
-    const auto& test = march::march_ss();
-    const sim::RunOptions opts{.memory_size = 14, .max_any_expansion = 4};
-    const auto population =
-        sim::full_population(FaultKind::CfidUp0, opts.memory_size);
-    const auto bit_session = [&](int width) {
-        return engine::Engine(
-            engine::EngineConfig{.pool = &serial, .lane_width = width});
-    };
-
-    std::vector<bool> expected_detects;
-    std::vector<sim::RunTrace> expected_traces;
-    {
-        RequestedIsa forced(LaneIsa::Generic);
-        const engine::Engine session = bit_session(8);
-        expected_detects = session.detects(test, population, opts);
-        expected_traces = session.traces(test, population, opts);
-    }
-    const auto expect_same = [&](const engine::Engine& session,
-                                 const char* label) {
-        EXPECT_EQ(session.detects(test, population, opts), expected_detects)
-            << label;
-        const auto traces = session.traces(test, population, opts);
-        ASSERT_EQ(traces.size(), expected_traces.size()) << label;
-        for (std::size_t i = 0; i < traces.size(); ++i) {
-            EXPECT_EQ(traces[i].detected, expected_traces[i].detected)
-                << label << " fault " << i;
-            EXPECT_EQ(traces[i].failing_reads,
-                      expected_traces[i].failing_reads)
-                << label << " fault " << i;
-            EXPECT_EQ(traces[i].failing_observations,
-                      expected_traces[i].failing_observations)
-                << label << " fault " << i;
-        }
-    };
-    for (LaneIsa isa : {LaneIsa::Avx2, LaneIsa::Avx512, LaneIsa::Auto}) {
-        RequestedIsa forced(isa);
-        expect_same(bit_session(8),
-                    isa == LaneIsa::Avx2     ? "W8 avx2"
-                    : isa == LaneIsa::Avx512 ? "W8 avx512"
-                                             : "W8 auto");
-    }
-    expect_same(bit_session(4), "W4");
-    expect_same(bit_session(1), "W1");
+    const sim::RunOptions bit_opts{.memory_size = 14, .max_any_expansion = 4};
+    std::vector<word::InjectedBitFault> population;
+    for (const sim::InjectedFault& fault :
+         sim::full_population(FaultKind::CfidUp0, bit_opts.memory_size))
+        population.push_back(word::bit_view(fault));
+    const auto plan = make_plan(march::march_ss(), word::solid_background(1),
+                                word::bit_view(bit_opts), serial);
+    expect_codegens_agree(plan, population,
+                          &word::detail::word_run_pass<Block, 1>);
 }
 
-/// Same differential on the word kernel — the clone covers both pass
-/// families, and the sparse trace extraction must not care which flavour
-/// filled the runs.
-TEST(LaneIsaDifferential, WordKernelBitIdenticalAcrossIsas) {
+/// The word universe: the run-time-width pass, whose sparse trace runs
+/// must not care which codegen filled them.
+TEST(LaneIsaDifferential, WordUniverseCodegensAgree) {
     util::ThreadPool serial(1);
-    const auto& test = march::march_c_minus();
-    word::WordRunOptions opts;
-    opts.words = 6;
-    opts.width = 8;
-    const auto backgrounds = word::counting_backgrounds(opts.width);
+    const word::WordRunOptions opts{.words = 6, .width = 8};
     const auto population =
         word::coverage_population(FaultKind::CfidDown0, opts);
-
-    std::vector<word::WordRunTrace> expected;
-    {
-        RequestedIsa forced(LaneIsa::Generic);
-        expected = word::WordBatchRunner(test, backgrounds, opts, &serial, 8)
-                       .run(population);
-    }
-    for (LaneIsa isa : {LaneIsa::Avx2, LaneIsa::Avx512, LaneIsa::Auto}) {
-        RequestedIsa forced(isa);
-        const auto traces =
-            word::WordBatchRunner(test, backgrounds, opts, &serial, 8)
-                .run(population);
-        ASSERT_EQ(traces.size(), expected.size());
-        for (std::size_t i = 0; i < traces.size(); ++i)
-            EXPECT_EQ(traces[i], expected[i])
-                << "isa " << static_cast<int>(isa) << " placement " << i;
-    }
+    const auto plan =
+        make_plan(march::march_c_minus(),
+                  word::counting_backgrounds(opts.width), opts, serial);
+    expect_codegens_agree(plan, population,
+                          &word::detail::word_run_pass<Block>);
 }
 
 }  // namespace

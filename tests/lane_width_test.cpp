@@ -204,6 +204,10 @@ TEST(LaneDispatch, ParsesLaneWidthOverride) {
     EXPECT_EQ(sim::parse_lane_width("-4"), 0);
     EXPECT_EQ(sim::parse_lane_width("4x"), 0);
     EXPECT_EQ(sim::parse_lane_width("wide"), 0);
+    // 2^32 + {1, 4, 8}: out of range, not the width they truncate to.
+    EXPECT_EQ(sim::parse_lane_width("4294967297"), 0);
+    EXPECT_EQ(sim::parse_lane_width("4294967300"), 0);
+    EXPECT_EQ(sim::parse_lane_width("4294967304"), 0);
 }
 
 TEST(LaneDispatch, ResolvesWidthFromOverrideThenCpuid) {
