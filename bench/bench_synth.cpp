@@ -5,7 +5,7 @@
 ///
 /// The probe legs disable the Scorer's own probe cache (capacity 0) so
 /// every probe really sweeps its population — the comparison isolates
-/// what fault/dominance.hpp buys per probe on a two-cell universe
+/// what engine/dominance.hpp buys per probe on a two-cell universe
 /// (coupling faults place O(n²) aggressor/victim pairs; dominance
 /// collapses them to one representative per relational class). The
 /// Engine's population cache stays warm in both legs, as it is in a real

@@ -13,7 +13,6 @@
 #include "engine/engine.hpp"
 #include "sim/two_cell_sim.hpp"
 #include "util/contracts.hpp"
-#include "util/thread_pool.hpp"
 
 namespace mtg::core {
 
@@ -53,22 +52,6 @@ int tp_signature(const TestPattern& tp) {
     return (excite_bits << 4) | op_bits(tp.observe);
 }
 
-/// The session march_valid screens on: the global engine's population
-/// cache, so the pruned entries are shared and stay warm, on a one-lane
-/// pool. A pruned population keeps one fault per placement class, a few
-/// dozen at most, so a screen is one W=1 pass per ⇕ expansion; waking
-/// pool workers for it would cost more than the passes.
-const engine::Engine& screen_engine() {
-    static util::ThreadPool serial(1);
-    static const engine::Engine session([] {
-        engine::EngineConfig config;
-        config.pool = &serial;
-        config.cache = engine::Engine::global().population_cache();
-        return config;
-    }());
-    return session;
-}
-
 /// Simulator check: the March test covers every placement of the target
 /// list — fail-fast all-kind Engine queries instead of a
 /// covers_everywhere call (and runner setup) per kind. The placed
@@ -80,7 +63,9 @@ const engine::Engine& screen_engine() {
 /// the full one and lanes are independent, so an escape there is an
 /// escape of the full population and the rejection is exact. Only a
 /// candidate that passes the screen pays for the full population, which
-/// alone decides acceptance.
+/// alone decides acceptance. A pruned population keeps one fault per
+/// placement class, a few dozen at most: one chunk, so one pool work item
+/// that runs inline on the calling thread.
 bool march_valid(const MarchTest& test,
                  const std::vector<FaultKind>& kinds,
                  const sim::RunOptions& run) {
@@ -92,9 +77,10 @@ bool march_valid(const MarchTest& test,
     query.want = engine::Want::DetectsAll;
     query.kinds = kinds;
     query.prune = true;
-    if (!screen_engine().run(query).all) return false;
+    const engine::Engine& engine = engine::Engine::global();
+    if (!engine.run(query).all) return false;
     query.prune = false;
-    return engine::Engine::global().run(query).all;
+    return engine.run(query).all;
 }
 
 /// Greedy deletion pass: removes single operations, then whole elements,

@@ -1,4 +1,4 @@
-#include "fault/dominance.hpp"
+#include "engine/dominance.hpp"
 
 #include <algorithm>
 #include <array>
@@ -6,7 +6,9 @@
 #include <tuple>
 #include <utility>
 
-namespace mtg::fault {
+namespace mtg::engine {
+
+using fault::FaultKind;
 
 namespace {
 
@@ -115,4 +117,4 @@ std::vector<word::InjectedBitFault> dominance_prune(
     return kept;
 }
 
-}  // namespace mtg::fault
+}  // namespace mtg::engine

@@ -52,7 +52,7 @@
 #include "sim/memory.hpp"
 #include "word/word_memory.hpp"
 
-namespace mtg::fault {
+namespace mtg::engine {
 
 /// Keep-mask over `faults` (1 = keep, 0 = dominated). Order-preserving:
 /// the representative of every class is its first occurrence in `faults`,
@@ -74,4 +74,4 @@ namespace mtg::fault {
 [[nodiscard]] std::vector<word::InjectedBitFault> dominance_prune(
     std::span<const word::InjectedBitFault> faults);
 
-}  // namespace mtg::fault
+}  // namespace mtg::engine

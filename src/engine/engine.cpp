@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "fault/dominance.hpp"
+#include "engine/dominance.hpp"
 #include "util/contracts.hpp"
 #include "word/word_batch_runner.hpp"
 
@@ -131,7 +131,7 @@ std::shared_ptr<const BitPopulationEntry> PopulationCache::bit(
         // with the full one it claims to summarise.
         const std::shared_ptr<const BitPopulationEntry> full =
             bit(entry->kinds, memory_size, false);
-        const std::vector<char> keep = fault::dominance_keep_mask(
+        const std::vector<char> keep = dominance_keep_mask(
             std::span<const sim::InjectedFault>(full->faults));
         for (std::size_t k = 0; k + 1 < full->offsets.size(); ++k) {
             for (std::size_t i = full->offsets[k]; i < full->offsets[k + 1];
@@ -190,7 +190,7 @@ std::shared_ptr<const WordPopulationEntry> PopulationCache::word(
     if (pruned) {
         const std::shared_ptr<const WordPopulationEntry> full =
             word(entry->kinds, opts, false);
-        const std::vector<char> keep = fault::dominance_keep_mask(
+        const std::vector<char> keep = dominance_keep_mask(
             std::span<const word::InjectedBitFault>(full->faults));
         for (std::size_t k = 0; k + 1 < full->offsets.size(); ++k) {
             for (std::size_t i = full->offsets[k]; i < full->offsets[k + 1];

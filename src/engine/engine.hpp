@@ -101,7 +101,7 @@ struct Query {
     std::vector<sim::InjectedFault> bit_faults;
     std::vector<word::InjectedBitFault> word_faults;
     /// Kind-expanded populations only: sweep the dominance-pruned
-    /// expansion (fault::dominance_prune) instead of the full one. A
+    /// expansion (engine::dominance_prune) instead of the full one. A
     /// search accelerator — a fault dominated by another in the universe
     /// adds no fitness signal — NOT a coverage proof: acceptance gates
     /// must re-run with prune=false. Pruned entries live in the
@@ -180,7 +180,7 @@ public:
     explicit PopulationCache(std::size_t fault_budget = 0);
 
     /// `pruned` selects the dominance-reduced expansion (see
-    /// fault/dominance.hpp); pruned and full entries are cached under
+    /// engine/dominance.hpp); pruned and full entries are cached under
     /// distinct keys, and a pruned miss derives its contents from the
     /// full entry (warming it as a side effect) so the two can never
     /// disagree on layout.

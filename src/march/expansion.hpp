@@ -34,4 +34,13 @@ inline constexpr int kMaxAnyExpansion = 16;
 [[nodiscard]] std::vector<unsigned> expansion_choices(const MarchTest& test,
                                                       int max_any_expansion);
 
+/// Whether the j-th ⇕ element (in textual order) runs descending under
+/// `choice`: bit j. A test with more than 32 ⇕ elements is past every
+/// cap, so its only choices are the uniform sweeps 0 and ~0u, whose bits
+/// all agree, and bit 31 answers for the rest (a shift by 32 or more
+/// would be undefined).
+[[nodiscard]] constexpr bool any_descending(unsigned choice, int j) {
+    return ((choice >> (j < 32 ? j : 31)) & 1u) != 0;
+}
+
 }  // namespace mtg::march

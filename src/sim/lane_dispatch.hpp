@@ -62,13 +62,15 @@ namespace mtg::sim {
 /// longer returned and stay only so callers that name them still build.
 enum class LaneIsa { Auto, Avx512, Avx2, Generic };
 
-/// Work items (chunk × ⇕ expansion pass executions) below which a W=8
-/// job runs the generic pass: a short burst of zmm work never amortises
-/// the AVX-512 frequency-license ramp.
+/// Job size (chunks × ⇕ expansions) below which a W=8 job runs the
+/// generic pass: a short burst of zmm work never amortises the AVX-512
+/// frequency-license ramp. A pass walks all of a chunk's expansions as
+/// one prefix-sharing tree, so the product measures the job, not the
+/// number of work items.
 inline constexpr std::size_t kZmmWorkItemThreshold = 64;
 
-/// The codegen a W=8 job of `work_items` pass executions runs: Avx512 on
-/// an AVX-512F host at kZmmWorkItemThreshold or more items, Generic
+/// The codegen a W=8 job of `work_items` (chunks × ⇕ expansions) runs:
+/// Avx512 on an AVX-512F host at kZmmWorkItemThreshold or more, Generic
 /// otherwise.
 [[nodiscard]] LaneIsa active_lane_isa(std::size_t work_items);
 

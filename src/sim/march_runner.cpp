@@ -58,7 +58,8 @@ RunTrace run_once(const MarchTest& test, const std::vector<InjectedFault>& fault
         bool desc = false;
         if (element.order == AddressOrder::Any) {
             desc = runs_descending(element.order,
-                                   ((any_choices >> any_seen) & 1u) != 0);
+                                   march::any_descending(any_choices,
+                                                         any_seen));
             ++any_seen;
         } else {
             desc = runs_descending(element.order, false);
@@ -124,7 +125,7 @@ bool is_well_formed(const MarchTest& test, const RunOptions& opts) {
         for (const auto& element : test.elements()) {
             bool desc = false;
             if (element.order == AddressOrder::Any) {
-                desc = ((choice >> any_seen) & 1u) != 0;
+                desc = march::any_descending(choice, any_seen);
                 ++any_seen;
             } else {
                 desc = element.order == AddressOrder::Descending;

@@ -10,8 +10,8 @@
 /// run that chunk again once its planes are back at X (clear_cells()),
 /// without a reset and re-inject. The scratch remembers its chunk by
 /// content plus the memory geometry (words × width; a bit-universe query
-/// is n words of width 1). The ⇕ expansions of one chunk and repeat gates
-/// on a cached population then pay the inject once per worker thread. Any
+/// is n words of width 1). Repeat gates on a cached population then pay
+/// the inject once per worker thread. Any
 /// other chunk or geometry re-arms it: reset(), which keeps every
 /// allocation at its high-water capacity, then inject.
 ///

@@ -3,14 +3,20 @@
 /// \file trace_masks.hpp
 /// Guaranteed-trace machinery of the packed grid kernel.
 ///
-/// The trace-extracting driver (word_run_chunk, for both universes)
-/// follows one scheme: a flat grid of per-coordinate failing-lane masks is
-/// zeroed before each ⇕-expansion pass, the pass ORs the lanes that
-/// mismatch at each coordinate into it, and the grids of all passes are
-/// intersected — a lane survives at a coordinate only when EVERY expansion
-/// failed there, which is exactly the "guaranteed" trace semantics of the
-/// scalar runners. GuaranteedMasks owns that now/intersected grid pair for
-/// the dense (background, site) read grid.
+/// The trace-extracting pass (word_run_pass, for both universes) follows
+/// one scheme: a flat grid of per-coordinate failing-lane masks collects
+/// the lanes that mismatch at each coordinate along one ⇕ expansion, and
+/// the grids of all expansions are intersected — a lane survives at a
+/// coordinate only when EVERY expansion failed there, which is exactly
+/// the "guaranteed" trace semantics of the scalar runners. GuaranteedMasks
+/// owns that now/intersected grid pair for the dense (background, site)
+/// read grid.
+///
+/// The pass walks the expansions as one prefix-sharing tree (see
+/// word_kernels.hpp), so the per-pass grid is a path, not a fresh pass:
+/// mark() saves it at a ⇕ branch point, commit_pass() intersects it at a
+/// leaf, and rollback() returns it to the last mark before the walk takes
+/// the branch's other side. Marks nest like the walk's frames.
 ///
 /// SparseGuaranteedRuns is the same contract for grids too large to
 /// materialise densely: per-coordinate sorted runs of (word, bit, lanes)
@@ -20,6 +26,7 @@
 /// sparse — see word_kernels.hpp).
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -46,14 +53,26 @@ public:
         std::fill(now_.begin(), now_.end(), block_zero<Block>());
     }
 
-    /// The per-pass grid, in the pointer form the pass functions take
-    /// (the cross-ISA call boundary is pointer-only).
+    /// The per-pass grid the pass ORs each coordinate's failing lanes
+    /// into.
     [[nodiscard]] std::vector<Block>* pass_grid() { return &now_; }
 
-    /// Intersects the finished pass into the guaranteed grid.
+    /// Intersects the finished pass into the guaranteed grid; the pass
+    /// grid is left as it is.
     void commit_pass() {
         for (std::size_t i = 0; i < guaranteed_.size(); ++i)
             guaranteed_[i] &= now_[i];
+    }
+
+    /// Saves the pass grid; the matching rollback() restores it.
+    void mark() { marks_.insert(marks_.end(), now_.begin(), now_.end()); }
+
+    /// Restores the pass grid saved by the last unmatched mark().
+    void rollback() {
+        const auto saved = marks_.end() - static_cast<std::ptrdiff_t>(
+                                              now_.size());
+        std::copy(saved, marks_.end(), now_.begin());
+        marks_.erase(saved, marks_.end());
     }
 
     [[nodiscard]] const Block& guaranteed(std::size_t i) const {
@@ -64,6 +83,7 @@ public:
 private:
     std::vector<Block> guaranteed_;
     std::vector<Block> now_;
+    std::vector<Block> marks_;  ///< saved pass grids, innermost last
 };
 
 /// One sparse observation cell: the failing-lane mask at a (word, bit)
@@ -89,17 +109,20 @@ struct SparseObsEntry {
 ///
 /// Layout is site-major: one run (sorted vector of SparseObsEntry) per
 /// (background, site) coordinate. A pass appends the cells it actually
-/// fails at; commit_pass sorts the pass run (passes emit words in one
-/// address order, so the sort sees nearly- or reverse-sorted input) and
-/// intersects it into the guaranteed run by merge-walking the two sorted
-/// runs: matching (word, bit) keys AND their lane masks, unmatched keys
-/// die, empty intersections are dropped. The first committed pass seeds
-/// the guaranteed run outright — the sparse equivalent of GuaranteedMasks
-/// seeding with the used-lane mask.
+/// fails at; commit_pass sorts a copy of the pass run (elements emit words
+/// in one address order each, so the sort sees runs of sorted or
+/// reverse-sorted input) and intersects it into the guaranteed run by
+/// merge-walking the two sorted runs: matching (word, bit) keys AND their
+/// lane masks, unmatched keys die, empty intersections are dropped. The
+/// first committed pass seeds the guaranteed run outright — the sparse
+/// equivalent of GuaranteedMasks seeding with the used-lane mask. The pass
+/// run itself stays in append order, so mark() needs only each run's
+/// length and rollback() truncates back to it.
 ///
 /// Invariant required of the appender (and upheld by the word pass: every
-/// site reads each word exactly once per background per pass): within one
-/// pass, a (word, bit) key is appended to a given run at most once.
+/// site reads each word exactly once per background along a root-to-leaf
+/// path): within one pass, a (word, bit) key is appended to a given run
+/// at most once.
 template <typename Block>
 class SparseGuaranteedRuns {
 public:
@@ -119,10 +142,12 @@ public:
                                static_cast<std::int32_t>(bit), lanes});
     }
 
-    /// Intersects the finished pass into the guaranteed runs.
+    /// Intersects the finished pass into the guaranteed runs; the pass
+    /// runs are left as they are.
     void commit_pass() {
         for (std::size_t c = 0; c < now_.size(); ++c) {
-            auto& now = now_[c];
+            auto& now = sorted_;
+            now.assign(now_[c].begin(), now_[c].end());
             std::sort(now.begin(), now.end());
             if (first_pass_) {
                 guaranteed_[c] = now;
@@ -150,6 +175,21 @@ public:
         first_pass_ = false;
     }
 
+    /// Saves every pass run's length; the matching rollback() truncates
+    /// the runs back to them.
+    void mark() {
+        for (const auto& run : now_) marks_.push_back(run.size());
+    }
+
+    /// Returns the pass runs to the last unmatched mark().
+    void rollback() {
+        const auto saved =
+            marks_.end() - static_cast<std::ptrdiff_t>(now_.size());
+        for (std::size_t c = 0; c < now_.size(); ++c)
+            now_[c].resize(saved[static_cast<std::ptrdiff_t>(c)]);
+        marks_.erase(saved, marks_.end());
+    }
+
     /// The guaranteed run of coordinate `coord`, sorted by (word, bit).
     [[nodiscard]] const std::vector<SparseObsEntry<Block>>& run(
         std::size_t coord) const {
@@ -173,6 +213,8 @@ public:
 private:
     std::vector<std::vector<SparseObsEntry<Block>>> guaranteed_;
     std::vector<std::vector<SparseObsEntry<Block>>> now_;
+    std::vector<SparseObsEntry<Block>> sorted_;  ///< commit_pass's copy
+    std::vector<std::size_t> marks_;  ///< saved run lengths, innermost last
     bool first_pass_{true};
 };
 

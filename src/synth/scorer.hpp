@@ -9,7 +9,7 @@
 /// folded through the cached population's per-kind offsets into a
 /// per-kind covered count — the fitness signal the beam search ranks on
 /// — without ever re-expanding a population. Probes default to the
-/// dominance-pruned expansion (fault/dominance.hpp): dominated faults
+/// dominance-pruned expansion (engine/dominance.hpp): dominated faults
 /// add no signal, so the pruned sweep is the same ranking for a fraction
 /// of the per-probe work.
 ///

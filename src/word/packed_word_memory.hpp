@@ -30,7 +30,17 @@
 /// Per-op cost: a write costs its word's bits plus the decoder-map,
 /// coupling and static-coupling entries filed at its word; a read costs
 /// its word's bits plus the decoder-map entries at its word; a wait costs
-/// the DRF entries. No op walks the whole memory or every fault.
+/// the DRF entries. No op walks the whole memory or every fault. Within
+/// that, a write or read skips work that a lane holding one fault makes an
+/// exact no-op:
+///   - the single-bit fault algebra runs only at bit positions holding a
+///     single-bit fault (a flag per position, set by inject());
+///   - a CFst entry filed under its aggressor word needs no read of the
+///     aggressor planes: in a CFst lane no single-bit fault, redirect or
+///     coupling can touch the aggressor, so after the write it holds the
+///     written bit, and the entry fires in all its lanes exactly when its
+///     sense equals that bit. Such entries are kept in two lists by sense.
+///     Entries filed under their victim word keep the full check.
 ///
 /// Invariant that lets reads and waits skip static coupling: a lane holds
 /// one fault (inject() rejects a second), so the cells of a CFst lane
@@ -91,6 +101,7 @@ public:
                  sim::block_zero<Block>()),
           known_(value_.size(), sim::block_zero<Block>()),
           single_(value_.size()),
+          has_single_(value_.size(), 0),
           coupling_(static_cast<std::size_t>(words)),
           afmap_(static_cast<std::size_t>(words)),
           static_(static_cast<std::size_t>(words)) {
@@ -113,7 +124,10 @@ public:
         MTG_EXPECTS(words > 0);
         MTG_EXPECTS(width >= 1 && width <= 64);
         MTG_EXPECTS(Width == 0 || width == Width);
-        for (std::size_t at : single_dirty_) single_[at] = SingleBitMasks{};
+        for (std::size_t at : single_dirty_) {
+            single_[at] = SingleBitMasks{};
+            has_single_[at] = 0;
+        }
         single_dirty_.clear();
         for (std::size_t w : coupling_dirty_) coupling_[w].clear();
         coupling_dirty_.clear();
@@ -131,6 +145,7 @@ public:
             value_.resize(bits);
             known_.resize(bits);
             single_.resize(bits);
+            has_single_.resize(bits, 0);
         }
         const auto word_count = static_cast<std::size_t>(words);
         if (word_count != coupling_.size()) {
@@ -150,6 +165,23 @@ public:
         std::fill(known_.begin(), known_.end(), sim::block_zero<Block>());
     }
 
+    /// Blocks save_cells() copies: the value and the known plane.
+    [[nodiscard]] std::size_t cell_blocks() const {
+        return 2 * value_.size();
+    }
+
+    /// Copies the value/known planes, everything an op changes, to
+    /// `to[0, cell_blocks())`; restore_cells() puts them back. The ⇕
+    /// expansion walk snapshots a branch point with these.
+    void save_cells(Block* to) const {
+        std::copy(value_.begin(), value_.end(), to);
+        std::copy(known_.begin(), known_.end(), to + value_.size());
+    }
+    void restore_cells(const Block* from) {
+        std::copy(from, from + value_.size(), value_.begin());
+        std::copy(from + value_.size(), from + cell_blocks(), known_.begin());
+    }
+
     /// Injects `fault` into every lane of `lanes`. Lanes must not already
     /// hold a fault (one-fault-per-lane restriction).
     void inject(const InjectedBitFault& fault, Block lanes) {
@@ -157,7 +189,12 @@ public:
         MTG_EXPECTS(sim::block_none(occupied_ & lanes));  // one per lane
         occupied_ |= lanes;
 
-        if (!fault::is_two_cell(fault.kind)) single_dirty_.push_back(a);
+        if (!fault::is_two_cell(fault.kind)) {
+            single_dirty_.push_back(a);
+            if (fault.kind != fault::FaultKind::Drf0 &&
+                fault.kind != fault::FaultKind::Drf1)
+                has_single_[a] = 1;
+        }
         auto& s = single_[a];
         switch (fault.kind) {
             case fault::FaultKind::Saf0: s.saf0 |= lanes; return;
@@ -271,16 +308,29 @@ public:
         for (int b = 0; b < width; ++b) {
             const std::size_t at = base + static_cast<std::size_t>(b);
             const int d = static_cast<int>((value >> b) & 1u);
-            const Block dmask = sim::block_fill<Block>(d != 0);
             const Block old_v = value_[at];
             const Block old_k = known_[at];
             const Block old0 = old_k & ~old_v;  // known stored 0
             const Block old1 = old_k & old_v;   // known stored 1
+            known_[at] = old_k | active;
+            if (!has_single_[at]) {
+                // No single-bit fault here: every active lane stores d.
+                if (d != 0) {
+                    value_[at] = old_v | active;
+                    rising[b] = active & old0;
+                    falling[b] = sim::block_zero<Block>();
+                } else {
+                    value_[at] = old_v & ~active;
+                    rising[b] = sim::block_zero<Block>();
+                    falling[b] = active & old1;
+                }
+                continue;
+            }
 
             // The single-bit masks are disjoint lane-wise (one fault per
             // lane), so sequential application is exact.
             const SingleBitMasks& s = single_[at];
-            Block eff = dmask;
+            Block eff = sim::block_fill<Block>(d != 0);
             eff = (eff & ~s.saf0) | s.saf1;
             if (d == 1) {
                 eff &= ~(s.tf_up & old0);  // 0 -> 1 transition fails
@@ -291,7 +341,6 @@ public:
             }
 
             value_[at] = (old_v & ~active) | (eff & active);
-            known_[at] = old_k | active;
             rising[b] = active & old0 & eff;
             falling[b] = active & old1 & ~eff;
         }
@@ -359,16 +408,26 @@ public:
 
         // State coupling: the entries whose aggressor or victim sits in
         // this word — the only ones this store can disturb (see the
-        // invariant in the file comment).
-        for (const StaticEntry& s : static_[w]) {
+        // invariant in the file comment). An entry filed by its aggressor
+        // fires in all its lanes when its sense is the bit just written
+        // there; at width 1 that is the whole sense list.
+        const StaticLists& statics = static_[w];
+        for (int sense = 0; sense < 2; ++sense) {
+            if (Width == 1 && sense != static_cast<int>(value & 1u)) continue;
+            for (const StaticEntry& s : statics.by_sense[sense]) {
+                if (Width != 1 &&
+                    static_cast<int>((value >> (s.aggressor - base)) & 1u) !=
+                        sense)
+                    continue;
+                force_victim(s, s.lanes);
+            }
+        }
+        for (const StaticEntry& s : statics.by_victim) {
             const int bw = static_cast<int>(s.word);
             const LaneMask av = sim::block_word(value_[s.aggressor], bw);
             const LaneMask ak = sim::block_word(known_[s.aggressor], bw);
             const LaneMask match = s.lanes & ak & (s.sense ? av : ~av);
-            if (!match) continue;
-            LaneMask& vv = sim::block_word_ref(value_[s.victim], bw);
-            vv = s.force ? (vv | match) : (vv & ~match);
-            sim::block_word_ref(known_[s.victim], bw) |= match;
+            if (match) force_victim(s, match);
         }
     }
 
@@ -405,30 +464,32 @@ public:
             const std::size_t at = base + static_cast<std::size_t>(b);
             const Block cell_v = value_[at];
             const Block cell_k = known_[at];
-            const Block is0 = cell_k & ~cell_v;
-            const Block is1 = cell_k & cell_v;
-            const SingleBitMasks& s = single_[at];
-
             Block seen_v = cell_v;
             Block seen_k = cell_k;
-            // Stuck-at bits always read back the stuck value, even before
-            // any write has initialised them.
-            seen_v = (seen_v & ~s.saf0) | s.saf1;
-            seen_k |= s.saf0 | s.saf1;
+            if (has_single_[at]) {
+                const Block is0 = cell_k & ~cell_v;
+                const Block is1 = cell_k & cell_v;
+                const SingleBitMasks& s = single_[at];
 
-            Block t;
-            t = s.rdf0 & is0;  // flips the bit and returns the wrong value
-            value_[at] |= t;
-            seen_v |= t;
-            t = s.rdf1 & is1;
-            value_[at] = value_[at] & ~t;
-            seen_v = seen_v & ~t;
-            t = s.drdf0 & is0;  // deceptive: flips, returns the old value
-            value_[at] |= t;
-            t = s.drdf1 & is1;
-            value_[at] = value_[at] & ~t;
-            seen_v |= s.irf0 & is0;  // wrong value, no flip
-            seen_v = seen_v & ~(s.irf1 & is1);
+                // Stuck-at bits always read back the stuck value, even
+                // before any write has initialised them.
+                seen_v = (seen_v & ~s.saf0) | s.saf1;
+                seen_k |= s.saf0 | s.saf1;
+
+                Block t;
+                t = s.rdf0 & is0;  // flips the bit, returns the wrong value
+                value_[at] |= t;
+                seen_v |= t;
+                t = s.rdf1 & is1;
+                value_[at] = value_[at] & ~t;
+                seen_v = seen_v & ~t;
+                t = s.drdf0 & is0;  // deceptive: flips, returns the old value
+                value_[at] |= t;
+                t = s.drdf1 & is1;
+                value_[at] = value_[at] & ~t;
+                seen_v |= s.irf0 & is0;  // wrong value, no flip
+                seen_v = seen_v & ~(s.irf1 & is1);
+            }
 
             out[b].value |= seen_v & active;
             out[b].known |= seen_k & active;
@@ -487,6 +548,21 @@ private:
         std::uint32_t sense : 1;  ///< aggressor value that sensitises
         std::uint32_t force : 1;  ///< value forced onto the victim
     };
+    /// The CFst entries of one word: those whose aggressor sits in it, by
+    /// sense, and those filed here only as the victim's word.
+    struct StaticLists {
+        std::vector<StaticEntry> by_sense[2];
+        std::vector<StaticEntry> by_victim;
+        [[nodiscard]] bool empty() const {
+            return by_sense[0].empty() && by_sense[1].empty() &&
+                   by_victim.empty();
+        }
+        void clear() {
+            by_sense[0].clear();
+            by_sense[1].clear();
+            by_victim.clear();
+        }
+    };
     /// Bit positions a StaticEntry can index (its 27-bit victim field).
     static constexpr std::size_t kStaticIndexLimit = std::size_t{1} << 27;
     static_assert(sim::block_words<Block> <= 8,
@@ -511,9 +587,12 @@ private:
     std::vector<Block> value_;  ///< word-major (word * width + bit)
     std::vector<Block> known_;
     std::vector<SingleBitMasks> single_;
+    /// 1 where single_ holds a fault: write() and read() skip the
+    /// single-bit algebra at every other bit position.
+    std::vector<std::uint8_t> has_single_;
     std::vector<std::vector<CouplingEntry>> coupling_;  ///< by aggr. word
     std::vector<std::vector<MapEntry>> afmap_;          ///< by aggr. word
-    std::vector<std::vector<StaticEntry>> static_;  ///< by aggr./victim word
+    std::vector<StaticLists> static_;  ///< by aggr./victim word
     std::vector<RetentionEntry> retention_;  ///< the bits holding a DRF
     Block occupied_{};  ///< lanes already holding a fault
     // Flat bit / word indices a reset() must undo (duplicates are fine —
@@ -529,6 +608,14 @@ private:
         return static_cast<std::size_t>(at.word) *
                    static_cast<std::size_t>(width()) +
                static_cast<std::size_t>(at.bit);
+    }
+
+    /// Forces the victim of `s` to its value in the lanes of `match`.
+    void force_victim(const StaticEntry& s, LaneMask match) {
+        const int bw = static_cast<int>(s.word);
+        LaneMask& vv = sim::block_word_ref(value_[s.victim], bw);
+        vv = s.force ? (vv | match) : (vv & ~match);
+        sim::block_word_ref(known_[s.victim], bw) |= match;
     }
 
     void push_static(const InjectedBitFault& fault, bool sense, bool force,
@@ -548,8 +635,8 @@ private:
                                     static_cast<std::uint32_t>(victim),
                                     static_cast<std::uint32_t>(w), sense,
                                     force};
-            static_[aw].push_back(entry);
-            if (vw != aw) static_[vw].push_back(entry);
+            static_[aw].by_sense[sense].push_back(entry);
+            if (vw != aw) static_[vw].by_victim.push_back(entry);
         });
     }
 

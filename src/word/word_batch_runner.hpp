@@ -10,10 +10,12 @@
 /// them: one pass executes the test once per background on the SAME packed
 /// memory, exactly like the scalar word runner, so background-boundary
 /// transitions (re-initialising from ~b_k to b_{k+1}) keep their
-/// fault-sensitising effect. Per-lane mismatch masks are OR-ed across
-/// backgrounds within a pass and intersected across the ⇕ expansions —
-/// the guaranteed-detection semantics of word::detects, one memory sweep
-/// per 63·W faults instead of one per fault.
+/// fault-sensitising effect. One pass covers every ⇕ expansion, walking
+/// the choices as one prefix-sharing tree (word_kernels.hpp): per-lane
+/// mismatch masks are OR-ed along each root-to-leaf path and intersected
+/// across the leaves — the guaranteed-detection semantics of
+/// word::detects, one memory sweep per 63·W faults instead of one per
+/// fault.
 ///
 /// This is the one packed runner: engine::PackedBackend also answers
 /// bit-universe queries with it, as words = n cells of width 1 under the
@@ -25,11 +27,11 @@
 /// overrides — see lane_dispatch.hpp) or per runner via the constructor,
 /// and is bit-identical across widths. Every query goes through one
 /// dispatch, population size → lane block → pass; only a W=8 pass has a
-/// second codegen to choose (sim::active_lane_isa). The (chunk ×
-/// expansion) work grid is sharded across a util::ThreadPool with
-/// atomic-free per-worker accumulators, and detects_all fail-fasts
-/// through a shared atomic flag. Results are bit-identical for every
-/// worker count.
+/// second codegen to choose (sim::active_lane_isa, on chunks × ⇕
+/// expansions). The chunks are sharded across a util::ThreadPool, one
+/// work item per chunk writing its own result slot, and detects_all
+/// fail-fasts through a shared atomic flag that every chunk's walk checks
+/// at its leaves. Results are bit-identical for every worker count.
 
 #include <span>
 #include <vector>
@@ -63,8 +65,9 @@ public:
     [[nodiscard]] std::vector<bool> detects(
         std::span<const InjectedBitFault> population) const;
 
-    /// True when every population member is detected; an atomic flag stops
-    /// the remaining work items at the first escaping lane.
+    /// True when every population member is detected; the first leaf with
+    /// an escaping lane raises an atomic flag that stops every chunk's
+    /// walk at its next leaf.
     [[nodiscard]] bool detects_all(
         std::span<const InjectedBitFault> population) const;
 
@@ -109,7 +112,7 @@ private:
 
     /// Calls `job` with the pass for a population of this size: the lane
     /// block of the (clamped) width, and for W=8 the codegen
-    /// sim::active_lane_isa picks for the job's chunk × expansion items.
+    /// sim::active_lane_isa picks for the job's chunks × ⇕ expansions.
     template <typename Job>
     auto dispatch(std::size_t population, Job job) const {
         const int bits = plan_.opts.width;

@@ -9,8 +9,12 @@
 /// per-TU -m flags, no weak-symbol ODR leakage into generic code), handed
 /// out only when sim::active_lane_isa says Avx512, which needs AVX-512F.
 /// Its signature is pointer-only: returning a 512-bit vector by value
-/// would change the calling convention with the ISA. `Width` = 1 is the
-/// compile-time width-1 pass the bit universe runs on, 0 the run-time one.
+/// would change the calling convention with the ISA. For the same reason
+/// the ⇕ expansion walk inside it is a loop, not a recursion: a recursive
+/// helper cannot be flattened, is emitted out of line under the default
+/// target, and a block passed to it by value lands in the wrong register
+/// class. `Width` = 1 is the compile-time width-1 pass the bit universe
+/// runs on, 0 the run-time one.
 
 #include "word/word_kernels.hpp"
 
@@ -30,11 +34,11 @@ namespace {
 template <int Width>
 __attribute__((target("avx512f"), flatten)) void word_pass_avx512(
     const WordPlan& plan, const InjectedBitFault* faults, int count,
-    unsigned choice, LaneBlock<8>* detected_out,
-    std::vector<LaneBlock<8>>* site_now,
+    std::atomic<bool>* escape, LaneBlock<8>* detected_out,
+    GuaranteedMasks<LaneBlock<8>>* sites,
     SparseGuaranteedRuns<LaneBlock<8>>* obs) {
-    word_run_pass<LaneBlock<8>, Width>(plan, faults, count, choice,
-                                       detected_out, site_now, obs);
+    word_run_pass<LaneBlock<8>, Width>(plan, faults, count, escape,
+                                       detected_out, sites, obs);
 }
 
 }  // namespace

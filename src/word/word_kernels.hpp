@@ -9,21 +9,43 @@
 /// LaneBlock<4>, LaneBlock<8>): one `word_run_pass` streams the whole
 /// background set through a chunk of 63·W bit faults on the SAME packed
 /// memory (state carries across backgrounds exactly like the scalar word
-/// runner) under one fixed ⇕ choice, and the drivers shard the (chunk ×
-/// expansion) grid across a util::ThreadPool with atomic-free per-worker
-/// AND accumulators and an atomic fail-fast flag. Because each plane word
-/// of a block is bit-identical to a scalar chunk, results are identical
-/// across lane widths and worker counts. The pass is reached through a
-/// `WordPassFn` pointer so that a large W=8 job on an AVX-512F host can run
-/// the `target("avx512f")` wrapper in word_kernels.cpp (see
-/// sim::active_lane_isa).
+/// runner) under every ⇕ choice of the plan, and the drivers shard the
+/// chunks across a util::ThreadPool, one work item per chunk writing its
+/// own result slot, with an atomic escape flag for DetectsAll that every
+/// chunk's walk checks at its leaves. Because
+/// each plane word of a block is bit-identical to a scalar chunk, results
+/// are identical across lane widths and worker counts. The pass is
+/// reached through a `WordPassFn` pointer so that a large W=8 job on an
+/// AVX-512F host can run the `target("avx512f")` wrapper in
+/// word_kernels.cpp (see sim::active_lane_isa).
 ///
-/// Traces: when the optional per-pass sinks are supplied, the pass also
-/// records which lanes mismatched per (background, site) and per
-/// (background, site, word, bit) coordinate; word_run_chunk intersects
-/// those across the ⇕ expansions and word_run shards chunks across the
-/// pool with each chunk writing a disjoint slice of the WordRunTrace
-/// vector — the word::guaranteed_trace semantics, 63·W faults per sweep.
+/// The ⇕ choices form a tree, walked depth first (ExpansionWalk). The
+/// walk runs the (background, element) sequence in order; at the first
+/// occurrence of each ⇕ element (always under the first background) it
+/// splits the choices still consistent by that element's bit, and it
+/// branches only when both sides are non-empty: it snapshots the
+/// value/known planes, runs the element ascending and goes on to the
+/// leaf, then restores the planes and runs it descending. Later
+/// backgrounds reuse the bit and never branch. A test whose ⇕ element e
+/// is preceded by j(e) branch points (itself included) costs
+/// Σ_e ops_e · 2^{j(e)} element-ops instead of 2^k times the whole test;
+/// past `max_any_expansion` the choices are the two uniform sweeps and the
+/// first ⇕ element is the only branch point. A chunk's verdict is the AND
+/// over leaves of the OR of mismatches along each root-to-leaf path;
+/// DetectsAll stops every chunk's walk at the first leaf after some chunk
+/// reached a leaf with an escaping lane. The snapshot
+/// stack holds at most one plane copy per branch point on the current
+/// path, so at most max_any_expansion ≤ march::kMaxAnyExpansion (16)
+/// copies of words × width × 2 blocks, kept in per-thread scratch.
+///
+/// Traces: when the optional sinks are supplied, the pass also records
+/// which lanes mismatched per (background, site) and per (background,
+/// site, word, bit) coordinate along the current path, and intersects
+/// the path into them at every leaf — the word::guaranteed_trace
+/// semantics, 63·W faults per sweep. The sinks mark their path state at a
+/// branch point and roll back to it with the planes (trace_masks.hpp).
+/// word_run shards chunks across the pool, each chunk writing a disjoint
+/// slice of the WordRunTrace vector.
 ///
 /// The (background, site) read grid is small and stays dense
 /// (sim::detail::GuaranteedMasks). The (background, site, word, bit)
@@ -34,10 +56,12 @@
 /// merge-walking) — O(touched cells) memory, so words=4096 × width=8
 /// traces in a few MiB where a dense slab would need GiBs.
 
+#include <algorithm>
 #include <atomic>
 #include <span>
 #include <vector>
 
+#include "march/expansion.hpp"
 #include "march/march_test.hpp"
 #include "sim/lane_block.hpp"
 #include "sim/march_runner.hpp"
@@ -60,6 +84,7 @@ using sim::block_test;
 using sim::block_used_lanes;
 using sim::block_zero;
 using sim::fault_lane;
+using sim::detail::GuaranteedMasks;
 using sim::detail::SparseGuaranteedRuns;
 
 /// Everything a WordBatchRunner precomputes once; shared by the kernels of
@@ -79,24 +104,124 @@ inline std::size_t word_site_index(const WordPlan& plan, std::size_t bkg,
     return bkg * plan.sites.size() + site;
 }
 
-/// One full (all backgrounds, fixed ⇕ choice) execution of one chunk;
-/// writes the lanes with at least one definite read mismatch to
-/// `*detected_out`; when site_now/observations are non-null they receive
-/// the per-(background, site) and per-(background, site, word, bit)
-/// mismatch masks of this single pass. Pointer-only signature: the
-/// AVX-attributed wrappers and their generic callers disagree on the
-/// register convention for returning a 256/512-bit vector by value.
+/// The ⇕ choice tree of one pass, walked depth first, with its snapshot
+/// stack (see the file comment). The choices still consistent with the
+/// current path are the range [lo, hi) of a working copy of the plan's
+/// choices; a branch partitions that range by the element's bit, runs the
+/// ascending half first and keeps the descending half in its frame.
+/// Workers keep one walk per thread, so the stack's buffers stay at their
+/// high-water size across passes.
+template <typename Block>
+class ExpansionWalk {
+public:
+    /// Where the walk resumes after a leaf: the branching element of the
+    /// first background, to be run descending over choices [mid, hi).
+    struct Frame {
+        std::size_t element;
+        int first_site;  ///< flat id of the element's first read site
+        int any_index;   ///< the element's ⇕ index j
+        std::size_t mid;
+        std::size_t hi;
+    };
+
+    /// Starts a walk over `choices` on a memory of `cell_blocks` plane
+    /// blocks (PackedWordMemoryT::cell_blocks).
+    void start(const std::vector<unsigned>& choices, std::size_t cell_blocks) {
+        choices_.assign(choices.begin(), choices.end());
+        lo_ = 0;
+        hi_ = choices_.size();
+        frames_.clear();
+        blocks_ = cell_blocks;
+    }
+
+    /// At the first occurrence of ⇕ element `j`: splits the consistent
+    /// choices by bit j. When both sides are non-empty this is a branch
+    /// point: the planes of `memory` and the path mask `path` are pushed
+    /// with a frame for the descending side, the walk goes on with the
+    /// ascending side, and the result is true.
+    template <typename Memory>
+    bool branch(int j, std::size_t element, int first_site,
+                const Memory& memory, const Block& path) {
+        const auto first = choices_.begin() + static_cast<std::ptrdiff_t>(lo_);
+        const auto last = choices_.begin() + static_cast<std::ptrdiff_t>(hi_);
+        const auto split = std::partition(first, last, [j](unsigned c) {
+            return !march::any_descending(c, j);
+        });
+        if (split == first || split == last) return false;
+        const std::size_t mid =
+            static_cast<std::size_t>(split - choices_.begin());
+        const std::size_t depth = frames_.size();
+        frames_.push_back(Frame{element, first_site, j, mid, hi_});
+        if (cells_.size() < (depth + 1) * blocks_)
+            cells_.resize((depth + 1) * blocks_);
+        memory.save_cells(cells_.data() + depth * blocks_);
+        if (paths_.size() <= depth) paths_.resize(depth + 1);
+        paths_[depth] = path;
+        hi_ = mid;
+        return true;
+    }
+
+    /// Direction of ⇕ element `j` on the current path.
+    [[nodiscard]] bool descending(int j) const {
+        return march::any_descending(choices_[lo_], j);
+    }
+
+    /// True when no branch point waits for its descending side.
+    [[nodiscard]] bool done() const { return frames_.empty(); }
+
+    /// Pops the innermost frame: restores the planes of `memory` and the
+    /// path mask `path` saved there and moves the walk to the frame's
+    /// descending side, which the caller resumes at the returned frame.
+    template <typename Memory>
+    Frame backtrack(Memory& memory, Block& path) {
+        const Frame frame = frames_.back();
+        frames_.pop_back();
+        const std::size_t depth = frames_.size();
+        memory.restore_cells(cells_.data() + depth * blocks_);
+        path = paths_[depth];
+        lo_ = frame.mid;
+        hi_ = frame.hi;
+        return frame;
+    }
+
+private:
+    std::vector<unsigned> choices_;
+    std::size_t lo_{0};
+    std::size_t hi_{0};
+    std::vector<Frame> frames_;
+    std::vector<Block> cells_;  ///< frame d's planes at [d·blocks_, …)
+    std::vector<Block> paths_;  ///< frame d's path mask
+    std::size_t blocks_{0};
+};
+
+/// One execution of one chunk over every background and every ⇕ choice of
+/// the plan, as one depth-first walk of the choice tree (see the file
+/// comment). Writes to `*detected_out` the lanes that have at least one
+/// definite read mismatch under every choice. With an `escape` flag (the
+/// DetectsAll verdict shared by a query's chunks) the walk raises it at
+/// the first leaf that leaves a used lane undetected and stops at the
+/// first leaf after it is raised, by this chunk or another; only "all
+/// used lanes" versus "not all" is then meaningful. When `sites` and
+/// `observations` are non-null they are filled with the guaranteed
+/// per-(background, site) and per-(background, site, word, bit) mismatch
+/// masks. Pointer-only signature, and no block passes by value anywhere
+/// in the walk: the AVX-attributed wrappers and their generic callers
+/// disagree on the register convention for 256/512-bit vectors.
 template <typename Block>
 using WordPassFn = void (*)(const WordPlan&, const InjectedBitFault*, int,
-                            unsigned, Block*, std::vector<Block>*,
+                            std::atomic<bool>*, Block*,
+                            GuaranteedMasks<Block>*,
                             SparseGuaranteedRuns<Block>*);
 
 /// `Width` fixes the word width at compile time (0 = plan.opts.width at
-/// run time); the width-1 instantiation is the bit universe's pass.
+/// run time); the width-1 instantiation is the bit universe's pass. The
+/// walk is a loop over an explicit frame stack, not a recursion, so the
+/// zmm wrapper's `flatten` inlines all of it.
 template <typename Block, int Width = 0>
 void word_run_pass(const WordPlan& plan, const InjectedBitFault* faults,
-                   int count, unsigned choice, Block* detected_out,
-                   std::vector<Block>* site_now,
+                   int count, std::atomic<bool>* escape,
+                   Block* detected_out,
+                   GuaranteedMasks<Block>* sites,
                    SparseGuaranteedRuns<Block>* observations) {
     using Memory = PackedWordMemoryT<Block, Width>;
     const Block used = block_used_lanes<Block>(count);
@@ -113,78 +238,122 @@ void word_run_pass(const WordPlan& plan, const InjectedBitFault* faults,
         std::span<const InjectedBitFault>(faults,
                                           static_cast<std::size_t>(count)),
         plan.opts.words, plan.opts.width);
+    thread_local ExpansionWalk<Block> walk;
+    walk.start(plan.expansions, memory.cell_blocks());
+    std::vector<Block>* site_now = nullptr;
+    if (sites != nullptr) {
+        sites->begin_pass();
+        site_now = sites->pass_grid();
+    }
+    if (observations != nullptr) observations->begin_pass();
 
     typename Memory::ReadResult got[Width != 0 ? Width : 64];
-    Block detected = block_zero<Block>();
-    // Backgrounds stream through the packed lanes on the same memory, so
-    // state carries from one background run into the next exactly as in
-    // the scalar word runner.
-    for (std::size_t k = 0; k < plan.backgrounds.size(); ++k) {
-        const std::uint64_t b0 = plan.backgrounds[k].bits;
-        const std::uint64_t b1 = plan.backgrounds[k].complement().bits;
-        int any_seen = 0;
-        // Reads are numbered in textual order, so the flat id of the
-        // element's first read site is the count of reads before it.
-        int first_site = 0;
-        for (std::size_t e = 0; e < plan.test.size(); ++e) {
-            const auto& element = plan.test[e];
-            bool desc = element.order == march::AddressOrder::Descending;
-            if (element.order == march::AddressOrder::Any) {
-                desc = ((choice >> any_seen) & 1u) != 0;
-                ++any_seen;
-            }
-            const int n = plan.opts.words;
-            int site = first_site;
-            for (int step = 0; step < n; ++step) {
-                const int word = desc ? n - 1 - step : step;
-                site = first_site;
-                for (const march::MarchOp& op : element.ops) {
-                    switch (op.kind) {
-                        case march::OpKind::Write:
-                            memory.write(word, op.value ? b1 : b0);
-                            break;
-                        case march::OpKind::Wait:
-                            memory.wait();
-                            break;
-                        case march::OpKind::Read: {
-                            const auto site_index =
-                                static_cast<std::size_t>(site++);
-                            const std::uint64_t expected =
-                                op.value ? b1 : b0;
-                            memory.read(word, got);
-                            Block site_mask = block_zero<Block>();
-                            for (int bit = 0; bit < width; ++bit) {
-                                const Block expmask = block_fill<Block>(
-                                    ((expected >> bit) & 1u) != 0);
-                                const Block mismatch =
-                                    got[bit].known &
-                                    (got[bit].value ^ expmask) & used;
-                                if (block_none(mismatch)) continue;
-                                detected |= mismatch;
-                                site_mask |= mismatch;
-                                // A site reads each word once per
-                                // background per pass, so this (word,
-                                // bit) key is fresh — the append-once
-                                // invariant the sparse runs intersect
-                                // under.
-                                if (observations != nullptr)
-                                    observations->append(
-                                        word_site_index(plan, k, site_index),
-                                        word, bit, mismatch);
+    Block path = block_zero<Block>();  // mismatches along the current path
+    Block leaves = used;               // AND of the paths of finished leaves
+    // The walk's position: background k, element e, the flat id of e's
+    // first read site (reads are numbered in textual order, so that is the
+    // count of reads before e) and the ⇕ elements before e.
+    std::size_t k = 0;
+    std::size_t e = 0;
+    int first_site = 0;
+    int any_seen = 0;
+    bool resumed = false;  // at a popped frame's element: do not re-split
+    for (;;) {
+        // Backgrounds stream through the packed lanes on the same memory,
+        // so state carries from one background run into the next exactly
+        // as in the scalar word runner.
+        for (; k < plan.backgrounds.size();
+             ++k, e = 0, first_site = 0, any_seen = 0) {
+            const std::uint64_t b0 = plan.backgrounds[k].bits;
+            const std::uint64_t b1 = plan.backgrounds[k].complement().bits;
+            for (; e < plan.test.size(); ++e) {
+                const auto& element = plan.test[e];
+                bool desc = element.order == march::AddressOrder::Descending;
+                if (element.order == march::AddressOrder::Any) {
+                    const int j = any_seen++;
+                    if (k == 0 && !resumed &&
+                        walk.branch(j, e, first_site, memory, path)) {
+                        if (sites != nullptr) sites->mark();
+                        if (observations != nullptr) observations->mark();
+                    }
+                    resumed = false;
+                    desc = walk.descending(j);
+                }
+                const int n = plan.opts.words;
+                int site = first_site;
+                for (int step = 0; step < n; ++step) {
+                    const int word = desc ? n - 1 - step : step;
+                    site = first_site;
+                    for (const march::MarchOp& op : element.ops) {
+                        switch (op.kind) {
+                            case march::OpKind::Write:
+                                memory.write(word, op.value ? b1 : b0);
+                                break;
+                            case march::OpKind::Wait:
+                                memory.wait();
+                                break;
+                            case march::OpKind::Read: {
+                                const auto site_index =
+                                    static_cast<std::size_t>(site++);
+                                const std::uint64_t expected =
+                                    op.value ? b1 : b0;
+                                memory.read(word, got);
+                                Block site_mask = block_zero<Block>();
+                                for (int bit = 0; bit < width; ++bit) {
+                                    const Block expmask = block_fill<Block>(
+                                        ((expected >> bit) & 1u) != 0);
+                                    const Block mismatch =
+                                        got[bit].known &
+                                        (got[bit].value ^ expmask) & used;
+                                    if (block_none(mismatch)) continue;
+                                    path |= mismatch;
+                                    site_mask |= mismatch;
+                                    // A site reads each word once per
+                                    // background per path, so this (word,
+                                    // bit) key is fresh — the append-once
+                                    // invariant the sparse runs intersect
+                                    // under.
+                                    if (observations != nullptr)
+                                        observations->append(
+                                            word_site_index(plan, k,
+                                                            site_index),
+                                            word, bit, mismatch);
+                                }
+                                if (site_now != nullptr &&
+                                    !block_none(site_mask))
+                                    (*site_now)[word_site_index(
+                                        plan, k, site_index)] |= site_mask;
+                                break;
                             }
-                            if (site_now != nullptr &&
-                                !block_none(site_mask))
-                                (*site_now)[word_site_index(
-                                    plan, k, site_index)] |= site_mask;
-                            break;
                         }
                     }
                 }
+                first_site = site;
             }
-            first_site = site;
         }
+
+        // A leaf: one ⇕ choice (or a set agreeing on every bit) is done.
+        leaves &= path;
+        if (sites != nullptr) sites->commit_pass();
+        if (observations != nullptr) observations->commit_pass();
+        if (escape != nullptr) {
+            if (!(leaves == used)) {
+                escape->store(true, std::memory_order_relaxed);
+                break;
+            }
+            if (escape->load(std::memory_order_relaxed)) break;
+        }
+        if (walk.done()) break;
+        const auto frame = walk.backtrack(memory, path);
+        if (sites != nullptr) sites->rollback();
+        if (observations != nullptr) observations->rollback();
+        k = 0;
+        e = frame.element;
+        first_site = frame.first_site;
+        any_seen = frame.any_index;
+        resumed = true;
     }
-    *detected_out = detected;
+    *detected_out = leaves;
 }
 
 template <typename Block>
@@ -194,32 +363,22 @@ std::vector<bool> word_detects(
     std::vector<bool> result(population.size(), false);
     if (population.empty()) return result;
     const std::size_t chunks = block_chunk_total<Block>(population.size());
-    const std::size_t expansions = plan.expansions.size();
     const auto per = static_cast<std::size_t>(block_fault_lanes<Block>);
 
-    // Fused (chunk × expansion) grid with per-worker AND accumulators,
-    // merged after the drain — identical results for any worker count.
-    std::vector<std::vector<Block>> acc(
-        plan.pool->worker_count(),
-        std::vector<Block>(chunks, block_ones<Block>()));
-    plan.pool->parallel_for(
-        chunks * expansions, [&](std::size_t item, unsigned worker) {
-            const std::size_t c = item / expansions;
-            const unsigned choice = plan.expansions[item % expansions];
-            Block detected = block_zero<Block>();
-            pass(plan, population.data() + c * per,
-                 block_chunk_count<Block>(population.size(), c), choice,
-                 &detected, nullptr, nullptr);
-            acc[worker][c] &= detected;
-        });
+    // One work item per chunk, each writing its own slot: identical
+    // results for any worker count.
+    std::vector<Block> detected(chunks);
+    plan.pool->parallel_for(chunks, [&](std::size_t c, unsigned) {
+        pass(plan, population.data() + c * per,
+             block_chunk_count<Block>(population.size(), c), nullptr,
+             &detected[c], nullptr, nullptr);
+    });
 
     for (std::size_t c = 0; c < chunks; ++c) {
         const int count = block_chunk_count<Block>(population.size(), c);
-        Block detected = block_used_lanes<Block>(count);
-        for (const auto& worker_acc : acc) detected &= worker_acc[c];
         for (int i = 0; i < count; ++i)
             result[c * per + static_cast<std::size_t>(i)] =
-                block_test(detected, fault_lane(i));
+                block_test(detected[c], fault_lane(i));
     }
     return result;
 }
@@ -229,23 +388,18 @@ bool word_detects_all(const WordPlan& plan, WordPassFn<Block> pass,
                       std::span<const InjectedBitFault> population) {
     if (population.empty()) return true;
     const std::size_t chunks = block_chunk_total<Block>(population.size());
-    const std::size_t expansions = plan.expansions.size();
     const auto per = static_cast<std::size_t>(block_fault_lanes<Block>);
 
+    // The pass raises `escape` at an escaping leaf, and every chunk's walk
+    // stops at its next leaf once it is raised.
     std::atomic<bool> escape{false};
-    plan.pool->parallel_for(
-        chunks * expansions, [&](std::size_t item, unsigned) {
-            if (escape.load(std::memory_order_relaxed)) return;
-            const std::size_t c = item / expansions;
-            const unsigned choice = plan.expansions[item % expansions];
-            const int count =
-                block_chunk_count<Block>(population.size(), c);
-            Block detected = block_zero<Block>();
-            pass(plan, population.data() + c * per, count, choice,
-                 &detected, nullptr, nullptr);
-            if (!(detected == block_used_lanes<Block>(count)))
-                escape.store(true, std::memory_order_relaxed);
-        });
+    plan.pool->parallel_for(chunks, [&](std::size_t c, unsigned) {
+        if (escape.load(std::memory_order_relaxed)) return;
+        Block detected = block_zero<Block>();
+        pass(plan, population.data() + c * per,
+             block_chunk_count<Block>(population.size(), c), &escape,
+             &detected, nullptr, nullptr);
+    });
     return !escape.load(std::memory_order_relaxed);
 }
 
@@ -272,20 +426,10 @@ WordChunkResult<Block> word_run_chunk(const WordPlan& plan,
         plan.backgrounds.size() * plan.sites.size();
 
     WordChunkResult<Block> out;
-    out.detected = used;
-    sim::detail::GuaranteedMasks<Block> sites(site_cells, used);
+    GuaranteedMasks<Block> sites(site_cells, used);
     SparseGuaranteedRuns<Block> observations(site_cells);
-
-    Block pass_detected = block_zero<Block>();
-    for (unsigned choice : plan.expansions) {
-        sites.begin_pass();
-        observations.begin_pass();
-        pass(plan, faults, count, choice, &pass_detected, sites.pass_grid(),
-             &observations);
-        out.detected &= pass_detected;
-        sites.commit_pass();
-        observations.commit_pass();
-    }
+    pass(plan, faults, count, nullptr, &out.detected, &sites,
+         &observations);
     out.observations = observations.take();
 
     out.site_fail.resize(site_cells);
@@ -321,9 +465,8 @@ std::vector<typename Emit::Trace> word_run(
     const std::size_t chunks = block_chunk_total<Block>(population.size());
     const auto per = static_cast<std::size_t>(block_fault_lanes<Block>);
 
-    // Chunk-wise sharding: each item expands every ⇕ choice itself (the
-    // per-(bkg, site, word, bit) grids would make a fused grid's
-    // per-worker state quadratic) and writes a disjoint result slice.
+    // Chunk-wise sharding: each item walks every ⇕ choice itself and
+    // writes a disjoint result slice.
     plan.pool->parallel_for(chunks, [&](std::size_t c, unsigned) {
         const std::size_t base = c * per;
         const int count = block_chunk_count<Block>(population.size(), c);
@@ -402,8 +545,8 @@ std::vector<typename Emit::Trace> word_run(
 template <typename Block>
 [[nodiscard]] WordPassFn<Block> generic_pass(int width);
 
-/// The pass of a W=8 job of `work_items` pass executions: the zmm wrapper
-/// when sim::active_lane_isa(work_items) is Avx512, generic_pass
+/// The pass of a W=8 job of `work_items` (chunks × ⇕ expansions): the zmm
+/// wrapper when sim::active_lane_isa(work_items) is Avx512, generic_pass
 /// otherwise. Both are bit-identical.
 [[nodiscard]] WordPassFn<LaneBlock<8>> word_pass_w8(int width,
                                                     std::size_t work_items);

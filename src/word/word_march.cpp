@@ -29,7 +29,7 @@ bool run_background(const MarchTest& test, const Background& background,
     for (const auto& element : test.elements()) {
         bool desc = element.order == AddressOrder::Descending;
         if (element.order == AddressOrder::Any) {
-            desc = ((any_choices >> any_seen) & 1u) != 0;
+            desc = march::any_descending(any_choices, any_seen);
             ++any_seen;
         }
         const int n = memory.words();

@@ -4,6 +4,7 @@
 #include <iterator>
 #include <tuple>
 
+#include "march/expansion.hpp"
 #include "word/word_memory.hpp"
 
 namespace mtg::word {
@@ -35,7 +36,7 @@ WordRunTrace run_once_trace(const MarchTest& test,
             const auto& element = test[e];
             bool desc = element.order == AddressOrder::Descending;
             if (element.order == AddressOrder::Any) {
-                desc = ((any_choices >> any_seen) & 1u) != 0;
+                desc = march::any_descending(any_choices, any_seen);
                 ++any_seen;
             }
             const int n = opts.words;

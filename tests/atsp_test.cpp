@@ -221,7 +221,9 @@ TEST(Exact, HandlesForbiddenArcs) {
         const auto exact = solve_exact(m);
         const auto brute = solve_brute_force(m);
         ASSERT_EQ(exact.has_value(), brute.has_value()) << "trial " << trial;
-        if (exact) EXPECT_EQ(exact->cost, brute->cost) << "trial " << trial;
+        if (exact) {
+            EXPECT_EQ(exact->cost, brute->cost) << "trial " << trial;
+        }
     }
 }
 
@@ -291,7 +293,9 @@ TEST(Path, MatchesBruteForce) {
         const auto path = solve_shortest_path(m, options);
         const auto brute = brute_path(m, options);
         ASSERT_EQ(path.has_value(), brute.has_value()) << "trial " << trial;
-        if (path) EXPECT_EQ(path->cost, brute->second) << "trial " << trial;
+        if (path) {
+            EXPECT_EQ(path->cost, brute->second) << "trial " << trial;
+        }
     }
 }
 

@@ -1,7 +1,8 @@
 # Layering check: the modules below the Engine (util, march, fault, fsm,
 # sim, word, atsp) include nothing from the layers built on them (engine,
 # net, diagnosis, setcover, synth, core, baseline). Among the lower
-# modules, word/ builds on sim/, so sim/ includes nothing from word/.
+# modules, word/ builds on sim/, so sim/ includes nothing from word/, and
+# both build on fault/, so fault/ includes nothing from sim/ or word/.
 #
 #   cmake -DSRC_DIR=<repo>/src -P tests/layering_test.cmake
 #
@@ -36,6 +37,7 @@ foreach(module IN LISTS lower_modules)
   check_includes(${module} "${upper_pattern}")
 endforeach()
 check_includes(sim word)
+check_includes(fault "sim|word")
 
 if(violations)
   list(JOIN violations "\n  " report)

@@ -71,6 +71,28 @@ TEST(ExpansionCap, CapAboveTheBoundIsAContractViolation) {
     EXPECT_EQ(expansion_choices(test, opts).size(), 2u);
 }
 
+TEST(ExpansionCap, PastThirtyTwoAnyElementsTheUniformSweepsStayDefined) {
+    // 34 ⇕ elements: only the sweeps 0 and ~0u run, and the elements past
+    // bit 31 follow them instead of shifting a choice by 32 or more.
+    std::string text = "{~(w0)";
+    for (int i = 0; i < 33; ++i)
+        text += i % 2 == 0 ? "; ~(r0,w1)" : "; ~(r1,w0)";
+    const auto test = parse_march(text + "}");
+    ASSERT_EQ(march::any_order_count(test), 34);
+    EXPECT_TRUE(march::any_descending(~0u, 33));
+    EXPECT_FALSE(march::any_descending(0u, 33));
+    EXPECT_TRUE(is_well_formed(test));
+    const engine::Engine& engine = engine::Engine::global();
+    const RunOptions opts;
+    for (FaultKind kind : {FaultKind::Saf0, FaultKind::CfidUp1}) {
+        const auto population = full_population(kind, opts.memory_size);
+        const auto batched = engine.detects(test, population, opts);
+        for (std::size_t i = 0; i < population.size(); ++i)
+            EXPECT_EQ(batched[i], detects(test, population[i], opts))
+                << fault_kind_name(kind) << " #" << i;
+    }
+}
+
 TEST(ExpansionCap, CappedRunIsOptimisticAboutMixedOrders) {
     // CFid<^,0> with aggressor above victim needs a descending-then-read
     // pattern; uniform sweeps alone can claim detection that a mixed

@@ -13,8 +13,10 @@
 
 #include "engine/engine.hpp"
 #include "fault/kinds.hpp"
+#include "march/expansion.hpp"
 #include "march/library.hpp"
 #include "march/parser.hpp"
+#include "sim/lane_dispatch.hpp"
 #include "sim/march_runner.hpp"
 #include "sim/pass_scratch.hpp"
 #include "util/rng.hpp"
@@ -534,6 +536,121 @@ TEST(PassScratch, BatchPassesMatchScalarOracleAcrossReArms) {
                 << step.label << " W" << width;
         }
     }
+}
+
+
+// ---- ⇕ expansion tree ------------------------------------------------------
+//
+// One pass walks every ⇕ choice of a chunk as a depth-first tree: at a
+// branch point it snapshots the value/known planes, the path's mismatch
+// mask and the trace marks, runs the element ascending down to a leaf,
+// then restores them and runs it descending (word/word_kernels.hpp). The
+// cases below put branch points where a lost plane, mask or mark changes
+// a verdict or a trace, on populations that mix every fault kind in one
+// chunk.
+
+/// Every placement of every fault kind on an n-cell memory.
+std::vector<InjectedFault> all_kinds_population(int cells) {
+    std::vector<InjectedFault> population;
+    for (FaultKind kind : fault::all_fault_kinds())
+        for (const InjectedFault& fault : full_population(kind, cells))
+            population.push_back(fault);
+    return population;
+}
+
+/// Detects, DetectsAll and Traces of `population` on sessions of lane
+/// widths 1, 4 and 8 against the scalar SimMemory oracle. DetectsAll is
+/// also asked of the detected faults alone, so that a walk with no escape
+/// runs to its last leaf.
+void expect_tree_matches_scalar(const std::string& label,
+                                const march::MarchTest& test,
+                                const std::vector<InjectedFault>& population,
+                                const RunOptions& opts) {
+    std::vector<bool> want(population.size());
+    std::vector<InjectedFault> detected;
+    std::vector<std::vector<ReadSite>> want_reads;
+    std::vector<std::vector<Observation>> want_observations;
+    for (std::size_t i = 0; i < population.size(); ++i) {
+        want[i] = detects(test, population[i], opts);
+        if (want[i]) detected.push_back(population[i]);
+        want_reads.push_back(
+            scalar_guaranteed_reads(test, population[i], opts));
+        want_observations.push_back(
+            scalar_guaranteed_observations(test, population[i], opts));
+    }
+    ASSERT_FALSE(detected.empty()) << label;
+    const bool want_all = detected.size() == population.size();
+    for (int width : {1, 4, 8}) {
+        const engine::Engine session(
+            engine::EngineConfig{.lane_width = width});
+        const std::string where = label + " W" + std::to_string(width);
+        EXPECT_EQ(session.detects(test, population, opts), want) << where;
+        EXPECT_EQ(detects_all(session, test, population, opts), want_all)
+            << where;
+        EXPECT_TRUE(detects_all(session, test, detected, opts)) << where;
+        const auto traces = session.traces(test, population, opts);
+        ASSERT_EQ(traces.size(), population.size()) << where;
+        for (std::size_t i = 0; i < population.size(); ++i) {
+            ASSERT_EQ(traces[i].detected, want[i]) << where << " #" << i;
+            ASSERT_EQ(traces[i].failing_reads, want_reads[i])
+                << where << " #" << i << ' '
+                << fault_kind_name(population[i].kind);
+            ASSERT_EQ(traces[i].failing_observations, want_observations[i])
+                << where << " #" << i << ' '
+                << fault_kind_name(population[i].kind);
+        }
+    }
+}
+
+/// ⇕ elements first, in the middle and last, alone and together: a
+/// branch point at the first element snapshots all-X planes, later ones
+/// snapshot known cells, and one at the last element has no later
+/// element to hide a lost restore.
+TEST(ExpansionTree, BranchPointsFirstMiddleAndLast) {
+    const RunOptions opts{.memory_size = 5, .max_any_expansion = 6};
+    const auto population = all_kinds_population(opts.memory_size);
+    for (const char* text :
+         {"{~(w0); ^(r0,w1); v(r1,w0); ^(r0)}",
+          "{^(w0); ^(r0,w1); ~(r1,w0); v(r0,w1); ^(r1)}",
+          "{^(w1); v(r1,w0); ^(r0,w1); ~(r1,w0,r0)}",
+          "{~(w0); ^(r0,w1); ~(r1,w0); v(r0,w1); ~(r1)}",
+          "{~(w0); ^(r0,r0,w0,r0,w1); ^(r1,r1,w1,r1,w0); "
+          "v(r0,r0,w0,r0,w1); v(r1,r1,w1,r1,w0); ~(r0)}"})
+        expect_tree_matches_scalar(text, march::parse_march(text),
+                                   population, opts);
+}
+
+/// Past max_any_expansion the choices are the two uniform sweeps, so the
+/// first ⇕ element is the only branch point and the later ones follow it.
+TEST(ExpansionTree, OverTheCapOnlyTheFirstAnyElementBranches) {
+    const RunOptions opts{.memory_size = 5, .max_any_expansion = 2};
+    const auto test =
+        march::parse_march("{^(w0); ~(r0,w1); ~(r1,w0); ^(r0,w1); ~(r1)}");
+    ASSERT_EQ(march::any_order_count(test), opts.max_any_expansion + 1);
+    expect_tree_matches_scalar("k = cap + 1", test,
+                               all_kinds_population(opts.memory_size), opts);
+}
+
+/// MATS+Del's ⇕(del) elements branch although a wait is order-free; the
+/// DRF lanes decay on them between the branch's two sides.
+TEST(ExpansionTree, RetentionDelaysUnderAnyOrder) {
+    const RunOptions opts{.memory_size = 6, .max_any_expansion = 6};
+    expect_tree_matches_scalar("MATS+Del",
+                               march::find_march_test("MATS+Del").test,
+                               all_kinds_population(opts.memory_size), opts);
+}
+
+/// Six ⇕ elements give 64 choices, so a W=8 job of one chunk reaches
+/// kZmmWorkItemThreshold and runs the zmm pass on an AVX-512F host.
+TEST(ExpansionTree, ZmmSizedJob) {
+    const RunOptions opts{.memory_size = 5, .max_any_expansion = 6};
+    const auto test = march::parse_march(
+        "{~(w0); ~(r0,w1); ~(r1,w0); ~(r0,w1); ~(r1,w0); ~(r0,w1); ^(r1)}");
+    const auto population = all_kinds_population(opts.memory_size);
+    ASSERT_GE(block_chunk_total<LaneBlock<8>>(population.size()) *
+                  expansion_choices(test, opts).size(),
+              kZmmWorkItemThreshold);
+    expect_tree_matches_scalar("zmm", test, population, opts);
 }
 
 }  // namespace

@@ -180,8 +180,11 @@ TEST(QueryServer, ConcurrentTcpClientsMatchLocalEngineByteForByte) {
 /// so requests admitted behind it are deterministically queued, not
 /// racing its completion. Its cost comes from the test's structure, not
 /// from any one fault kind's: `k` order-dependent ⇕ elements with
-/// `max_any` = k give 2^k expansions, each one full pass over the CFid
-/// population of a 16-cell memory. Detects rather than Traces keeps the
+/// `max_any` = k give 2^k expansions. A pass walks them as one
+/// prefix-sharing tree, in which the j-th ⇕ element runs 2^j times, over
+/// each chunk of the CFid population of a 40-cell memory (13 chunks of
+/// 504 lanes; the population grows with the square of the memory size and
+/// a pass with its size). Detects rather than Traces keeps the
 /// reply to a short mask the un-drained client socket can buffer (a
 /// multi-MB trace dump would wedge the executor in write_line), and a
 /// DictionarySweep won't do either: dictionaries are canonical
@@ -204,7 +207,7 @@ QueryRequest blocking_bulk_query(std::int64_t id) {
     test += kAnyElements % 2 == 0 ? "; ^(r0)}" : "; ^(r1)}";
     QueryRequest request =
         make_request(id, QueryOp::Detects, std::move(test), "CFid");
-    request.memory_size = 16;
+    request.memory_size = 40;
     request.max_any = kAnyElements;
     request.klass = QueryClass::Bulk;
     return request;

@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "engine/engine.hpp"
-#include "fault/dominance.hpp"
+#include "engine/dominance.hpp"
 #include "fault/fault_list.hpp"
 #include "fault/kinds.hpp"
 #include "march/library.hpp"
@@ -98,7 +98,7 @@ TEST(Skeleton, CanonicalTextRoundTripsTheParser) {
 
 TEST(Dominance, CollapsesPlacementsToRelationalClasses) {
     const auto full = sim::full_population(FaultKind::CfinUp, 8);
-    const auto kept = fault::dominance_prune(
+    const auto kept = engine::dominance_prune(
         std::span<const sim::InjectedFault>(full));
     // Two-cell kind, one kind present: one representative per relative
     // order of aggressor and victim.

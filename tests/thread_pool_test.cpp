@@ -139,7 +139,8 @@ TEST(ThreadPool, StealingRebalancesSkewedWork) {
     pool.parallel_for(kCount, [&](std::size_t i, unsigned worker) {
         if (i < 250) {
             // Skewed cost: busy-wait so the front range drains slowly.
-            for (volatile int spin = 0; spin < 2000; ++spin) {
+            std::atomic<int> spin{0};
+            while (spin.fetch_add(1, std::memory_order_relaxed) < 2000) {
             }
             if (worker != 0)
                 stolen_by_others.fetch_add(1, std::memory_order_relaxed);

@@ -13,8 +13,10 @@
 
 #include "engine/engine.hpp"
 #include "fault/kinds.hpp"
+#include "march/expansion.hpp"
 #include "march/library.hpp"
 #include "march/parser.hpp"
+#include "sim/lane_dispatch.hpp"
 #include "util/rng.hpp"
 #include "word/background.hpp"
 #include "word/packed_word_memory.hpp"
@@ -499,6 +501,161 @@ TEST(PackedBookkeeping, RearmCfstDrfCfstMatchesFreshMemory) {
                         << step.label << " bit (" << w << ',' << bit
                         << ") lane " << lane;
     }
+}
+
+// ---- ⇕ expansion tree ------------------------------------------------------
+//
+// One pass walks every ⇕ choice of a chunk as a depth-first tree: at a
+// branch point it snapshots the value/known planes, the path's mismatch
+// mask and the trace marks, runs the element ascending down to a leaf,
+// then restores them and runs it descending; later backgrounds reuse the
+// choice and never branch (word_kernels.hpp). The cases below put branch
+// points where a lost plane, mask or mark changes a verdict or a trace.
+
+/// Four random placements of every fault kind on the kBookWords ×
+/// kBookWidth memory; two-cell kinds land on intra- and inter-word pairs.
+std::vector<InjectedBitFault> all_kinds_population() {
+    SplitMix64 rng(0x7EEULL);
+    const auto any_bit = [&rng] {
+        return BitAddr{rng.range(0, kBookWords - 1),
+                       rng.range(0, kBookWidth - 1)};
+    };
+    std::vector<InjectedBitFault> population;
+    for (int round = 0; round < 4; ++round)
+        for (FaultKind kind : fault::all_fault_kinds()) {
+            const BitAddr a = any_bit();
+            if (!fault::is_two_cell(kind)) {
+                population.push_back(InjectedBitFault::single(kind, a));
+                continue;
+            }
+            BitAddr b = any_bit();
+            while (b == a) b = any_bit();
+            population.push_back(InjectedBitFault::coupling(kind, a, b));
+        }
+    return population;
+}
+
+/// Detects, DetectsAll and Traces of `population` at lane widths 1, 4
+/// and 8 against the scalar WordMemory oracle. DetectsAll is also asked
+/// of the detected faults alone, so that a walk with no escape runs to its
+/// last leaf.
+void expect_tree_matches_scalar(const std::string& label,
+                                const march::MarchTest& test,
+                                const std::vector<Background>& backgrounds,
+                                const std::vector<InjectedBitFault>& population,
+                                const WordRunOptions& opts) {
+    std::vector<bool> want(population.size());
+    std::vector<InjectedBitFault> detected;
+    std::vector<WordRunTrace> want_traces;
+    for (std::size_t i = 0; i < population.size(); ++i) {
+        want[i] = detects(test, backgrounds, population[i], opts);
+        if (want[i]) detected.push_back(population[i]);
+        want_traces.push_back(
+            guaranteed_trace(test, backgrounds, population[i], opts));
+    }
+    ASSERT_FALSE(detected.empty()) << label;
+    const bool want_all = detected.size() == population.size();
+    for (int lane_width : {1, 4, 8}) {
+        const WordBatchRunner runner(test, backgrounds, opts, nullptr,
+                                     lane_width);
+        const std::string where = label + " W" + std::to_string(lane_width);
+        EXPECT_EQ(runner.detects(population), want) << where;
+        EXPECT_EQ(runner.detects_all(population), want_all) << where;
+        EXPECT_TRUE(runner.detects_all(detected)) << where;
+        const std::vector<WordRunTrace> traces = runner.run(population);
+        ASSERT_EQ(traces.size(), population.size()) << where;
+        for (std::size_t i = 0; i < population.size(); ++i)
+            ASSERT_TRUE(traces[i] == want_traces[i])
+                << where << " #" << i << ' '
+                << fault_kind_name(population[i].kind);
+    }
+}
+
+WordRunOptions book_options(int max_any) {
+    return {.words = kBookWords, .width = kBookWidth,
+            .max_any_expansion = max_any};
+}
+
+/// ⇕ elements first, in the middle and last, alone and together, under
+/// the solid and the counting backgrounds: under counting backgrounds
+/// every ⇕ element recurs once per background, on the choice taken at
+/// its first occurrence.
+TEST(ExpansionTree, BranchPointsFirstMiddleAndLast) {
+    const auto population = all_kinds_population();
+    for (const bool counting : {false, true}) {
+        const auto backgrounds = counting ? counting_backgrounds(kBookWidth)
+                                          : solid_background(kBookWidth);
+        for (const char* text :
+             {"{~(w0); ^(r0,w1); v(r1,w0); ^(r0)}",
+              "{^(w0); ^(r0,w1); ~(r1,w0); v(r0,w1); ^(r1)}",
+              "{^(w1); v(r1,w0); ^(r0,w1); ~(r1,w0,r0)}",
+              "{~(w0); ^(r0,w1); ~(r1,w0); v(r0,w1); ~(r1)}",
+              "{~(w0); ^(r0,r0,w0,r0,w1); ^(r1,r1,w1,r1,w0); "
+              "v(r0,r0,w0,r0,w1); v(r1,r1,w1,r1,w0); ~(r0)}"})
+            expect_tree_matches_scalar(
+                std::string(text) + (counting ? " counting" : " solid"),
+                march::parse_march(text), backgrounds, population,
+                book_options(4));
+    }
+}
+
+/// Past max_any_expansion the choices are the two uniform sweeps, so the
+/// first ⇕ element is the only branch point and the later ones follow it.
+TEST(ExpansionTree, OverTheCapOnlyTheFirstAnyElementBranches) {
+    const auto test =
+        march::parse_march("{^(w0); ~(r0,w1); ~(r1,w0); ^(r0,w1); ~(r1)}");
+    const WordRunOptions opts = book_options(2);
+    ASSERT_EQ(march::any_order_count(test), opts.max_any_expansion + 1);
+    expect_tree_matches_scalar("k = cap + 1", test,
+                               counting_backgrounds(kBookWidth),
+                               all_kinds_population(), opts);
+}
+
+/// MATS+Del's ⇕(del) elements branch although a wait is order-free; the
+/// DRF lanes decay on them between the branch's two sides.
+TEST(ExpansionTree, RetentionDelaysUnderAnyOrder) {
+    auto population = retention_population();
+    for (const InjectedBitFault& fault : all_kinds_population())
+        population.push_back(fault);
+    expect_tree_matches_scalar("MATS+Del",
+                               march::find_march_test("MATS+Del").test,
+                               counting_backgrounds(kBookWidth), population,
+                               book_options(4));
+}
+
+/// Intra-word CFst next to AfMap in one chunk at word width 8: a write's
+/// CFst entries filed by aggressor are enforced by sense without reading
+/// the aggressor, while AfMap lanes redirect the same writes.
+TEST(ExpansionTree, IntraWordStaticCouplingBesideDecoderMaps) {
+    std::vector<InjectedBitFault> population;
+    for (int a = 0; a < kBookWidth; ++a)
+        for (int v = 0; v < kBookWidth; ++v)
+            if (a != v) {
+                population.push_back(InjectedBitFault::coupling(
+                    cfst_kind(population.size()), {1, a}, {1, v}));
+                population.push_back(InjectedBitFault::coupling(
+                    FaultKind::AfMap, {(a + v) % kBookWords, a},
+                    {(a + v + 1) % kBookWords, v}));
+            }
+    ASSERT_LE(population.size(),
+              static_cast<std::size_t>(sim::block_fault_lanes<
+                                       sim::LaneBlock<8>>));
+    for (const char* name : {"March C-", "March SS"})
+        expect_tree_matches_scalar(name, march::find_march_test(name).test,
+                                   counting_backgrounds(kBookWidth),
+                                   population, book_options(4));
+}
+
+/// Six ⇕ elements give 64 choices, so a W=8 job of one chunk reaches
+/// kZmmWorkItemThreshold and runs the zmm pass on an AVX-512F host.
+TEST(ExpansionTree, ZmmSizedJob) {
+    const auto test = march::parse_march(
+        "{~(w0); ~(r0,w1); ~(r1,w0); ~(r0,w1); ~(r1,w0); ~(r0,w1); ^(r1)}");
+    const WordRunOptions opts = book_options(6);
+    ASSERT_GE(expansion_choices(test, opts).size(),
+              sim::kZmmWorkItemThreshold);
+    expect_tree_matches_scalar("zmm", test, solid_background(kBookWidth),
+                               mixed_population(), opts);
 }
 
 }  // namespace
