@@ -27,7 +27,7 @@ std::unique_ptr<Backend> make_backend(const EngineConfig& config) {
 
 std::shared_ptr<PopulationCache> make_cache(const EngineConfig& config) {
     if (config.cache != nullptr) return config.cache;
-    return std::make_shared<PopulationCache>(config.cache_budget);
+    return std::make_shared<PopulationCache>();
 }
 
 bool all_of(const std::vector<bool>& flags) {
@@ -100,20 +100,22 @@ fault::FaultKind WordPopulationEntry::kind_of(std::size_t index) const {
 PopulationCache::PopulationCache(std::size_t fault_budget)
     : budget_(fault_budget == 0 ? kDefaultFaultBudget : fault_budget) {}
 
-std::shared_ptr<const BitPopulationEntry> PopulationCache::bit(
-    const std::vector<fault::FaultKind>& kinds, int memory_size,
-    bool pruned) {
+template <typename Entry, typename Shape, typename Place>
+std::shared_ptr<const Entry> PopulationCache::fetch(
+    Entries<Entry, Shape>& entries, std::size_t& retained,
+    const std::vector<fault::FaultKind>& kinds, const Shape& shape,
+    bool pruned, const Place& place) {
     // The key AND the build order are the canonical kind list: a permuted
     // or duplicated caller list lands on the same entry with identical
     // contents, instead of breeding redundant copies that trip budget
     // evictions. Pruned expansions get their own key so full and reduced
     // populations stay warm side by side.
     std::vector<fault::FaultKind> canonical = canonical_kinds(kinds);
-    const BitKey key{kind_key(canonical), memory_size, pruned};
+    const Key<Shape> key{kind_key(canonical), shape, pruned};
     {
         const std::lock_guard<std::mutex> lock(mutex_);
-        const auto it = bit_.find(key);
-        if (it != bit_.end()) {
+        const auto it = entries.find(key);
+        if (it != entries.end()) {
             ++stats_.hits;
             return it->second;
         }
@@ -121,7 +123,7 @@ std::shared_ptr<const BitPopulationEntry> PopulationCache::bit(
     }
     // Build outside the lock: a multi-million-fault expansion must not
     // stall concurrent lookups (including hits on unrelated keys).
-    auto entry = std::make_shared<BitPopulationEntry>();
+    auto entry = std::make_shared<Entry>();
     entry->kinds = std::move(canonical);
     entry->offsets.reserve(entry->kinds.size() + 1);
     entry->offsets.push_back(0);
@@ -129,10 +131,10 @@ std::shared_ptr<const BitPopulationEntry> PopulationCache::bit(
         // Derive from the full entry (hitting or warming its key) and
         // filter segment-wise, so the pruned layout can never disagree
         // with the full one it claims to summarise.
-        const std::shared_ptr<const BitPopulationEntry> full =
-            bit(entry->kinds, memory_size, false);
-        const std::vector<char> keep = dominance_keep_mask(
-            std::span<const sim::InjectedFault>(full->faults));
+        const std::shared_ptr<const Entry> full =
+            fetch(entries, retained, entry->kinds, shape, false, place);
+        const std::vector<char> keep =
+            dominance_keep_mask(std::span(full->faults));
         for (std::size_t k = 0; k + 1 < full->offsets.size(); ++k) {
             for (std::size_t i = full->offsets[k]; i < full->offsets[k + 1];
                  ++i)
@@ -141,21 +143,20 @@ std::shared_ptr<const BitPopulationEntry> PopulationCache::bit(
         }
     } else {
         for (fault::FaultKind kind : entry->kinds) {
-            const std::vector<sim::InjectedFault> placed =
-                sim::full_population(kind, memory_size);
+            const auto placed = place(kind);
             entry->faults.insert(entry->faults.end(), placed.begin(),
                                  placed.end());
             entry->offsets.push_back(entry->faults.size());
         }
     }
-    std::shared_ptr<const BitPopulationEntry> built = std::move(entry);
+    std::shared_ptr<const Entry> built = std::move(entry);
     // A population beyond the whole budget is served uncached — the old
     // transient-allocation behaviour — instead of pinning it for the
     // session lifetime.
     if (built->faults.size() > budget_) return built;
     const std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = bit_.find(key);
-    if (it != bit_.end()) return it->second;  // lost a build race
+    const auto it = entries.find(key);
+    if (it != entries.end()) return it->second;  // lost a build race
     // The budget spans both universes: retained bit + word faults never
     // exceed it, so stats().retained_faults <= fault_budget() holds.
     if (bit_faults_ + word_faults_ + built->faults.size() > budget_) {
@@ -165,62 +166,27 @@ std::shared_ptr<const BitPopulationEntry> PopulationCache::bit(
         word_faults_ = 0;
         ++stats_.evictions;
     }
-    bit_faults_ += built->faults.size();
-    return bit_.emplace(key, std::move(built)).first->second;
+    retained += built->faults.size();
+    return entries.emplace(key, std::move(built)).first->second;
+}
+
+std::shared_ptr<const BitPopulationEntry> PopulationCache::bit(
+    const std::vector<fault::FaultKind>& kinds, int memory_size,
+    bool pruned) {
+    return fetch(bit_, bit_faults_, kinds, memory_size, pruned,
+                 [memory_size](fault::FaultKind kind) {
+                     return sim::full_population(kind, memory_size);
+                 });
 }
 
 std::shared_ptr<const WordPopulationEntry> PopulationCache::word(
     const std::vector<fault::FaultKind>& kinds,
     const word::WordRunOptions& opts, bool pruned) {
-    std::vector<fault::FaultKind> canonical = canonical_kinds(kinds);
-    const WordKey key{kind_key(canonical), opts.words, opts.width, pruned};
-    {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        const auto it = word_.find(key);
-        if (it != word_.end()) {
-            ++stats_.hits;
-            return it->second;
-        }
-        ++stats_.misses;
-    }
-    auto entry = std::make_shared<WordPopulationEntry>();
-    entry->kinds = std::move(canonical);
-    entry->offsets.reserve(entry->kinds.size() + 1);
-    entry->offsets.push_back(0);
-    if (pruned) {
-        const std::shared_ptr<const WordPopulationEntry> full =
-            word(entry->kinds, opts, false);
-        const std::vector<char> keep = dominance_keep_mask(
-            std::span<const word::InjectedBitFault>(full->faults));
-        for (std::size_t k = 0; k + 1 < full->offsets.size(); ++k) {
-            for (std::size_t i = full->offsets[k]; i < full->offsets[k + 1];
-                 ++i)
-                if (keep[i] != 0) entry->faults.push_back(full->faults[i]);
-            entry->offsets.push_back(entry->faults.size());
-        }
-    } else {
-        for (fault::FaultKind kind : entry->kinds) {
-            const std::vector<word::InjectedBitFault> placed =
-                word::coverage_population(kind, opts);
-            entry->faults.insert(entry->faults.end(), placed.begin(),
-                                 placed.end());
-            entry->offsets.push_back(entry->faults.size());
-        }
-    }
-    std::shared_ptr<const WordPopulationEntry> built = std::move(entry);
-    if (built->faults.size() > budget_) return built;
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = word_.find(key);
-    if (it != word_.end()) return it->second;  // lost a build race
-    if (bit_faults_ + word_faults_ + built->faults.size() > budget_) {
-        bit_.clear();
-        word_.clear();
-        bit_faults_ = 0;
-        word_faults_ = 0;
-        ++stats_.evictions;
-    }
-    word_faults_ += built->faults.size();
-    return word_.emplace(key, std::move(built)).first->second;
+    return fetch(word_, word_faults_, kinds,
+                 std::pair{opts.words, opts.width}, pruned,
+                 [&opts](fault::FaultKind kind) {
+                     return word::coverage_population(kind, opts);
+                 });
 }
 
 PopulationCache::Stats PopulationCache::stats() const {

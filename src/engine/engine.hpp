@@ -52,6 +52,8 @@
 #include <mutex>
 #include <optional>
 #include <span>
+#include <tuple>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -205,13 +207,26 @@ public:
     [[nodiscard]] std::size_t fault_budget() const { return budget_; }
 
 private:
-    using BitKey = std::tuple<std::vector<int>, int, bool>;
-    using WordKey = std::tuple<std::vector<int>, int, int, bool>;
+    /// (canonical kind list, universe shape, pruned). The shape is the
+    /// memory size for bit entries and (words, width) for word entries.
+    template <typename Shape>
+    using Key = std::tuple<std::vector<int>, Shape, bool>;
+    template <typename Entry, typename Shape>
+    using Entries = std::map<Key<Shape>, std::shared_ptr<const Entry>>;
+
+    /// The one path behind bit() and word(): look up, build outside the
+    /// lock (`place(kind)` expands one kind), then insert under the budget
+    /// both universes share. `retained` is the universe's fault count.
+    template <typename Entry, typename Shape, typename Place>
+    [[nodiscard]] std::shared_ptr<const Entry> fetch(
+        Entries<Entry, Shape>& entries, std::size_t& retained,
+        const std::vector<fault::FaultKind>& kinds, const Shape& shape,
+        bool pruned, const Place& place);
 
     std::size_t budget_;
     mutable std::mutex mutex_;
-    std::map<BitKey, std::shared_ptr<const BitPopulationEntry>> bit_;
-    std::map<WordKey, std::shared_ptr<const WordPopulationEntry>> word_;
+    Entries<BitPopulationEntry, int> bit_;
+    Entries<WordPopulationEntry, std::pair<int, int>> word_;
     std::size_t bit_faults_{0};
     std::size_t word_faults_{0};
     Stats stats_;
@@ -223,13 +238,11 @@ enum class BackendKind { Scalar, Packed };
 struct EngineConfig {
     BackendKind backend{BackendKind::Packed};
     util::ThreadPool* pool{nullptr};  ///< nullptr = process-wide pool
-    int lane_width{0};                ///< 0 = CPUID / MTG_LANE_WIDTH
+    int lane_width{0};  ///< 0 = CPUID, clamped per population; else exact
     /// Population cache shared with other sessions (the query server's
-    /// two engines pass one); nullptr = a private cache.
+    /// two engines pass one); nullptr = a private cache with the default
+    /// budget.
     std::shared_ptr<PopulationCache> cache{};
-    /// Retained-fault budget for the private cache (0 = the ~4.2M
-    /// default). Ignored when `cache` is supplied.
-    std::size_t cache_budget{0};
 };
 
 /// A simulation session: owns the backend, the lane-width and pool policy,

@@ -13,6 +13,15 @@
 
 namespace mtg::net {
 
+namespace {
+
+/// Worker lanes of the interactive engine's private pool.
+constexpr unsigned kInteractivePoolWorkers = 2;
+/// Retained DictionarySweep results, evicted first in, first out.
+constexpr std::size_t kSweepCacheEntries = 32;
+
+}  // namespace
+
 /// One client connection: the line channel plus the write lock that
 /// serialises replies from executors against replies from the session's
 /// own reader (ping/stats/errors).
@@ -37,15 +46,11 @@ QueryServer::QueryServer(QueryServerOptions options)
     : options_(options),
       cache_(options.cache != nullptr
                  ? options.cache
-                 : std::make_shared<engine::PopulationCache>(
-                       options.cache_budget)) {
+                 : std::make_shared<engine::PopulationCache>()) {
     if (options_.interactive_executors < 1) options_.interactive_executors = 1;
     if (options_.bulk_executors < 1) options_.bulk_executors = 1;
-    const int pool_workers = options_.interactive_pool_workers > 0
-                                 ? options_.interactive_pool_workers
-                                 : 2;
-    interactive_pool_ = std::make_unique<util::ThreadPool>(
-        static_cast<unsigned>(pool_workers));
+    interactive_pool_ =
+        std::make_unique<util::ThreadPool>(kInteractivePoolWorkers);
     engine::EngineConfig interactive_config;
     interactive_config.pool = interactive_pool_.get();
     interactive_config.cache = cache_;
@@ -335,11 +340,10 @@ void QueryServer::run_task(const std::shared_ptr<Task>& task) {
         ++(task->klass == QueryClass::Interactive ? stats_.interactive_done
                                                   : stats_.bulk_done);
         if (result.has_value() && task->request.op == QueryOp::Sweep &&
-            options_.sweep_cache_entries > 0 &&
             sweep_cache_.count(task->key) == 0) {
             sweep_cache_.emplace(task->key, *result);
             sweep_cache_order_.push_back(task->key);
-            while (sweep_cache_order_.size() > options_.sweep_cache_entries) {
+            while (sweep_cache_order_.size() > kSweepCacheEntries) {
                 sweep_cache_.erase(sweep_cache_order_.front());
                 sweep_cache_order_.pop_front();
             }

@@ -58,16 +58,9 @@ struct QueryServerOptions {
     int interactive_executors{2};
     /// Bulk executor threads (>= 1); work-conserving.
     int bulk_executors{2};
-    /// Worker lanes of the interactive engine's private pool (0 = 2).
-    int interactive_pool_workers{0};
-    /// Retained DictionarySweep results (FIFO). 0 disables the cache.
-    std::size_t sweep_cache_entries{32};
-    /// Shared population cache; nullptr = the server builds its own
-    /// (which the two engines still share with each other).
+    /// Shared population cache; nullptr = the server builds its own with
+    /// the default budget (which the two engines still share).
     std::shared_ptr<engine::PopulationCache> cache;
-    /// Retained-fault budget when the server builds its own cache
-    /// (0 = PopulationCache default).
-    std::size_t cache_budget{0};
 };
 
 /// The server. Construction starts the executor threads; sessions are

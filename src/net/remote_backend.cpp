@@ -37,6 +37,11 @@ using steady = std::chrono::steady_clock;
 constexpr auto kDispatchTick = std::chrono::milliseconds(20);
 constexpr auto kSupervisorTick = std::chrono::milliseconds(20);
 
+/// Ranges per live peer a population splits into: more ranges give finer
+/// re-dispatch and better balance at more framing overhead. The shard
+/// count is capped by the number of 504-lane blocks.
+constexpr int kRangesPerPeer = 2;
+
 /// The peer lifecycle (see remote_backend.hpp for the diagram). Suspect
 /// peers get no new dispatches but their in-flight replies still count;
 /// Reconnecting marks an attempt in progress on the supervisor thread.
@@ -48,7 +53,6 @@ public:
                   const RemoteOptions& options)
         : options_(options), backoff_rng_(options.backoff_seed) {
         MTG_EXPECTS(!configs.empty());
-        MTG_EXPECTS(options.ranges_per_peer >= 1);
         MTG_EXPECTS(options.straggler_timeout_ms >= 1);
         MTG_EXPECTS(options.heartbeat_interval_ms >= 0);
         MTG_EXPECTS(options.suspect_after_ms >= 1);
@@ -530,9 +534,8 @@ private:
                 options_.degrade == DegradePolicy::FailFast)
                 throw std::runtime_error(
                     "RemoteBackend: no live peers to dispatch to");
-            const auto ranges = shard_ranges(
-                total,
-                std::max(1, std::max(alive, 1) * options_.ranges_per_peer));
+            const auto ranges =
+                shard_ranges(total, std::max(alive, 1) * kRangesPerPeer);
             tasks.reserve(ranges.size());
             for (const auto& [begin, end] : ranges) {
                 Task task;

@@ -70,11 +70,6 @@ enum class DegradePolicy {
 
 /// Coordinator policy knobs.
 struct RemoteOptions {
-    /// Ranges per peer the population splits into (more ranges = finer
-    /// re-dispatch granularity and better load balance, more framing
-    /// overhead). The effective shard count is peers × ranges_per_peer,
-    /// capped by the number of 504-lane blocks.
-    int ranges_per_peer{2};
     /// Age after which an in-flight range may be duplicated onto another
     /// idle peer.
     int straggler_timeout_ms{1000};

@@ -1,7 +1,5 @@
 #include "sim/lane_dispatch.hpp"
 
-#include <cstdlib>
-
 #include "sim/lane_block.hpp"
 
 namespace mtg::sim {
@@ -16,22 +14,7 @@ bool lane_width_supported(int width) {
     return width == 1 || width == 4 || width == 8;
 }
 
-int parse_lane_width(const char* value) {
-    if (value == nullptr || *value == '\0') return 0;
-    char* end = nullptr;
-    const long parsed = std::strtol(value, &end, 10);
-    if (end == value || *end != '\0') return 0;
-    // Range-check the long before narrowing it: 4294967300 is not 4.
-    if (parsed < 1 || parsed > 8) return 0;
-    return lane_width_supported(static_cast<int>(parsed))
-               ? static_cast<int>(parsed)
-               : 0;
-}
-
-int resolve_lane_width(const char* override_value, bool has_avx2,
-                       bool has_avx512f) {
-    const int forced = parse_lane_width(override_value);
-    if (forced != 0) return forced;
+int resolve_lane_width(bool has_avx2, bool has_avx512f) {
     if (has_avx512f) return 8;
     if (has_avx2) return 4;
     return 1;
@@ -54,15 +37,9 @@ bool cpu_has_avx512f() {
 }
 
 int active_lane_width() {
-    static const int width = resolve_lane_width(
-        std::getenv("MTG_LANE_WIDTH"), cpu_has_avx2(), cpu_has_avx512f());
+    static const int width =
+        resolve_lane_width(cpu_has_avx2(), cpu_has_avx512f());
     return width;
-}
-
-bool lane_width_forced() {
-    static const bool forced =
-        parse_lane_width(std::getenv("MTG_LANE_WIDTH")) != 0;
-    return forced;
 }
 
 int clamp_lane_width(int width, std::size_t population) {

@@ -6,16 +6,15 @@
 /// The width-generic kernels are instantiated for W ∈ {1, 4, 8} plane
 /// words (64/256/512 lanes per block). All instantiations are plain C++
 /// and safe to run on any host; the width choice is purely a performance
-/// decision, made once per process:
-///
-///   1. `MTG_LANE_WIDTH` ∈ {1, 4, 8} forces a width (testing override);
-///   2. otherwise CPUID picks the widest block the hardware retires as one
-///      vector op: 8 on AVX-512F, 4 on AVX2, else 1.
+/// decision. CPUID picks the default once per process, the widest block
+/// the hardware retires as one vector op: 8 on AVX-512F, 4 on AVX2, else
+/// 1. A runner or Engine session given an explicit width runs exactly
+/// that width instead.
 ///
 /// Codegen is one rule, active_lane_isa: only a large W=8 job on an
 /// AVX-512F host runs the `target("avx512f")` wrapper (word_kernels.cpp);
-/// every other pass runs the generic instantiation, so a forced W=8 on a
-/// non-AVX host runs baseline code instead of crashing.
+/// every other pass runs the generic instantiation, so an explicit W=8 on
+/// a non-AVX host runs baseline code instead of crashing.
 
 #include <cstddef>
 
@@ -24,26 +23,14 @@ namespace mtg::sim {
 /// True for the widths the kernels are instantiated for: 1, 4, 8.
 [[nodiscard]] bool lane_width_supported(int width);
 
-/// Parses an MTG_LANE_WIDTH-style override: returns 1, 4 or 8, or 0 when
-/// the value is null/empty/garbage/unsupported. Exposed for tests.
-[[nodiscard]] int parse_lane_width(const char* value);
-
 /// Pure resolution rule behind active_lane_width(), exposed for tests:
-/// a valid `override_value` wins; otherwise the widest width the reported
-/// CPU features retire as one vector op.
-[[nodiscard]] int resolve_lane_width(const char* override_value,
-                                     bool has_avx2, bool has_avx512f);
+/// the widest width the reported CPU features retire as one vector op.
+[[nodiscard]] int resolve_lane_width(bool has_avx2, bool has_avx512f);
 
 /// Width every WordBatchRunner constructed without an explicit width
-/// uses. Resolved once from MTG_LANE_WIDTH and CPUID, then cached for the
-/// process lifetime.
+/// uses, as an upper bound it clamps per population. Resolved once from
+/// CPUID, then cached for the process lifetime.
 [[nodiscard]] int active_lane_width();
-
-/// True when MTG_LANE_WIDTH forces a width. Forced widths are exact (the
-/// differential tests and the scalar CI leg must exercise the width they
-/// ask for); auto-detected widths are an upper bound the runners clamp
-/// per population.
-[[nodiscard]] bool lane_width_forced();
 
 /// Widest profitable width ≤ `width` for a population of `population`
 /// faults: a chunk only amortises its per-pass machinery over lanes that

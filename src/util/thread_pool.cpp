@@ -60,27 +60,14 @@ struct ThreadPool::Impl {
 };
 
 ThreadPool::ThreadPool(unsigned worker_count)
-    : ThreadPool(worker_count, configured_affinity_mode()) {}
-
-ThreadPool::ThreadPool(unsigned worker_count, AffinityMode mode)
     : impl_(new Impl), workers_(worker_count == 0 ? 1 : worker_count) {
-    placements_ = plan_worker_cpus(system_topology(), mode, workers_);
-    steal_order_.resize(workers_);
-    for (unsigned w = 0; w < workers_; ++w)
-        steal_order_[w] = plan_steal_order(placements_, w);
     impl_->ranges =
         std::make_unique<std::atomic<std::uint64_t>[]>(workers_);
     for (unsigned w = 0; w < workers_; ++w)
         impl_->ranges[w].store(0, std::memory_order_relaxed);
     threads_.reserve(workers_ - 1);
     for (unsigned w = 1; w < workers_; ++w)
-        threads_.emplace_back([this, w] {
-            // Pin before the first drain: ranges are handed out
-            // contiguously, so a pinned worker streams its slice from one
-            // core (and one NUMA node) for the pool's whole lifetime.
-            pin_current_thread_to_cpu(placements_[w].cpu);
-            worker_loop(w);
-        });
+        threads_.emplace_back([this, w] { worker_loop(w); });
 }
 
 ThreadPool::~ThreadPool() {
@@ -109,10 +96,10 @@ std::size_t ThreadPool::take_index(unsigned worker) {
     // Own range drained: steal half of another worker's remaining range
     // (the back half, so the victim's front-popping continues unimpeded).
     // One steal amortises the handoff over many indices — the whole point
-    // of range handout versus the PR 2 shared counter. Victims are
-    // visited same-NUMA-node-first (plan_steal_order), so work crosses
-    // nodes only when the whole home node is dry.
-    for (const unsigned victim : steal_order_[worker]) {
+    // of range handout versus a shared counter. Victims are visited in
+    // ring order from the thief.
+    for (unsigned k = 1; k < workers_; ++k) {
+        const unsigned victim = (worker + k) % workers_;
         std::uint64_t vcur = ranges[victim].load(std::memory_order_relaxed);
         for (;;) {
             const std::uint32_t begin = range_begin(vcur);

@@ -21,20 +21,13 @@
 /// MTG_THREADS environment variable when set to a positive integer,
 /// falling back to std::thread::hardware_concurrency(). MTG_THREADS=1
 /// disables threading entirely (every loop runs inline on the caller).
-///
-/// Worker placement follows MTG_AFFINITY (see affinity.hpp): background
-/// workers optionally pin themselves to planned CPUs, and each worker's
-/// steal order visits same-NUMA-node victims before crossing nodes — a
-/// stolen range stays in the node's LLC and on the node that owns its
-/// memory. Placement is invisible in results (the merges are
-/// order-independent); it only moves throughput.
+/// Workers are never pinned: they inherit the CPU mask of the thread that
+/// builds the pool.
 
 #include <cstddef>
 #include <functional>
 #include <thread>
 #include <vector>
-
-#include "util/affinity.hpp"
 
 namespace mtg::util {
 
@@ -42,11 +35,8 @@ class ThreadPool {
 public:
     /// Pool with `worker_count` total execution lanes. The calling thread
     /// of parallel_for always participates as worker 0, so only
-    /// `worker_count - 1` background threads are spawned. Workers are
-    /// placed per `mode` (default: the process-wide MTG_AFFINITY policy)
-    /// on the host topology.
+    /// `worker_count - 1` background threads are spawned.
     explicit ThreadPool(unsigned worker_count);
-    ThreadPool(unsigned worker_count, AffinityMode mode);
     ~ThreadPool();
 
     ThreadPool(const ThreadPool&) = delete;
@@ -81,10 +71,6 @@ private:
     struct Impl;
     Impl* impl_;        ///< synchronisation state shared with the workers
     unsigned workers_;  ///< total lanes, >= 1
-    /// Planned (cpu, node) per worker and the per-worker steal order
-    /// (same-node victims first), fixed at construction.
-    std::vector<WorkerPlacement> placements_;
-    std::vector<std::vector<unsigned>> steal_order_;
     std::vector<std::thread> threads_;
 
     void worker_loop(unsigned worker);

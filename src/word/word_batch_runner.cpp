@@ -12,7 +12,7 @@ WordBatchRunner::WordBatchRunner(const MarchTest& test,
                                  const WordRunOptions& opts,
                                  util::ThreadPool* pool, int lane_width)
     : width_(lane_width != 0 ? lane_width : sim::active_lane_width()),
-      adaptive_(lane_width == 0 && !sim::lane_width_forced()) {
+      adaptive_(lane_width == 0) {
     MTG_EXPECTS(opts.words > 0);
     MTG_EXPECTS(opts.width >= 1 && opts.width <= 64);
     MTG_EXPECTS(!backgrounds.empty());

@@ -23,15 +23,15 @@
 /// pass (see word_kernels.hpp).
 ///
 /// The block width W ∈ {1, 4, 8} is chosen once per process by runtime
-/// CPUID dispatch (AVX-512 → 8, AVX2 → 4, else 1; MTG_LANE_WIDTH
-/// overrides — see lane_dispatch.hpp) or per runner via the constructor,
-/// and is bit-identical across widths. Every query goes through one
-/// dispatch, population size → lane block → pass; only a W=8 pass has a
-/// second codegen to choose (sim::active_lane_isa, on chunks × ⇕
-/// expansions). The chunks are sharded across a util::ThreadPool, one
-/// work item per chunk writing its own result slot, and detects_all
-/// fail-fasts through a shared atomic flag that every chunk's walk checks
-/// at its leaves. Results are bit-identical for every worker count.
+/// CPUID dispatch (AVX-512 → 8, AVX2 → 4, else 1 — see lane_dispatch.hpp)
+/// or per runner via the constructor, and is bit-identical across widths.
+/// Every query goes through one dispatch, population size → lane block →
+/// pass; only a W=8 pass has a second codegen to choose
+/// (sim::active_lane_isa, on chunks × ⇕ expansions). The chunks are
+/// sharded across a util::ThreadPool, one work item per chunk writing its
+/// own result slot, and detects_all fail-fasts through a shared atomic
+/// flag that every chunk's walk checks at its leaves. Results are
+/// bit-identical for every worker count.
 
 #include <span>
 #include <vector>
@@ -51,8 +51,8 @@ namespace mtg::word {
 
 /// Reusable batched evaluator for one word test. Precomputes the ⇕
 /// expansion set once, then serves any number of populations.
-/// `lane_width` forces a block width (1, 4 or 8) for testing; 0 uses the
-/// process-wide active_lane_width().
+/// `lane_width` runs exactly that block width (1, 4 or 8); 0 uses the
+/// process-wide active_lane_width(), clamped per population.
 class WordBatchRunner {
 public:
     WordBatchRunner(const march::MarchTest& test,
@@ -101,8 +101,8 @@ public:
     /// Block width this runner executes with (1, 4 or 8 plane words). An
     /// auto-detected width is an upper bound: per call the runner clamps
     /// to the narrowest block the population fills (results are
-    /// bit-identical at every width); explicit ctor / MTG_LANE_WIDTH
-    /// widths are exact.
+    /// bit-identical at every width); an explicit constructor width is
+    /// exact.
     [[nodiscard]] int lane_width() const { return width_; }
 
 private:

@@ -116,7 +116,7 @@ TEST(EngineHammer, ConcurrentMixedQueriesMatchSingleThreadedReplay) {
     // the workload's expansions cross it repeatedly (the largest bit
     // list at n=12 alone is ~500 placements).
     EngineConfig config;
-    config.cache_budget = 500;
+    config.cache = std::make_shared<engine::PopulationCache>(500);
     const Engine hammered(config);
 
     constexpr int kThreads = 8;

@@ -5,7 +5,7 @@
 /// matching ISA just run generic codegen), for bit-universe queries (the
 /// width-1 word pass, reached through Engine sessions) and word-universe
 /// runners alike, for every fault kind, plus the pure dispatch rules
-/// behind MTG_LANE_WIDTH / CPUID resolution.
+/// behind CPUID width resolution and the per-population clamp.
 
 #include <gtest/gtest.h>
 
@@ -192,32 +192,11 @@ TEST(LaneWidth, WideKernelsAreDeterministicAcrossWorkerCounts) {
     }
 }
 
-TEST(LaneDispatch, ParsesLaneWidthOverride) {
-    EXPECT_EQ(sim::parse_lane_width(nullptr), 0);
-    EXPECT_EQ(sim::parse_lane_width(""), 0);
-    EXPECT_EQ(sim::parse_lane_width("1"), 1);
-    EXPECT_EQ(sim::parse_lane_width("4"), 4);
-    EXPECT_EQ(sim::parse_lane_width("8"), 8);
-    EXPECT_EQ(sim::parse_lane_width("2"), 0);   // not an instantiated width
-    EXPECT_EQ(sim::parse_lane_width("16"), 0);
-    EXPECT_EQ(sim::parse_lane_width("0"), 0);
-    EXPECT_EQ(sim::parse_lane_width("-4"), 0);
-    EXPECT_EQ(sim::parse_lane_width("4x"), 0);
-    EXPECT_EQ(sim::parse_lane_width("wide"), 0);
-    // 2^32 + {1, 4, 8}: out of range, not the width they truncate to.
-    EXPECT_EQ(sim::parse_lane_width("4294967297"), 0);
-    EXPECT_EQ(sim::parse_lane_width("4294967300"), 0);
-    EXPECT_EQ(sim::parse_lane_width("4294967304"), 0);
-}
-
-TEST(LaneDispatch, ResolvesWidthFromOverrideThenCpuid) {
-    EXPECT_EQ(sim::resolve_lane_width(nullptr, false, false), 1);
-    EXPECT_EQ(sim::resolve_lane_width(nullptr, true, false), 4);
-    EXPECT_EQ(sim::resolve_lane_width(nullptr, true, true), 8);
-    EXPECT_EQ(sim::resolve_lane_width(nullptr, false, true), 8);
-    EXPECT_EQ(sim::resolve_lane_width("1", true, true), 1);
-    EXPECT_EQ(sim::resolve_lane_width("8", false, false), 8);  // always safe
-    EXPECT_EQ(sim::resolve_lane_width("junk", true, false), 4);
+TEST(LaneDispatch, ResolvesWidthFromCpuid) {
+    EXPECT_EQ(sim::resolve_lane_width(false, false), 1);
+    EXPECT_EQ(sim::resolve_lane_width(true, false), 4);
+    EXPECT_EQ(sim::resolve_lane_width(true, true), 8);
+    EXPECT_EQ(sim::resolve_lane_width(false, true), 8);
     EXPECT_EQ(sim::active_lane_width(),
               sim::active_lane_width());  // cached and stable
     EXPECT_TRUE(sim::lane_width_supported(sim::active_lane_width()));

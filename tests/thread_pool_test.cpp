@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include <atomic>
+#include <chrono>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
-#include "util/affinity.hpp"
 #include "util/thread_pool.hpp"
 
 namespace mtg::util {
@@ -182,134 +187,37 @@ TEST(ThreadPool, GlobalPoolExistsAndWorks) {
     EXPECT_EQ(runs.load(), 32);
 }
 
-TEST(Affinity, ParsesAffinityMode) {
-    EXPECT_EQ(parse_affinity_mode(nullptr), AffinityMode::Auto);
-    EXPECT_EQ(parse_affinity_mode(""), AffinityMode::Auto);
-    EXPECT_EQ(parse_affinity_mode("auto"), AffinityMode::Auto);
-    EXPECT_EQ(parse_affinity_mode("off"), AffinityMode::Off);
-    EXPECT_EQ(parse_affinity_mode("compact"), AffinityMode::Compact);
-    EXPECT_EQ(parse_affinity_mode("spread"), AffinityMode::Spread);
-    EXPECT_EQ(parse_affinity_mode("COMPACT"), AffinityMode::Auto);
-    EXPECT_EQ(parse_affinity_mode("numa"), AffinityMode::Auto);
-}
+#if defined(__linux__)
+/// The pool never pins a thread: every body, whichever lane runs it,
+/// sees the CPU mask of the thread that built the pool. The four bodies
+/// wait for each other, so each of the four lanes runs one of them.
+TEST(ThreadPool, WorkersInheritTheCallersCpuMask) {
+    cpu_set_t caller;
+    CPU_ZERO(&caller);
+    ASSERT_EQ(sched_getaffinity(0, sizeof caller, &caller), 0);
 
-TEST(Affinity, ParsesSysfsCpuLists) {
-    using List = std::vector<int>;
-    EXPECT_EQ(parse_cpu_list("0-3"), (List{0, 1, 2, 3}));
-    EXPECT_EQ(parse_cpu_list("0-3,8,10-11"), (List{0, 1, 2, 3, 8, 10, 11}));
-    EXPECT_EQ(parse_cpu_list("5"), (List{5}));
-    EXPECT_EQ(parse_cpu_list("0-1,1-2"), (List{0, 1, 2}));  // de-duplicated
-    EXPECT_EQ(parse_cpu_list("3,1,2"), (List{1, 2, 3}));    // sorted
-    EXPECT_EQ(parse_cpu_list("0-3\n"), (List{0, 1, 2, 3}));  // sysfs newline
-    EXPECT_EQ(parse_cpu_list(""), List{});
-    EXPECT_EQ(parse_cpu_list("abc"), List{});
-    EXPECT_EQ(parse_cpu_list("3-1"), List{});  // inverted range
-    EXPECT_EQ(parse_cpu_list("-1"), List{});
-}
-
-/// A synthetic two-node topology pins compact workers into node 0 first
-/// and deals spread workers across nodes; worker 0 (the caller) is never
-/// pinned but keeps a node slot for steal grouping.
-TEST(Affinity, PlansCompactAndSpreadPlacements) {
-    CpuTopology topo;
-    topo.node_cpus = {{0, 1, 2, 3}, {4, 5, 6, 7}};
-
-    const auto compact = plan_worker_cpus(topo, AffinityMode::Compact, 4);
-    ASSERT_EQ(compact.size(), 4u);
-    EXPECT_EQ(compact[0].cpu, -1);  // caller stays unpinned
-    EXPECT_EQ(compact[0].node, 0);
-    EXPECT_EQ(compact[1].cpu, 1);
-    EXPECT_EQ(compact[2].cpu, 2);
-    EXPECT_EQ(compact[3].cpu, 3);
-    for (const auto& p : compact) EXPECT_EQ(p.node, 0);
-
-    const auto spread = plan_worker_cpus(topo, AffinityMode::Spread, 4);
-    ASSERT_EQ(spread.size(), 4u);
-    EXPECT_EQ(spread[0].cpu, -1);
-    EXPECT_EQ(spread[0].node, 0);  // would have been cpu 0 on node 0
-    EXPECT_EQ(spread[1].cpu, 4);
-    EXPECT_EQ(spread[1].node, 1);
-    EXPECT_EQ(spread[2].cpu, 1);
-    EXPECT_EQ(spread[2].node, 0);
-    EXPECT_EQ(spread[3].cpu, 5);
-    EXPECT_EQ(spread[3].node, 1);
-
-    // Off and (single-node) Auto never pin.
-    for (const auto& p : plan_worker_cpus(topo, AffinityMode::Off, 4))
-        EXPECT_EQ(p.cpu, -1);
-    CpuTopology uma;
-    uma.node_cpus = {{0, 1}};
-    for (const auto& p : plan_worker_cpus(uma, AffinityMode::Auto, 4))
-        EXPECT_EQ(p.cpu, -1);
-    // Multi-node Auto spreads.
-    const auto auto_plan = plan_worker_cpus(topo, AffinityMode::Auto, 3);
-    EXPECT_EQ(auto_plan[1].cpu, 4);
-    EXPECT_EQ(auto_plan[2].cpu, 1);
-}
-
-TEST(Affinity, MoreWorkersThanCpusWrapAround) {
-    CpuTopology topo;
-    topo.node_cpus = {{0, 1}};
-    const auto plan = plan_worker_cpus(topo, AffinityMode::Compact, 5);
-    ASSERT_EQ(plan.size(), 5u);
-    EXPECT_EQ(plan[0].cpu, -1);
-    EXPECT_EQ(plan[1].cpu, 1);
-    EXPECT_EQ(plan[2].cpu, 0);  // wrapped
-    EXPECT_EQ(plan[3].cpu, 1);
-    EXPECT_EQ(plan[4].cpu, 0);
-}
-
-TEST(Affinity, StealOrderVisitsSameNodeVictimsFirst) {
-    // Workers 0,2 on node 0 and 1,3 on node 1: each worker's steal order
-    // must list every other worker exactly once, same-node first, ring
-    // order within each group.
-    const std::vector<WorkerPlacement> placements{
-        {-1, 0}, {4, 1}, {1, 0}, {5, 1}};
-    EXPECT_EQ(plan_steal_order(placements, 0),
-              (std::vector<unsigned>{2, 1, 3}));
-    EXPECT_EQ(plan_steal_order(placements, 1),
-              (std::vector<unsigned>{3, 2, 0}));
-    EXPECT_EQ(plan_steal_order(placements, 2),
-              (std::vector<unsigned>{0, 3, 1}));
-    EXPECT_EQ(plan_steal_order(placements, 3),
-              (std::vector<unsigned>{1, 0, 2}));
-
-    // Single-node placements degenerate to the plain ring.
-    const std::vector<WorkerPlacement> flat{{-1, 0}, {1, 0}, {2, 0}};
-    EXPECT_EQ(plan_steal_order(flat, 1), (std::vector<unsigned>{2, 0}));
-    EXPECT_TRUE(plan_steal_order({{-1, 0}}, 0).empty());
-}
-
-TEST(Affinity, SystemTopologyIsSane) {
-    const CpuTopology& topo = system_topology();
-    ASSERT_GE(topo.node_count(), 1u);
-    ASSERT_GE(topo.cpu_count(), 1u);
-    for (const auto& cpus : topo.node_cpus) EXPECT_FALSE(cpus.empty());
-}
-
-/// Every affinity mode must produce the same parallel_for semantics —
-/// exactly-once execution and in-range worker ids — since placement can
-/// only move threads, never change the work they do. (The runner-level
-/// bit-identical differential is sparse_trace_test / word_trace_test's
-/// job; this is the pool-level contract under explicit modes.)
-TEST(Affinity, PoolSemanticsIdenticalUnderEveryMode) {
-    for (AffinityMode mode : {AffinityMode::Off, AffinityMode::Compact,
-                              AffinityMode::Spread}) {
-        ThreadPool pool(3, mode);
-        constexpr std::size_t kCount = 512;
-        std::vector<std::atomic<int>> hits(kCount);
-        std::atomic<int> bad_worker{0};
-        pool.parallel_for(kCount, [&](std::size_t i, unsigned worker) {
-            if (worker >= pool.worker_count())
-                bad_worker.fetch_add(1, std::memory_order_relaxed);
-            hits[i].fetch_add(1, std::memory_order_relaxed);
-        });
-        for (std::size_t i = 0; i < kCount; ++i)
-            ASSERT_EQ(hits[i].load(), 1)
-                << "mode " << static_cast<int>(mode) << " index " << i;
-        EXPECT_EQ(bad_worker.load(), 0);
+    ThreadPool pool(4);
+    constexpr std::size_t kCount = 4;
+    std::vector<cpu_set_t> masks(kCount);
+    std::vector<int> status(kCount, -1);
+    std::atomic<std::size_t> arrived{0};
+    pool.parallel_for(kCount, [&](std::size_t i, unsigned) {
+        CPU_ZERO(&masks[i]);
+        status[i] = sched_getaffinity(0, sizeof masks[i], &masks[i]);
+        arrived.fetch_add(1);
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(30);
+        while (arrived.load() < kCount &&
+               std::chrono::steady_clock::now() < deadline)
+            std::this_thread::yield();
+    });
+    ASSERT_EQ(arrived.load(), kCount);
+    for (std::size_t i = 0; i < kCount; ++i) {
+        ASSERT_EQ(status[i], 0) << "index " << i;
+        EXPECT_TRUE(CPU_EQUAL(&masks[i], &caller)) << "index " << i;
     }
 }
+#endif
 
 }  // namespace
 }  // namespace mtg::util
