@@ -1,7 +1,8 @@
 /// \file bench_sim.cpp
 /// Substrate ablation: throughput of the fault simulator (the §6 validation
-/// engine) versus memory size and March-test complexity, plus the cost of a
-/// full covers_everywhere sweep as used by the generator's validation gate.
+/// engine) versus memory size and March-test complexity, plus the cost of
+/// covers_everywhere as the generator's validation gate asks it (one
+/// placement per class).
 
 #include <benchmark/benchmark.h>
 
@@ -26,11 +27,21 @@ using namespace mtg;
 using benchutil::seconds_per_sweep;
 
 /// Every ordered (aggressor, victim) placement of CFid<↑;0> on an n-cell
-/// memory — the full population covers_everywhere sweeps — taken from a
-/// session's population cache.
+/// memory: the throughput workload. (A kind query itself simulates one
+/// placement per class, two for this kind.)
 std::vector<sim::InjectedFault> cfid_population(int cells) {
-    return engine::Engine().bit_population({fault::FaultKind::CfidUp0}, cells)
-        ->faults;
+    return sim::full_population(fault::FaultKind::CfidUp0, cells);
+}
+
+/// Every placement of every kind of a fault family on an n-cell memory.
+std::vector<sim::InjectedFault> family_population(const char* family,
+                                                  int cells) {
+    std::vector<sim::InjectedFault> population;
+    for (const fault::FaultKind kind : fault::parse_fault_kinds(family)) {
+        const auto placed = sim::full_population(kind, cells);
+        population.insert(population.end(), placed.begin(), placed.end());
+    }
+    return population;
 }
 
 void print_summary() {
@@ -54,15 +65,15 @@ void print_summary() {
 }
 
 /// Head-to-head: the per-fault scalar sweep versus one batched pass over
-/// the full two-cell fault population of an 8-cell memory (the exact
-/// workload covers_everywhere runs inside the generator's validation
-/// gate), a lane-width ablation on the n=256 population (65k faults, deep
-/// enough that every W=8 block is full — one plane word per block is the
-/// W=1 row), plus a threads=1 versus threads=N shard comparison on the
-/// n=64 population where the chunk grid is deep enough to feed every
-/// core. Every batched leg is an Engine bit session's Detects on the
-/// packed backend, pinned to a pool and a lane width. Emits a
-/// machine-readable BENCH_sim.json summary line (median-of-5 timings).
+/// every placement of a two-cell kind on an 8-cell memory (56 faults; a
+/// kind query itself simulates its 2 classes), a lane-width ablation on
+/// the n=256 population (65k faults, deep enough that every W=8 block is
+/// full — one plane word per block is the W=1 row), plus a threads=1
+/// versus threads=N shard comparison on the n=64 population where the
+/// chunk grid is deep enough to feed every core. Every batched leg is an
+/// Engine bit session's Detects on the packed backend, pinned to a pool
+/// and a lane width. Emits a machine-readable BENCH_sim.json summary line
+/// (median-of-5 timings).
 void print_scalar_vs_batched() {
     const auto& test = march::march_c_minus();
     const sim::RunOptions opts{.memory_size = 8, .max_any_expansion = 6};
@@ -197,14 +208,8 @@ void print_static_coupling() {
     const sim::RunOptions opts{.memory_size = 64, .max_any_expansion = 6};
     util::ThreadPool serial(1);
     const engine::Engine session(engine::EngineConfig{.pool = &serial});
-    const auto cfst =
-        session.bit_population(fault::parse_fault_kinds("CFst"),
-                               opts.memory_size)
-            ->faults;
-    const auto cfid =
-        session.bit_population(fault::parse_fault_kinds("CFid"),
-                               opts.memory_size)
-            ->faults;
+    const auto cfst = family_population("CFst", opts.memory_size);
+    const auto cfid = family_population("CFid", opts.memory_size);
     const double cfst_fps =
         static_cast<double>(cfst.size()) /
         seconds_per_sweep([&] { return session.detects(test, cfst, opts); });

@@ -30,8 +30,8 @@
 ///       format) and print the replies in completion order
 ///   march_tool synth <fault-list> [--beam B] [--lookahead K] [--seed S]
 ///       synthesise a March test from scratch by beam search over the
-///       slot IR (src/synth/), probing the dominance-pruned universe and
-///       accepting only on the full-universe DetectsAll gate; prints the
+///       slot IR (src/synth/), probing one placement per class and
+///       accepting the first candidate that covers them all; prints the
 ///       test, its complexity, and the probe/cache counters
 ///
 /// March tests are written in the conventional notation, e.g.
@@ -368,7 +368,7 @@ int cmd_synth(const std::string& list, std::vector<std::string> flags) {
 
     if (!result.found()) {
         std::printf("no covering test within %d element(s) "
-                    "(best pruned coverage %zu/%zu)\n",
+                    "(best class coverage %zu/%zu)\n",
                     search.max_slots, result.best_covered, result.best_total);
         return 1;
     }

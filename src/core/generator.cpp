@@ -53,34 +53,17 @@ int tp_signature(const TestPattern& tp) {
 }
 
 /// Simulator check: the March test covers every placement of the target
-/// list — fail-fast all-kind Engine queries instead of a
-/// covers_everywhere call (and runner setup) per kind. The placed
-/// population only depends on (kinds, memory_size), so the Engine's
-/// population cache hands every candidate probe the same expansion.
-///
-/// Screen, then confirm: the candidate first runs against the cached
-/// dominance-pruned population. That population is a filtered subset of
-/// the full one and lanes are independent, so an escape there is an
-/// escape of the full population and the rejection is exact. Only a
-/// candidate that passes the screen pays for the full population, which
-/// alone decides acceptance. A pruned population keeps one fault per
-/// placement class, a few dozen at most: one chunk, so one pool work item
-/// that runs inline on the calling thread.
+/// list — one fail-fast all-kind DetectsAll query. The Engine answers it
+/// on the cached class population of (kinds, memory_size), which decides
+/// every placement (sim::class_population states the lemma): a few dozen
+/// faults at most, so one chunk, one pool work item that runs inline on
+/// the calling thread.
 bool march_valid(const MarchTest& test,
                  const std::vector<FaultKind>& kinds,
                  const sim::RunOptions& run) {
     if (test.empty()) return false;
     if (!sim::is_well_formed(test, run)) return false;
-    engine::Query query;
-    query.test = test;
-    query.universe = engine::BitUniverse{run};
-    query.want = engine::Want::DetectsAll;
-    query.kinds = kinds;
-    query.prune = true;
-    const engine::Engine& engine = engine::Engine::global();
-    if (!engine.run(query).all) return false;
-    query.prune = false;
-    return engine.run(query).all;
+    return engine::Engine::global().covers_all(test, kinds, run);
 }
 
 /// Greedy deletion pass: removes single operations, then whole elements,

@@ -1,8 +1,8 @@
 #include "engine/engine.hpp"
 
 #include <algorithm>
+#include <set>
 
-#include "engine/dominance.hpp"
 #include "util/contracts.hpp"
 #include "word/word_batch_runner.hpp"
 
@@ -33,17 +33,6 @@ std::shared_ptr<PopulationCache> make_cache(const EngineConfig& config) {
 bool all_of(const std::vector<bool>& flags) {
     return std::all_of(flags.begin(), flags.end(),
                        [](bool b) { return b; });
-}
-
-template <typename Entry>
-fault::FaultKind entry_kind_of(const Entry& entry, std::size_t index) {
-    MTG_EXPECTS(!entry.kinds.empty() && index < entry.faults.size());
-    // offsets is kinds.size()+1 ascending fence posts; the owning kind is
-    // the last one whose offset is <= index.
-    const auto it = std::upper_bound(entry.offsets.begin() + 1,
-                                     entry.offsets.end(), index);
-    return entry.kinds[static_cast<std::size_t>(
-        it - (entry.offsets.begin() + 1))];
 }
 
 /// The verdict dispatch shared by both universes — one implementation so
@@ -89,14 +78,6 @@ std::vector<fault::FaultKind> canonical_kinds(
     return canonical;
 }
 
-fault::FaultKind BitPopulationEntry::kind_of(std::size_t index) const {
-    return entry_kind_of(*this, index);
-}
-
-fault::FaultKind WordPopulationEntry::kind_of(std::size_t index) const {
-    return entry_kind_of(*this, index);
-}
-
 PopulationCache::PopulationCache(std::size_t fault_budget)
     : budget_(fault_budget == 0 ? kDefaultFaultBudget : fault_budget) {}
 
@@ -104,14 +85,13 @@ template <typename Entry, typename Shape, typename Place>
 std::shared_ptr<const Entry> PopulationCache::fetch(
     Entries<Entry, Shape>& entries, std::size_t& retained,
     const std::vector<fault::FaultKind>& kinds, const Shape& shape,
-    bool pruned, const Place& place) {
+    const Place& place) {
     // The key AND the build order are the canonical kind list: a permuted
     // or duplicated caller list lands on the same entry with identical
     // contents, instead of breeding redundant copies that trip budget
-    // evictions. Pruned expansions get their own key so full and reduced
-    // populations stay warm side by side.
+    // evictions.
     std::vector<fault::FaultKind> canonical = canonical_kinds(kinds);
-    const Key<Shape> key{kind_key(canonical), shape, pruned};
+    const Key<Shape> key{kind_key(canonical), shape};
     {
         const std::lock_guard<std::mutex> lock(mutex_);
         const auto it = entries.find(key);
@@ -127,27 +107,11 @@ std::shared_ptr<const Entry> PopulationCache::fetch(
     entry->kinds = std::move(canonical);
     entry->offsets.reserve(entry->kinds.size() + 1);
     entry->offsets.push_back(0);
-    if (pruned) {
-        // Derive from the full entry (hitting or warming its key) and
-        // filter segment-wise, so the pruned layout can never disagree
-        // with the full one it claims to summarise.
-        const std::shared_ptr<const Entry> full =
-            fetch(entries, retained, entry->kinds, shape, false, place);
-        const std::vector<char> keep =
-            dominance_keep_mask(std::span(full->faults));
-        for (std::size_t k = 0; k + 1 < full->offsets.size(); ++k) {
-            for (std::size_t i = full->offsets[k]; i < full->offsets[k + 1];
-                 ++i)
-                if (keep[i] != 0) entry->faults.push_back(full->faults[i]);
-            entry->offsets.push_back(entry->faults.size());
-        }
-    } else {
-        for (fault::FaultKind kind : entry->kinds) {
-            const auto placed = place(kind);
-            entry->faults.insert(entry->faults.end(), placed.begin(),
-                                 placed.end());
-            entry->offsets.push_back(entry->faults.size());
-        }
+    for (fault::FaultKind kind : entry->kinds) {
+        const auto placed = place(kind);
+        entry->faults.insert(entry->faults.end(), placed.begin(),
+                             placed.end());
+        entry->offsets.push_back(entry->faults.size());
     }
     std::shared_ptr<const Entry> built = std::move(entry);
     // A population beyond the whole budget is served uncached — the old
@@ -171,19 +135,18 @@ std::shared_ptr<const Entry> PopulationCache::fetch(
 }
 
 std::shared_ptr<const BitPopulationEntry> PopulationCache::bit(
-    const std::vector<fault::FaultKind>& kinds, int memory_size,
-    bool pruned) {
-    return fetch(bit_, bit_faults_, kinds, memory_size, pruned,
+    const std::vector<fault::FaultKind>& kinds, int memory_size) {
+    return fetch(bit_, bit_faults_, kinds, memory_size,
                  [memory_size](fault::FaultKind kind) {
-                     return sim::full_population(kind, memory_size);
+                     return sim::class_population(kind, memory_size);
                  });
 }
 
 std::shared_ptr<const WordPopulationEntry> PopulationCache::word(
     const std::vector<fault::FaultKind>& kinds,
-    const word::WordRunOptions& opts, bool pruned) {
+    const word::WordRunOptions& opts) {
     return fetch(word_, word_faults_, kinds,
-                 std::pair{opts.words, opts.width}, pruned,
+                 std::pair{opts.words, opts.width},
                  [&opts](fault::FaultKind kind) {
                      return word::coverage_population(kind, opts);
                  });
@@ -216,15 +179,14 @@ Engine& Engine::global() {
 }
 
 std::shared_ptr<const BitPopulationEntry> Engine::bit_population(
-    const std::vector<fault::FaultKind>& kinds, int memory_size,
-    bool pruned) const {
-    return cache_->bit(kinds, memory_size, pruned);
+    const std::vector<fault::FaultKind>& kinds, int memory_size) const {
+    return cache_->bit(kinds, memory_size);
 }
 
 std::shared_ptr<const WordPopulationEntry> Engine::word_population(
     const std::vector<fault::FaultKind>& kinds,
-    const word::WordRunOptions& opts, bool pruned) const {
-    return cache_->word(kinds, opts, pruned);
+    const word::WordRunOptions& opts) const {
+    return cache_->word(kinds, opts);
 }
 
 void Engine::count(Want want) const {
@@ -285,8 +247,7 @@ Result Engine::run_bit(const Query& query,
         population = placed;
     } else if (!query.kinds.empty()) {
         MTG_EXPECTS(query.bit_faults.empty());
-        cached = bit_population(query.kinds, universe.opts.memory_size,
-                                query.prune);
+        cached = bit_population(query.kinds, universe.opts.memory_size);
         population = cached->faults;
     }
 
@@ -316,7 +277,7 @@ Result Engine::run_word(const Query& query,
         population = placed;
     } else if (!query.kinds.empty()) {
         MTG_EXPECTS(query.word_faults.empty());
-        cached = word_population(query.kinds, universe.opts, query.prune);
+        cached = word_population(query.kinds, universe.opts);
         population = cached->faults;
     }
 
@@ -365,23 +326,11 @@ std::optional<fault::FaultKind> Engine::first_uncovered(
     // "first kind in your list" semantics under canonical storage.
     const auto entry = bit_population(kinds, opts.memory_size);
     MTG_EXPECTS(entry->faults.size() == result.detected.size());
-    std::vector<bool> kind_missed(entry->kinds.size(), false);
-    std::size_t kind_index = 0;
-    for (std::size_t i = 0; i < result.detected.size(); ++i) {
-        if (result.detected[i]) continue;
-        while (i >= entry->offsets[kind_index + 1]) ++kind_index;
-        kind_missed[kind_index] = true;
-    }
-    for (fault::FaultKind kind : kinds) {
-        const auto it = std::lower_bound(
-            entry->kinds.begin(), entry->kinds.end(), kind,
-            [](fault::FaultKind a, fault::FaultKind b) {
-                return static_cast<int>(a) < static_cast<int>(b);
-            });
-        if (it != entry->kinds.end() && *it == kind &&
-            kind_missed[static_cast<std::size_t>(it - entry->kinds.begin())])
-            return kind;
-    }
+    std::set<fault::FaultKind> missed;
+    for (std::size_t i = 0; i < result.detected.size(); ++i)
+        if (!result.detected[i]) missed.insert(entry->kind_of(i));
+    for (fault::FaultKind kind : kinds)
+        if (missed.count(kind) != 0) return kind;
     return kinds.back();  // unreachable: every miss has an owner
 }
 

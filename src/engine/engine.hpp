@@ -45,6 +45,7 @@
 /// concurrent hammer battery (tests/engine_hammer_test.cpp) to keep it
 /// honest.
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <map>
@@ -52,17 +53,17 @@
 #include <mutex>
 #include <optional>
 #include <span>
-#include <tuple>
 #include <utility>
 #include <variant>
 #include <vector>
 
 #include "engine/backend.hpp"
 #include "fault/instance.hpp"
+#include "util/contracts.hpp"
 
 namespace mtg::engine {
 
-/// Bit universe: full placements on an n-cell bit-oriented memory.
+/// Bit universe: placements on an n-cell bit-oriented memory.
 struct BitUniverse {
     sim::RunOptions opts{};
 };
@@ -86,13 +87,17 @@ enum class Want {
 };
 
 /// One simulation question. The population is exactly one of:
-///   - `kinds`: the Engine expands (and caches) the universe's full
-///     placement set — full_population for bit, coverage_population for
-///     word; for DictionarySweep, the canonical place_instance placements
-///     of fault::instantiate(kinds). Kind-expanded populations are laid
-///     out in *canonical* kind order (sorted, deduplicated — see
+///   - `kinds`: the Engine expands (and caches) the universe's kind
+///     population — sim::class_population for bit, one placement per
+///     class, whose verdicts decide every placement (the lemma is stated
+///     there); word::coverage_population for word, a sample of
+///     placements. For DictionarySweep, the canonical place_instance
+///     placements of fault::instantiate(kinds). Kind-expanded populations
+///     are laid out in *canonical* kind order (sorted, deduplicated — see
 ///     canonical_kinds), so permuted or duplicated kind lists share one
-///     cache entry and yield identically-ordered verdicts;
+///     cache entry and yield identically-ordered verdicts. A bit kind
+///     query's `detected` and `traces` therefore index class
+///     representatives;
 ///   - `bit_faults` (bit universe) / `word_faults` (word universe):
 ///     explicit placements, evaluated as-is.
 struct Query {
@@ -102,13 +107,8 @@ struct Query {
     std::vector<fault::FaultKind> kinds;
     std::vector<sim::InjectedFault> bit_faults;
     std::vector<word::InjectedBitFault> word_faults;
-    /// Kind-expanded populations only: sweep the dominance-pruned
-    /// expansion (engine::dominance_prune) instead of the full one. A
-    /// search accelerator — a fault dominated by another in the universe
-    /// adds no fitness signal — NOT a coverage proof: acceptance gates
-    /// must re-run with prune=false. Pruned entries live in the
-    /// population cache under their own keys, so both stay warm. Ignored
-    /// for explicit faults and DictionarySweep.
+    /// Ignored: nothing reads it. Kept only because the end-to-end
+    /// benchmark driver (perfbench/src/driver.cpp) still sets it.
     bool prune{false};
 };
 
@@ -138,26 +138,24 @@ struct Result {
 /// A cached kind expansion: the concatenated population of `kinds` (in
 /// canonical order) plus the per-kind layout of the concatenation, so a
 /// verdict index maps back to its owning kind without re-expanding any
-/// population (the old first_uncovered cold path rebuilt
-/// sim::full_population per kind just for this mapping).
-struct BitPopulationEntry {
-    std::vector<fault::FaultKind> kinds;     ///< canonical = build order
-    std::vector<sim::InjectedFault> faults;  ///< concatenated per kind
+/// population.
+template <typename Fault>
+struct PopulationEntry {
+    std::vector<fault::FaultKind> kinds;  ///< canonical = build order
+    std::vector<Fault> faults;            ///< concatenated per kind
     /// kinds.size() + 1 fence posts: kind k owns [offsets[k], offsets[k+1]).
     std::vector<std::size_t> offsets;
 
-    /// Owning kind of faults[index].
-    [[nodiscard]] fault::FaultKind kind_of(std::size_t index) const;
+    /// Owning kind of faults[index]: the last kind whose offset is <= index.
+    [[nodiscard]] fault::FaultKind kind_of(std::size_t index) const {
+        MTG_EXPECTS(!kinds.empty() && index < faults.size());
+        const auto it =
+            std::upper_bound(offsets.begin() + 1, offsets.end(), index);
+        return kinds[static_cast<std::size_t>(it - (offsets.begin() + 1))];
+    }
 };
-
-/// Word-universe counterpart (coverage_population per kind).
-struct WordPopulationEntry {
-    std::vector<fault::FaultKind> kinds;
-    std::vector<word::InjectedBitFault> faults;
-    std::vector<std::size_t> offsets;
-
-    [[nodiscard]] fault::FaultKind kind_of(std::size_t index) const;
-};
+using BitPopulationEntry = PopulationEntry<sim::InjectedFault>;
+using WordPopulationEntry = PopulationEntry<word::InjectedBitFault>;
 
 /// Thread-safe, bounded cache of kind-expanded populations, keyed by the
 /// *canonical* kind list — permuted or duplicated kind lists resolve to
@@ -181,18 +179,15 @@ public:
     /// budget to force evictions mid-run.
     explicit PopulationCache(std::size_t fault_budget = 0);
 
-    /// `pruned` selects the dominance-reduced expansion (see
-    /// engine/dominance.hpp); pruned and full entries are cached under
-    /// distinct keys, and a pruned miss derives its contents from the
-    /// full entry (warming it as a side effect) so the two can never
-    /// disagree on layout.
+    /// sim::class_population of each kind on an n-cell memory: at most
+    /// three faults per kind, whatever n is.
     [[nodiscard]] std::shared_ptr<const BitPopulationEntry> bit(
-        const std::vector<fault::FaultKind>& kinds, int memory_size,
-        bool pruned = false);
+        const std::vector<fault::FaultKind>& kinds, int memory_size);
 
+    /// word::coverage_population of each kind on a words × width memory.
     [[nodiscard]] std::shared_ptr<const WordPopulationEntry> word(
         const std::vector<fault::FaultKind>& kinds,
-        const word::WordRunOptions& opts, bool pruned = false);
+        const word::WordRunOptions& opts);
 
     struct Stats {
         std::size_t hits{0};
@@ -207,10 +202,10 @@ public:
     [[nodiscard]] std::size_t fault_budget() const { return budget_; }
 
 private:
-    /// (canonical kind list, universe shape, pruned). The shape is the
-    /// memory size for bit entries and (words, width) for word entries.
+    /// (canonical kind list, universe shape). The shape is the memory
+    /// size for bit entries and (words, width) for word entries.
     template <typename Shape>
-    using Key = std::tuple<std::vector<int>, Shape, bool>;
+    using Key = std::pair<std::vector<int>, Shape>;
     template <typename Entry, typename Shape>
     using Entries = std::map<Key<Shape>, std::shared_ptr<const Entry>>;
 
@@ -221,7 +216,7 @@ private:
     [[nodiscard]] std::shared_ptr<const Entry> fetch(
         Entries<Entry, Shape>& entries, std::size_t& retained,
         const std::vector<fault::FaultKind>& kinds, const Shape& shape,
-        bool pruned, const Place& place);
+        const Place& place);
 
     std::size_t budget_;
     mutable std::mutex mutex_;
@@ -284,7 +279,8 @@ public:
 
     // ---- typed conveniences over run() ---------------------------------
 
-    /// Detection of every full placement of `kind` (paper-§6 coverage).
+    /// Detection of every placement of `kind` (paper-§6 coverage), decided
+    /// on its class population.
     [[nodiscard]] bool covers_everywhere(const march::MarchTest& test,
                                          fault::FaultKind kind,
                                          const sim::RunOptions& opts = {}) const;
@@ -314,7 +310,9 @@ public:
         std::span<const sim::InjectedFault> population,
         const sim::RunOptions& opts = {}) const;
 
-    /// Word-universe coverage of `kind` over its cached placement set.
+    /// Word-universe coverage of `kind` over word::coverage_population, a
+    /// sample of placements: under counting backgrounds it can answer
+    /// true while an unsampled placement escapes (see that function).
     [[nodiscard]] bool covers_everywhere(
         const march::MarchTest& test,
         const std::vector<word::Background>& backgrounds,
@@ -346,19 +344,17 @@ public:
 
     // ---- cached populations --------------------------------------------
 
-    /// Cached full-population entry of `kinds` on an n-cell memory (see
+    /// Cached class-population entry of `kinds` on an n-cell memory (see
     /// PopulationCache::bit). The entry's faults are concatenated in
-    /// canonical kind order with per-kind offsets alongside. `pruned`
-    /// selects the dominance-reduced expansion (distinct cache key).
+    /// canonical kind order with per-kind offsets alongside.
     [[nodiscard]] std::shared_ptr<const BitPopulationEntry> bit_population(
-        const std::vector<fault::FaultKind>& kinds, int memory_size,
-        bool pruned = false) const;
+        const std::vector<fault::FaultKind>& kinds, int memory_size) const;
 
     /// Cached coverage-population entry of `kinds` on a words × width
-    /// memory, keyed by (canonical kinds, words, width, pruned).
+    /// memory, keyed by (canonical kinds, words, width).
     [[nodiscard]] std::shared_ptr<const WordPopulationEntry> word_population(
         const std::vector<fault::FaultKind>& kinds,
-        const word::WordRunOptions& opts, bool pruned = false) const;
+        const word::WordRunOptions& opts) const;
 
     [[nodiscard]] const EngineConfig& config() const { return config_; }
     [[nodiscard]] const Backend& backend() const { return *backend_; }

@@ -171,6 +171,29 @@ std::vector<InjectedFault> full_population(fault::FaultKind kind,
     return population;
 }
 
+std::vector<InjectedFault> class_population(fault::FaultKind kind,
+                                            int memory_size) {
+    std::vector<InjectedFault> population;
+    if (memory_size < 2) {
+        // No ordered pair exists; a single-cell kind keeps its one cell.
+        if (memory_size == 1 && !fault::is_two_cell(kind))
+            population.push_back(InjectedFault::single(kind, 0));
+        return population;
+    }
+    if (fault::needs_wait(kind)) {
+        // First cell, the interior dictionary slot, last cell (two cells
+        // at n = 2, where the slot is cell 0).
+        for (const int cell : {0, fault::canonical_slots(memory_size).lo,
+                               memory_size - 1})
+            if (population.empty() || population.back().cell_a != cell)
+                population.push_back(InjectedFault::single(kind, cell));
+        return population;
+    }
+    for (const fault::FaultInstance& instance : fault::instantiate({kind}))
+        population.push_back(place_instance(instance, memory_size));
+    return population;
+}
+
 InjectedFault place_instance(const fault::FaultInstance& instance,
                              int memory_size) {
     const auto [lo, hi] = fault::canonical_slots(memory_size);

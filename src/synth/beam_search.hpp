@@ -28,13 +28,14 @@
 /// battery (tests/synth_test.cpp) holds this contract across backends
 /// and thread counts.
 ///
-/// Acceptance: a candidate whose *pruned* probe is full is re-validated
-/// with Scorer::accepts_full (full universe, prune=false); only then is
-/// it accepted. The LookaheadRefiner then applies drop-op /
-/// flip-polarity / merge-element rewrites, keeping a rewrite only when
-/// the rewritten test still passes the full-universe gate and improves
-/// (shorter, or equal length with lexicographically smaller canonical
-/// text — a well-founded descent, so refinement terminates).
+/// Acceptance: the first candidate in ranked order whose probe is full
+/// is accepted — a probe asks one placement per class, which decides
+/// every placement (sim::class_population). The LookaheadRefiner then
+/// applies drop-op / flip-polarity / merge-element rewrites, keeping a
+/// rewrite only when the rewritten test still passes
+/// Scorer::accepts_full and improves (shorter, or equal length with
+/// lexicographically smaller canonical text — a well-founded descent, so
+/// refinement terminates).
 
 #include <cstdint>
 #include <optional>
@@ -63,7 +64,7 @@ struct SearchResult {
     march::MarchTest test;             ///< rendering of *skeleton* (refined)
     int rounds{0};                     ///< growth rounds executed
     Scorer::Stats probe_stats;         ///< scorer counters at completion
-    /// Best pruned-universe coverage seen, for diagnostics on failure.
+    /// Best class coverage seen, for diagnostics on failure.
     std::size_t best_covered{0};
     std::size_t best_total{0};
 
@@ -79,9 +80,9 @@ class BeamSearch {
 public:
     BeamSearch(Scorer& scorer, SearchConfig config);
 
-    /// Runs rounds until a candidate passes the full-universe acceptance
-    /// gate or `max_slots` rounds elapse. The accepted candidate is
-    /// refined before being returned.
+    /// Runs rounds until a candidate's probe is full or `max_slots`
+    /// rounds elapse. The accepted candidate is refined before being
+    /// returned.
     [[nodiscard]] SearchResult run();
 
     [[nodiscard]] const SearchConfig& config() const { return config_; }
@@ -112,7 +113,7 @@ private:
 
 /// Post-acceptance simplifier: greedy first-improvement descent over
 /// drop-op, merge-element and flip-polarity rewrites, each kept only if
-/// the rewritten skeleton still passes the full-universe gate.
+/// the rewritten skeleton still passes Scorer::accepts_full.
 class LookaheadRefiner {
 public:
     explicit LookaheadRefiner(Scorer& scorer) : scorer_(scorer) {}

@@ -37,13 +37,12 @@ Score Scorer::probe(const Skeleton& candidate) {
     query.universe = engine::BitUniverse{config_.opts};
     query.want = engine::Want::Detects;
     query.kinds = kinds_;
-    query.prune = config_.prune;
     const engine::Result result = engine_.run(query);
 
     // Per-kind attribution through the cached population's fence posts —
     // the verdict vector is laid out in exactly this order.
-    const auto entry = engine_.bit_population(kinds_, config_.opts.memory_size,
-                                              config_.prune);
+    const auto entry =
+        engine_.bit_population(kinds_, config_.opts.memory_size);
     MTG_ASSERT(result.detected.size() == entry->faults.size());
     MTG_ASSERT(entry->offsets.size() == kinds_.size() + 1);
 
@@ -75,13 +74,7 @@ bool Scorer::accepts_full(const Skeleton& candidate) const {
 
 bool Scorer::accepts_full(const march::MarchTest& test) const {
     ++stats_.full_checks;
-    engine::Query query;
-    query.test = test;
-    query.universe = engine::BitUniverse{config_.opts};
-    query.want = engine::Want::DetectsAll;
-    query.kinds = kinds_;
-    query.prune = false;  // acceptance is always proved on the full universe
-    return engine_.run(query).all;
+    return engine_.covers_all(test, kinds_, config_.opts);
 }
 
 }  // namespace mtg::synth

@@ -5,18 +5,16 @@
 /// through an engine::Engine session.
 ///
 /// A probe renders the candidate skeleton and issues one Want::Detects
-/// query over the kind-expanded bit universe; the per-fault verdicts are
-/// folded through the cached population's per-kind offsets into a
-/// per-kind covered count — the fitness signal the beam search ranks on
-/// — without ever re-expanding a population. Probes default to the
-/// dominance-pruned expansion (engine/dominance.hpp): dominated faults
-/// add no signal, so the pruned sweep is the same ranking for a fraction
-/// of the per-probe work.
+/// query over the kind-expanded bit universe, one placement per class
+/// (sim::class_population); the per-class verdicts are folded through the
+/// cached population's per-kind offsets into a per-kind covered count —
+/// the fitness signal the beam search ranks on — without ever
+/// re-expanding a population. By the placement-class lemma a full probe
+/// is a proof of coverage over every placement.
 ///
-/// Acceptance is a *different* question from fitness: accepts_full()
-/// issues Want::DetectsAll with prune=false over the full universe, so a
-/// test is only ever declared covering on the unreduced population. This
-/// is the safety net that makes dominance pruning a pure accelerator.
+/// accepts_full() asks the same population with one fail-fast
+/// Want::DetectsAll and no probe cache: the refiner's gate, where a
+/// rewrite needs a yes/no answer rather than a per-kind score.
 ///
 /// Identical-rendering candidates are deduplicated by a bounded FIFO
 /// probe cache keyed on the canonical rendered text — the same key the
@@ -36,8 +34,8 @@ namespace mtg::synth {
 
 /// Coverage verdict of one probe.
 struct Score {
-    std::size_t covered{0};  ///< detected faults in the probed population
-    std::size_t total{0};    ///< probed population size
+    std::size_t covered{0};  ///< detected classes in the probed population
+    std::size_t total{0};    ///< probed population size (classes)
     /// Covered / total per kind, aligned with ScorerConfig::kinds in
     /// canonical order (engine::canonical_kinds).
     std::vector<std::size_t> kind_covered;
@@ -51,7 +49,6 @@ struct Score {
 struct ScorerConfig {
     std::vector<fault::FaultKind> kinds;  ///< target universe (any order)
     sim::RunOptions opts{};
-    bool prune{true};   ///< probe the dominance-pruned expansion
     std::size_t probe_cache_capacity{4096};  ///< 0 disables the cache
 };
 
@@ -66,13 +63,13 @@ public:
         return kinds_;
     }
 
-    /// Fitness probe (pruned universe by default). Cached by canonical
+    /// Fitness probe over the class population. Cached by canonical
     /// rendered text.
     [[nodiscard]] Score probe(const Skeleton& candidate);
 
-    /// Acceptance gate: Want::DetectsAll over the FULL universe,
-    /// prune=false, regardless of config. Never cached through the probe
-    /// cache (the Engine's population cache still serves the expansion).
+    /// Coverage gate: Want::DetectsAll over the same class population.
+    /// Never cached through the probe cache (the Engine's population
+    /// cache still serves the expansion).
     [[nodiscard]] bool accepts_full(const Skeleton& candidate) const;
     [[nodiscard]] bool accepts_full(const march::MarchTest& test) const;
 

@@ -130,11 +130,17 @@ private:
     }
 };
 
-/// The exact placement set a word-universe coverage query
-/// (engine::Engine::covers_everywhere) sweeps for `kind`:
+/// The placements a word-universe kind query (engine::Engine::
+/// covers_everywhere and the other word kind queries) sweeps for `kind`:
 /// every (word, bit) for single-bit kinds; for two-cell kinds every
 /// ordered intra-word bit pair of the representative word, every ordered
 /// inter-word pair on the representative bit, plus one cross-bit pair.
+/// For two-cell kinds this samples the placements; it is not all of them.
+/// Under counting backgrounds the bit positions do not behave alike, so
+/// a query over the sample can report covered while an unsampled
+/// placement escapes: March X × CFid<^,0> on 8 words × 8 bits is
+/// reported covered, yet the placement (word 0, bit 0) → (word 1, bit 0)
+/// escapes.
 [[nodiscard]] std::vector<InjectedBitFault> coverage_population(
     fault::FaultKind kind, const WordRunOptions& opts);
 

@@ -113,10 +113,10 @@ TEST(EngineHammer, ConcurrentMixedQueriesMatchSingleThreadedReplay) {
         expected.push_back(reference.run(query));
 
     // The hammered session: one Engine, cache budget small enough that
-    // the workload's expansions cross it repeatedly (the largest bit
-    // list at n=12 alone is ~500 placements).
+    // the workload's expansions cross it repeatedly (a bit list is a class
+    // population of at most 3 faults, the word CFid list 43 placements).
     EngineConfig config;
-    config.cache = std::make_shared<engine::PopulationCache>(500);
+    config.cache = std::make_shared<engine::PopulationCache>(50);
     const Engine hammered(config);
 
     constexpr int kThreads = 8;

@@ -584,12 +584,12 @@ TEST(EngineCache, PopulationsAreSharedAndKeyed) {
     const auto a = eng.bit_population(kBitKinds, 8);
     const auto b = eng.bit_population(kBitKinds, 8);
     EXPECT_EQ(a.get(), b.get());  // cache hit: same expansion object
-    // The entry concatenates each kind's full population in canonical
+    // The entry concatenates each kind's class population in canonical
     // kind order.
     const auto concatenated = [](int memory_size) {
         std::vector<sim::InjectedFault> faults;
         for (FaultKind kind : engine::canonical_kinds(kBitKinds)) {
-            const auto placed = sim::full_population(kind, memory_size);
+            const auto placed = sim::class_population(kind, memory_size);
             faults.insert(faults.end(), placed.begin(), placed.end());
         }
         return faults;
@@ -653,6 +653,8 @@ TEST(EngineCache, PermutedAndDuplicatedKindListsShareOneEntry) {
 }
 
 TEST(EngineQuery, ExplicitFaultsMatchKindExpansion) {
+    // A kind query answers per class (aggressor below, then above); every
+    // explicit placement must get its class's verdict.
     const sim::RunOptions opts{.memory_size = 6, .max_any_expansion = 6};
     const auto& test = march::find_march_test("MATS").test;
     const Engine eng;
@@ -668,7 +670,16 @@ TEST(EngineQuery, ExplicitFaultsMatchKindExpansion) {
     by_faults.bit_faults =
         sim::full_population(FaultKind::CfstS1F0, opts.memory_size);
 
-    EXPECT_EQ(eng.run(by_kinds).detected, eng.run(by_faults).detected);
+    const std::vector<bool> classes = eng.run(by_kinds).detected;
+    ASSERT_EQ(classes.size(), 2u);
+    const std::vector<bool> placements = eng.run(by_faults).detected;
+    ASSERT_EQ(placements.size(), by_faults.bit_faults.size());
+    for (std::size_t i = 0; i < placements.size(); ++i) {
+        const sim::InjectedFault& fault = by_faults.bit_faults[i];
+        const std::size_t klass = fault.cell_a < fault.cell_b ? 0 : 1;
+        EXPECT_EQ(placements[i], classes[klass])
+            << "aggressor " << fault.cell_a << ", victim " << fault.cell_b;
+    }
 }
 
 TEST(EngineQuery, EmptyKindDictionarySweepIsEmpty) {

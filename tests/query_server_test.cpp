@@ -182,9 +182,9 @@ TEST(QueryServer, ConcurrentTcpClientsMatchLocalEngineByteForByte) {
 /// from any one fault kind's: `k` order-dependent ⇕ elements with
 /// `max_any` = k give 2^k expansions. A pass walks them as one
 /// prefix-sharing tree, in which the j-th ⇕ element runs 2^j times, over
-/// each chunk of the CFid population of a 40-cell memory (13 chunks of
-/// 504 lanes; the population grows with the square of the memory size and
-/// a pass with its size). Detects rather than Traces keeps the
+/// the CFid class population (8 lanes, one chunk, whatever the memory
+/// size) of a 1280-cell memory: the pass visits every cell, so its cost
+/// grows with the memory size. Detects rather than Traces keeps the
 /// reply to a short mask the un-drained client socket can buffer (a
 /// multi-MB trace dump would wedge the executor in write_line), and a
 /// DictionarySweep won't do either: dictionaries are canonical
@@ -207,7 +207,7 @@ QueryRequest blocking_bulk_query(std::int64_t id) {
     test += kAnyElements % 2 == 0 ? "; ^(r0)}" : "; ^(r1)}";
     QueryRequest request =
         make_request(id, QueryOp::Detects, std::move(test), "CFid");
-    request.memory_size = 40;
+    request.memory_size = 1280;
     request.max_any = kAnyElements;
     request.klass = QueryClass::Bulk;
     return request;

@@ -1,5 +1,5 @@
-/// Synthesis battery: skeleton rendering invariants, dominance-pruning
-/// soundness, scorer attribution, and the determinism contract — the
+/// Synthesis battery: skeleton rendering invariants, scorer attribution,
+/// and the determinism contract — the
 /// same (kinds, beam, lookahead, seed) must synthesise byte-identical
 /// tests on every backend, lane width and worker count, because the
 /// search consumes only Engine verdicts (bit-identical by contract) and
@@ -8,13 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <array>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "engine/engine.hpp"
-#include "engine/dominance.hpp"
-#include "fault/fault_list.hpp"
 #include "fault/kinds.hpp"
 #include "march/library.hpp"
 #include "march/parser.hpp"
@@ -94,99 +91,6 @@ TEST(Skeleton, CanonicalTextRoundTripsTheParser) {
     }
 }
 
-// ---- dominance pruning -----------------------------------------------------
-
-TEST(Dominance, CollapsesPlacementsToRelationalClasses) {
-    const auto full = sim::full_population(FaultKind::CfinUp, 8);
-    const auto kept = engine::dominance_prune(
-        std::span<const sim::InjectedFault>(full));
-    // Two-cell kind, one kind present: one representative per relative
-    // order of aggressor and victim.
-    ASSERT_EQ(kept.size(), 2u);
-    const bool first_ascending = kept[0].cell_a < kept[0].cell_b;
-    EXPECT_NE(first_ascending, kept[1].cell_a < kept[1].cell_b);
-}
-
-TEST(Dominance, DropsKindsDominatedByPresentKinds) {
-    engine::Engine engine;
-    // SAF alone: kept (one placement per polarity).
-    const auto saf = engine.bit_population({FaultKind::Saf0, FaultKind::Saf1},
-                                           8, /*pruned=*/true);
-    EXPECT_EQ(saf->faults.size(), 2u);
-    // SAF + TF: the TFs dominate both SAF polarities — only TFs survive.
-    const auto saftf = engine.bit_population(
-        {FaultKind::Saf0, FaultKind::Saf1, FaultKind::TfUp,
-         FaultKind::TfDown},
-        8, /*pruned=*/true);
-    std::set<FaultKind> kinds;
-    for (const auto& fault : saftf->faults) kinds.insert(fault.kind);
-    EXPECT_EQ(kinds, (std::set<FaultKind>{FaultKind::TfUp,
-                                          FaultKind::TfDown}));
-}
-
-TEST(Dominance, PrunedVerdictAgreesWithFullOnEveryLibraryTest) {
-    // The soundness property behind the accelerator: a test covers the
-    // pruned universe iff it covers the full one. Checked for every
-    // library test against every Table 3 fault list.
-    engine::Engine engine;
-    for (const auto& list : fault::table3_fault_lists()) {
-        for (const auto& named : march::known_march_tests()) {
-            engine::Query query;
-            query.test = named.test;
-            query.universe = engine::BitUniverse{};
-            query.want = engine::Want::DetectsAll;
-            query.kinds = list.kinds;
-            const bool full = engine.run(query).all;
-            query.prune = true;
-            const bool pruned = engine.run(query).all;
-            EXPECT_EQ(full, pruned)
-                << named.name << " over " << list.name;
-        }
-    }
-}
-
-TEST(Dominance, PrunedCacheEntriesDeriveFromFullLayout) {
-    engine::Engine engine;
-    const std::vector<FaultKind> kinds{FaultKind::Saf0, FaultKind::CfinUp,
-                                       FaultKind::Rdf1};
-    const auto full = engine.bit_population(kinds, 8, false);
-    const auto pruned = engine.bit_population(kinds, 8, true);
-    ASSERT_EQ(full->kinds, pruned->kinds);
-    ASSERT_EQ(pruned->offsets.size(), pruned->kinds.size() + 1);
-    EXPECT_LT(pruned->faults.size(), full->faults.size());
-    // Segment k of the pruned entry is a subsequence of segment k of the
-    // full entry — per-kind attribution indexes stay meaningful.
-    for (std::size_t k = 0; k + 1 < pruned->offsets.size(); ++k) {
-        std::size_t cursor = full->offsets[k];
-        for (std::size_t i = pruned->offsets[k]; i < pruned->offsets[k + 1];
-             ++i) {
-            while (cursor < full->offsets[k + 1] &&
-                   !(full->faults[cursor] == pruned->faults[i]))
-                ++cursor;
-            ASSERT_LT(cursor, full->offsets[k + 1]);
-            ++cursor;
-        }
-    }
-    // Distinct cache keys: both entries retained, not one overwriting
-    // the other.
-    EXPECT_NE(full.get(), pruned.get());
-    EXPECT_EQ(engine.bit_population(kinds, 8, false).get(), full.get());
-    EXPECT_EQ(engine.bit_population(kinds, 8, true).get(), pruned.get());
-}
-
-TEST(Dominance, WordMaskKeepsBitPositionsDistinct) {
-    // Backgrounds assign data per bit position, so pruning must never
-    // collapse two placements at different bit positions.
-    word::WordRunOptions opts;
-    opts.words = 4;
-    opts.width = 4;
-    engine::Engine engine;
-    const auto pruned = engine.word_population({FaultKind::Saf0}, opts, true);
-    std::set<int> bits;
-    for (const auto& fault : pruned->faults) bits.insert(fault.a.bit);
-    EXPECT_EQ(bits.size(), 4u);
-}
-
 // ---- Engine observability --------------------------------------------------
 
 TEST(EngineStats, CountsQueriesPerWant) {
@@ -229,7 +133,6 @@ TEST(Scorer, AttributesCoveragePerKindThroughOffsets) {
     engine::Engine engine;
     synth::ScorerConfig config;
     config.kinds = {FaultKind::Saf0, FaultKind::Saf1, FaultKind::CfinUp};
-    config.prune = false;
     synth::Scorer scorer(engine, config);
 
     // SCAN covers SAF everywhere but not CFin.
@@ -307,7 +210,7 @@ TEST(BeamSearch, RediscoversLibraryTestsOrShorter) {
         const synth::SearchResult result = run_search(engine, c.kinds, 1);
         ASSERT_TRUE(result.found()) << c.kinds;
         EXPECT_LE(result.test.complexity(), c.library_best) << c.kinds;
-        // The accepted test proves coverage on the FULL universe.
+        // The accepted test passes the coverage gate.
         synth::ScorerConfig config;
         config.kinds = fault::parse_fault_kinds(c.kinds);
         synth::Scorer gate(engine, config);
@@ -316,19 +219,20 @@ TEST(BeamSearch, RediscoversLibraryTestsOrShorter) {
     }
 }
 
-TEST(BeamSearch, PrunedSearchResultRevalidatesOnFullUniverse) {
-    // The search probes the pruned universe; its accept is only issued
-    // through the full-universe gate. Check the invariant end to end.
+TEST(BeamSearch, SearchResultCoversEveryPlacement) {
+    // The search accepts on a full probe of the class population; the
+    // accepted test must detect every explicit placement of every kind.
     engine::Engine engine;
     const synth::SearchResult result = run_search(engine, "SAF,TF,CFin", 7);
     ASSERT_TRUE(result.found());
-    engine::Query query;
-    query.test = result.test;
-    query.universe = engine::BitUniverse{};
-    query.want = engine::Want::DetectsAll;
-    query.kinds = fault::parse_fault_kinds("SAF,TF,CFin");
-    query.prune = false;
-    EXPECT_TRUE(engine.run(query).all);
+    const sim::RunOptions opts;
+    for (const FaultKind kind : fault::parse_fault_kinds("SAF,TF,CFin")) {
+        const std::vector<sim::InjectedFault> placements =
+            sim::full_population(kind, opts.memory_size);
+        for (const bool detected :
+             engine.detects(result.test, placements, opts))
+            EXPECT_TRUE(detected) << fault::fault_kind_name(kind);
+    }
 }
 
 TEST(BeamSearch, DeterministicAcrossBackendsWidthsAndWorkers) {

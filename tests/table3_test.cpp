@@ -57,8 +57,8 @@ INSTANTIATE_TEST_SUITE_P(AllRows, Table3, ::testing::Range(0, 6),
                          });
 
 /// The generator's outputs, pinned byte for byte. Every §5 speed-up
-/// (screening candidates on the pruned population, the armed pass
-/// scratch, the hoisted GTS-gate machines, the allocation-free Or-opt)
+/// (gating candidates on the class population, the armed pass scratch,
+/// the hoisted GTS-gate machines, the allocation-free Or-opt)
 /// must leave each verdict, and so each generated test, the number of
 /// class combinations tried and the ATSP search effort, exactly as they
 /// were before it. A change that moves any of these is a behaviour
