@@ -118,7 +118,7 @@ int cmd_generate(const std::string& list) {
 int cmd_verify(const std::string& text, const std::string& list) {
     const auto test = parse_test_arg(text);
     const auto kinds = fault::parse_fault_kinds(list);
-    if (!sim::is_well_formed(test)) {
+    if (!march::is_well_formed(test)) {
         std::printf("ILL-FORMED: the test reads unknown or wrong values on "
                     "a fault-free memory\n");
         return 1;

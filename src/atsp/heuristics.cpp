@@ -66,10 +66,23 @@ Tour or_opt(const CostMatrix& costs, Tour tour) {
     // tour already visits each node once.
     if (!visits_every_node_once(costs, tour.order)) return tour;
     const auto at = [&](int pos) {
-        return tour.order[static_cast<std::size_t>(pos)];
+        return tour.order[static_cast<std::size_t>(pos % n)];
     };
-    // Moves are built and priced in this one buffer; an accepted move
-    // swaps it with the tour's order.
+    // A move changes three arcs of the tour, so it is priced from the
+    // current order's true cost (forbidden arcs included) and its count
+    // of forbidden arcs: the move is feasible when no forbidden arc is
+    // left, and then its price is the exact sum of its arcs. The caller's
+    // `cost` may be stale: a move must beat that field, and an accepted
+    // move sets it to the move's true cost.
+    Cost current = 0;
+    int forbidden = 0;
+    for (int k = 0; k < n; ++k) {
+        const Cost arc = costs.at(at(k), at(k + 1));
+        current += arc;
+        if (arc >= kForbidden) ++forbidden;
+    }
+    // An accepted move is built in this one buffer and swapped with the
+    // tour's order.
     std::vector<int> candidate(static_cast<std::size_t>(n));
     bool improved = true;
     while (improved) {
@@ -77,10 +90,32 @@ Tour or_opt(const CostMatrix& costs, Tour tour) {
         for (int seg_len = 1; seg_len <= 3 && !improved; ++seg_len) {
             for (int from = 0; from < n && !improved; ++from) {
                 // Segment occupies positions from .. from+seg_len-1 (mod n).
+                const int before = at(from + n - 1);
+                const int first = at(from);
+                const int last = at(from + seg_len - 1);
+                const int after = at(from + seg_len);
                 for (int to = 0; to < n && !improved; ++to) {
                     // Skip insertion points inside or adjacent to the
                     // segment: to == from + k (mod n), k in -1..seg_len.
                     if ((to - from + 1 + n) % n <= seg_len + 1) continue;
+
+                    // The segment moves between `to` and its successor.
+                    const int dest = at(to);
+                    const int dest_next = at(to + 1);
+                    const Cost removed[] = {costs.at(before, first),
+                                            costs.at(last, after),
+                                            costs.at(dest, dest_next)};
+                    const Cost added[] = {costs.at(before, after),
+                                          costs.at(dest, first),
+                                          costs.at(last, dest_next)};
+                    Cost c = current;
+                    int left = forbidden;
+                    for (int k = 0; k < 3; ++k) {
+                        c += added[k] - removed[k];
+                        left += (added[k] >= kForbidden ? 1 : 0) -
+                                (removed[k] >= kForbidden ? 1 : 0);
+                    }
+                    if (left != 0 || c >= tour.cost) continue;
 
                     std::size_t out = 0;
                     for (int idx = 0; idx < n; ++idx) {
@@ -88,26 +123,13 @@ Tour or_opt(const CostMatrix& costs, Tour tour) {
                         candidate[out++] = at(idx);
                         if (idx == to)
                             for (int k = 0; k < seg_len; ++k)
-                                candidate[out++] = at((from + k) % n);
+                                candidate[out++] = at(from + k);
                     }
-
-                    Cost c = 0;
-                    bool feasible = true;
-                    for (std::size_t k = 0; k < candidate.size(); ++k) {
-                        const Cost arc =
-                            costs.at(candidate[k],
-                                     candidate[(k + 1) % candidate.size()]);
-                        if (arc >= kForbidden) {
-                            feasible = false;
-                            break;
-                        }
-                        c += arc;
-                    }
-                    if (feasible && c < tour.cost) {
-                        tour.order.swap(candidate);
-                        tour.cost = c;
-                        improved = true;
-                    }
+                    tour.order.swap(candidate);
+                    tour.cost = c;
+                    current = c;
+                    forbidden = 0;
+                    improved = true;
                 }
             }
         }

@@ -62,7 +62,9 @@ private:
         ++candidates_;
         if (!kinds_) return;
         MarchTest test(elements_);
-        if (sim::is_well_formed(test, run_) &&
+        // march::is_well_formed is the scalar check for any memory of at
+        // least one cell; an empty memory reads nothing.
+        if ((run_.memory_size <= 0 || march::is_well_formed(test)) &&
             engine::Engine::global().covers_all(test, *kinds_, run_))
             found_ = test;
     }

@@ -52,55 +52,54 @@ int tp_signature(const TestPattern& tp) {
     return (excite_bits << 4) | op_bits(tp.observe);
 }
 
-/// Simulator check: the March test covers every placement of the target
-/// list — one fail-fast all-kind DetectsAll query. The Engine answers it
-/// on the cached class population of (kinds, memory_size), which decides
-/// every placement (sim::class_population states the lemma): a few dozen
-/// faults at most, so one chunk, one pool work item that runs inline on
-/// the calling thread.
+/// Simulator check: the March test is well formed and covers every
+/// placement of the target list — one fail-fast all-kind DetectsAll
+/// query. The Engine answers it on the cached class population of
+/// (kinds, memory_size), which decides every placement
+/// (sim::class_population states the lemma): a few dozen faults at most,
+/// so one chunk, one pool work item that runs inline on the calling
+/// thread. Well-formedness is read off the op sequence
+/// (march::is_well_formed); at memory_size <= 0 no cell is read and every
+/// test is well formed.
 bool march_valid(const MarchTest& test,
                  const std::vector<FaultKind>& kinds,
                  const sim::RunOptions& run) {
     if (test.empty()) return false;
-    if (!sim::is_well_formed(test, run)) return false;
+    if (run.memory_size > 0 && !march::is_well_formed(test)) return false;
     return engine::Engine::global().covers_all(test, kinds, run);
 }
 
 /// Greedy deletion pass: removes single operations, then whole elements,
 /// while the test remains valid. Guarantees block-level non-redundancy of
-/// the final result.
+/// the final result. Every candidate is the current test copied into one
+/// reused candidate test (its element and op buffers stay allocated) with
+/// one op or one element erased.
 MarchTest march_minimise_pass(MarchTest test,
                               const std::vector<FaultKind>& kinds,
                               const sim::RunOptions& run) {
+    MarchTest candidate;
+    const auto accept = [&] {
+        if (!march_valid(candidate, kinds, run)) return false;
+        std::swap(test, candidate);
+        return true;
+    };
     bool changed = true;
     while (changed) {
         changed = false;
         // Single-operation deletions.
         for (std::size_t e = 0; !changed && e < test.size(); ++e) {
             for (std::size_t o = 0; !changed && o < test[e].ops.size(); ++o) {
-                std::vector<march::MarchElement> elements = test.elements();
-                auto& ops = elements[e].ops;
-                ops.erase(ops.begin() + static_cast<std::ptrdiff_t>(o));
-                if (ops.empty())
-                    elements.erase(elements.begin() +
-                                   static_cast<std::ptrdiff_t>(e));
-                MarchTest candidate(elements);
-                if (march_valid(candidate, kinds, run)) {
-                    test = std::move(candidate);
-                    changed = true;
-                }
+                candidate = test;
+                candidate.erase_op(e, o);
+                changed = accept();
             }
         }
         // Whole-element deletions.
         for (std::size_t e = 0; e < test.size() && !changed; ++e) {
-            std::vector<march::MarchElement> elements = test.elements();
-            elements.erase(elements.begin() + static_cast<std::ptrdiff_t>(e));
-            if (elements.empty()) continue;
-            MarchTest candidate(elements);
-            if (march_valid(candidate, kinds, run)) {
-                test = std::move(candidate);
-                changed = true;
-            }
+            if (test.size() == 1) continue;
+            candidate = test;
+            candidate.erase_element(e);
+            changed = accept();
         }
     }
     return test;

@@ -1,6 +1,7 @@
 #include "engine/backend.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "word/background.hpp"
@@ -132,12 +133,41 @@ public:
 // The bit universe on the one packed kernel: an n-cell bit memory is an
 // n-word × 1-bit memory under the solid background, cell c being (word c,
 // bit 0). word::bit_view defines the mapping of options and faults;
-// BitTraceEmit maps the kernel's trace entries back.
+// BitTraceEmit maps the kernel's trace entries back. Each thread keeps one
+// bit-view runner (bit_runner) and one word-form population buffer
+// (word_faults) and refills them per query, so a small bit query pays for
+// its kernel pass and not for building a plan.
 
-word::WordBatchRunner bit_runner(const BitContext& ctx) {
-    return word::WordBatchRunner(ctx.test, word::solid_background(1),
-                                 word::bit_view(ctx.opts), ctx.pool,
-                                 ctx.lane_width);
+/// This thread's bit-view runner, pointed at the query's test. A small
+/// generator probe would otherwise pay for building a plan (backgrounds,
+/// ⇕ expansions, read sites) on top of its pass, so the runner is built
+/// again only when the memory size, the ⇕ cap, the pool or the lane width
+/// changes; for any other query WordBatchRunner::set_test refills the
+/// buffers it holds. Like the buffer of word_faults below, this rests on
+/// kernel passes never issuing queries: no call on this thread can
+/// retarget the runner while a query runs on it.
+const word::WordBatchRunner& bit_runner(const BitContext& ctx) {
+    struct Cached {
+        std::optional<word::WordBatchRunner> runner;
+        int memory_size{0};
+        int max_any_expansion{0};
+        util::ThreadPool* pool{nullptr};
+        int lane_width{0};
+    };
+    thread_local Cached cached;
+    if (cached.runner && cached.memory_size == ctx.opts.memory_size &&
+        cached.max_any_expansion == ctx.opts.max_any_expansion &&
+        cached.pool == ctx.pool && cached.lane_width == ctx.lane_width) {
+        cached.runner->set_test(ctx.test);
+        return *cached.runner;
+    }
+    cached.runner.emplace(ctx.test, word::solid_background(1),
+                          word::bit_view(ctx.opts), ctx.pool, ctx.lane_width);
+    cached.memory_size = ctx.opts.memory_size;
+    cached.max_any_expansion = ctx.opts.max_any_expansion;
+    cached.pool = ctx.pool;
+    cached.lane_width = ctx.lane_width;
+    return *cached.runner;
 }
 
 /// The population in word form, in a per-thread buffer that the next call

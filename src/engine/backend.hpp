@@ -19,7 +19,9 @@
 ///     (63·W-lane packed passes, (chunk × ⇕) grid sharded across the
 ///     thread pool) for both universes. A bit query runs as the width-1
 ///     word universe under the solid background, cell c being (word c,
-///     bit 0) — word::bit_view.
+///     bit 0) — word::bit_view — on a runner each thread keeps and points
+///     at the query's test (rebuilt only when the memory size, ⇕ cap,
+///     pool or lane width changes).
 ///   - RemoteBackend (net/remote_backend.hpp): splits the population into
 ///     shard_ranges, scatters them to worker peers speaking the net/wire
 ///     format and merges the replies — per-fault verdicts by

@@ -10,11 +10,15 @@ namespace mtg::engine {
 
 namespace {
 
-std::vector<int> kind_key(const std::vector<fault::FaultKind>& kinds) {
-    std::vector<int> key;
-    key.reserve(kinds.size());
-    for (fault::FaultKind kind : kinds) key.push_back(static_cast<int>(kind));
-    return key;
+static_assert(static_cast<int>(fault::FaultKind::AfMap) < 32,
+              "every fault kind (AfMap is the last) needs a bit of the "
+              "population cache's 32-bit kind mask");
+
+std::uint32_t kind_mask(const std::vector<fault::FaultKind>& kinds) {
+    std::uint32_t mask = 0;
+    for (fault::FaultKind kind : kinds)
+        mask |= std::uint32_t{1} << static_cast<int>(kind);
+    return mask;
 }
 
 std::unique_ptr<Backend> make_backend(const EngineConfig& config) {
@@ -86,12 +90,11 @@ std::shared_ptr<const Entry> PopulationCache::fetch(
     Entries<Entry, Shape>& entries, std::size_t& retained,
     const std::vector<fault::FaultKind>& kinds, const Shape& shape,
     const Place& place) {
-    // The key AND the build order are the canonical kind list: a permuted
-    // or duplicated caller list lands on the same entry with identical
-    // contents, instead of breeding redundant copies that trip budget
-    // evictions.
-    std::vector<fault::FaultKind> canonical = canonical_kinds(kinds);
-    const Key<Shape> key{kind_key(canonical), shape};
+    // The key is the set of kinds and the build order its canonical list:
+    // a permuted or duplicated caller list lands on the same entry with
+    // identical contents, instead of breeding redundant copies that trip
+    // budget evictions.
+    const Key<Shape> key{kind_mask(kinds), shape};
     {
         const std::lock_guard<std::mutex> lock(mutex_);
         const auto it = entries.find(key);
@@ -104,7 +107,7 @@ std::shared_ptr<const Entry> PopulationCache::fetch(
     // Build outside the lock: a multi-million-fault expansion must not
     // stall concurrent lookups (including hits on unrelated keys).
     auto entry = std::make_shared<Entry>();
-    entry->kinds = std::move(canonical);
+    entry->kinds = canonical_kinds(kinds);
     entry->offsets.reserve(entry->kinds.size() + 1);
     entry->offsets.push_back(0);
     for (fault::FaultKind kind : entry->kinds) {
@@ -296,12 +299,13 @@ bool Engine::covers_everywhere(const march::MarchTest& test,
 bool Engine::covers_all(const march::MarchTest& test,
                         const std::vector<fault::FaultKind>& kinds,
                         const sim::RunOptions& opts) const {
-    Query query;
-    query.test = test;
-    query.universe = BitUniverse{opts};
-    query.want = Want::DetectsAll;
-    query.kinds = kinds;
-    return run(query).all;
+    // run_bit's DetectsAll path on a kind list, without the Query: an
+    // empty list is the empty population, which the cache never sees.
+    count(Want::DetectsAll);
+    const BitContext ctx{test, opts, config_.pool, config_.lane_width};
+    if (kinds.empty()) return backend_->detects_all(ctx, {});
+    return backend_->detects_all(
+        ctx, bit_population(kinds, opts.memory_size)->faults);
 }
 
 std::optional<fault::FaultKind> Engine::first_uncovered(

@@ -37,17 +37,19 @@
 /// or a local Engine.
 ///
 /// Re-entrancy: Engine::run (and every convenience over it) is safe to
-/// call from any number of threads simultaneously. The backends are
-/// stateless, the population caches are internally locked, and the thread
-/// pool serialises concurrent parallel_for callers — the query server
-/// (net/query_server.hpp) leans on exactly this to host one long-lived
-/// Engine under concurrent client sessions, and the TSan CI leg runs the
-/// concurrent hammer battery (tests/engine_hammer_test.cpp) to keep it
-/// honest.
+/// call from any number of threads simultaneously. The backends share no
+/// state between threads (the packed backend's reused runner and buffers
+/// are per thread), the population caches are internally locked, and the
+/// thread pool serialises concurrent parallel_for callers — the query
+/// server (net/query_server.hpp) leans on exactly this to host one
+/// long-lived Engine under concurrent client sessions, and the TSan CI leg
+/// runs the concurrent hammer battery (tests/engine_hammer_test.cpp) to
+/// keep it honest.
 
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -158,11 +160,11 @@ using BitPopulationEntry = PopulationEntry<sim::InjectedFault>;
 using WordPopulationEntry = PopulationEntry<word::InjectedBitFault>;
 
 /// Thread-safe, bounded cache of kind-expanded populations, keyed by the
-/// *canonical* kind list — permuted or duplicated kind lists resolve to
-/// one entry instead of breeding redundant copies that trigger spurious
-/// budget evictions. Shareable between sessions: the query server's
-/// interactive and bulk engines pass one cache so either side's misses
-/// warm the other.
+/// set of kinds (the *canonical* kind list) — permuted or duplicated kind
+/// lists resolve to one entry instead of breeding redundant copies that
+/// trigger spurious budget evictions. Shareable between sessions: the
+/// query server's interactive and bulk engines pass one cache so either
+/// side's misses warm the other.
 ///
 /// Bounding: a population larger than the whole budget is built and
 /// served uncached (the old transient-allocation behaviour); when
@@ -202,10 +204,14 @@ public:
     [[nodiscard]] std::size_t fault_budget() const { return budget_; }
 
 private:
-    /// (canonical kind list, universe shape). The shape is the memory
-    /// size for bit entries and (words, width) for word entries.
+    /// (kind mask, universe shape). Bit k of the mask is set when the
+    /// list holds the kind with enum value k, so a permuted or duplicated
+    /// list has its canonical list's key, and a hit allocates nothing:
+    /// canonical_kinds runs only on a miss, where it is the entry's build
+    /// order. The shape is the memory size for bit entries and (words,
+    /// width) for word entries.
     template <typename Shape>
-    using Key = std::pair<std::vector<int>, Shape>;
+    using Key = std::pair<std::uint32_t, Shape>;
     template <typename Entry, typename Shape>
     using Entries = std::map<Key<Shape>, std::shared_ptr<const Entry>>;
 
@@ -242,10 +248,10 @@ struct EngineConfig {
 
 /// A simulation session: owns the backend, the lane-width and pool policy,
 /// and the population caches. Queries are const and safe to issue from
-/// multiple threads (the caches are internally locked, the backends are
-/// stateless, and the pool serialises concurrent jobs). Engine::global()
-/// is the process-wide packed session; build a local Engine to pin a
-/// different backend, pool or width.
+/// multiple threads (the caches are internally locked, the backends share
+/// no state between threads, and the pool serialises concurrent jobs).
+/// Engine::global() is the process-wide packed session; build a local
+/// Engine to pin a different backend, pool or width.
 class Engine {
 public:
     explicit Engine(EngineConfig config = {});
@@ -285,7 +291,10 @@ public:
                                          fault::FaultKind kind,
                                          const sim::RunOptions& opts = {}) const;
 
-    /// One fail-fast sweep over the concatenated populations of `kinds`.
+    /// One fail-fast sweep over the concatenated populations of `kinds`:
+    /// a DetectsAll query (counted as one in stats()) that goes straight
+    /// to the backend on the cached population, without copying the test
+    /// or the kinds into a Query.
     [[nodiscard]] bool covers_all(const march::MarchTest& test,
                                   const std::vector<fault::FaultKind>& kinds,
                                   const sim::RunOptions& opts = {}) const;

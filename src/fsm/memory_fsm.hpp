@@ -93,6 +93,15 @@ public:
     /// λ(state, input): the read value for reads, X ('-') otherwise.
     [[nodiscard]] Trit output(const PairState& state, Input in) const;
 
+    /// δ and λ on a state index (PairState::index(), 0..3): the raw table
+    /// lookups the GTS simulator (sim/two_cell_sim) walks once per op.
+    [[nodiscard]] int next(int state, Input in) const {
+        return next_[raw_slot(state, in)];
+    }
+    [[nodiscard]] Trit output(int state, Input in) const {
+        return out_[raw_slot(state, in)];
+    }
+
     /// Overrides one δ entry (builds a faulty machine).
     void set_next(const PairState& state, Input in, const PairState& next);
 
@@ -126,6 +135,10 @@ private:
     std::array<Trit, kStateCount * kInputCount> out_{};
 
     [[nodiscard]] static int slot(const PairState& state, Input in);
+    [[nodiscard]] static std::size_t raw_slot(int state, Input in) {
+        return static_cast<std::size_t>(state * kInputCount +
+                                        static_cast<int>(in));
+    }
 };
 
 }  // namespace mtg::fsm

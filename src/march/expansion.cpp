@@ -13,15 +13,22 @@ int any_order_count(const MarchTest& test) {
 
 std::vector<unsigned> expansion_choices(const MarchTest& test,
                                         int max_any_expansion) {
+    std::vector<unsigned> choices;
+    expansion_choices(test, max_any_expansion, choices);
+    return choices;
+}
+
+void expansion_choices(const MarchTest& test, int max_any_expansion,
+                       std::vector<unsigned>& out) {
     MTG_EXPECTS(max_any_expansion <= kMaxAnyExpansion);
+    out.clear();
     const int k = any_order_count(test);
     if (k <= max_any_expansion) {
-        std::vector<unsigned> all;
-        all.reserve(std::size_t{1} << k);
-        for (unsigned c = 0; c < (1u << k); ++c) all.push_back(c);
-        return all;
+        out.reserve(std::size_t{1} << k);
+        for (unsigned c = 0; c < (1u << k); ++c) out.push_back(c);
+    } else {
+        out.assign({0u, ~0u});
     }
-    return {0u, ~0u};
 }
 
 }  // namespace mtg::march

@@ -34,6 +34,10 @@ inline constexpr int kMaxAnyExpansion = 16;
 [[nodiscard]] std::vector<unsigned> expansion_choices(const MarchTest& test,
                                                       int max_any_expansion);
 
+/// The same resolutions written into `out`, reusing its capacity.
+void expansion_choices(const MarchTest& test, int max_any_expansion,
+                       std::vector<unsigned>& out);
+
 /// Whether the j-th ⇕ element (in textual order) runs descending under
 /// `choice`: bit j. A test with more than 32 ⇕ elements is past every
 /// cap, so its only choices are the uniform sweeps 0 and ~0u, whose bits

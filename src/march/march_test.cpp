@@ -1,21 +1,19 @@
 #include "march/march_test.hpp"
 
-#include <sstream>
-
 namespace mtg::march {
 
-std::string MarchOp::str() const {
-    switch (kind) {
-        case OpKind::Read: return value ? "r1" : "r0";
-        case OpKind::Write: return value ? "w1" : "w0";
+namespace {
+
+const char* op_text(const MarchOp& op) {
+    switch (op.kind) {
+        case OpKind::Read: return op.value ? "r1" : "r0";
+        case OpKind::Write: return op.value ? "w1" : "w0";
         case OpKind::Wait: return "del";
     }
     return "?";
 }
 
-namespace {
-
-std::string order_str(AddressOrder o, Notation n) {
+const char* order_text(AddressOrder o, Notation n) {
     if (n == Notation::Unicode) {
         switch (o) {
             case AddressOrder::Ascending: return "⇑";   // ⇑
@@ -31,17 +29,25 @@ std::string order_str(AddressOrder o, Notation n) {
     return "?";
 }
 
+void append_element(std::string& out, const MarchElement& element,
+                    Notation n) {
+    out += order_text(element.order, n);
+    out += '(';
+    for (std::size_t i = 0; i < element.ops.size(); ++i) {
+        if (i) out += ',';
+        out += op_text(element.ops[i]);
+    }
+    out += ')';
+}
+
 }  // namespace
 
+std::string MarchOp::str() const { return op_text(*this); }
+
 std::string MarchElement::str(Notation n) const {
-    std::ostringstream os;
-    os << order_str(order, n) << '(';
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-        if (i) os << ',';
-        os << ops[i].str();
-    }
-    os << ')';
-    return os.str();
+    std::string out;
+    append_element(out, *this, n);
+    return out;
 }
 
 int MarchElement::op_count() const {
@@ -49,6 +55,18 @@ int MarchElement::op_count() const {
     for (const auto& op : ops)
         if (op.kind != OpKind::Wait) ++count;
     return count;
+}
+
+void MarchTest::erase_op(std::size_t e, std::size_t o) {
+    MTG_EXPECTS(e < elements_.size() && o < elements_[e].ops.size());
+    auto& ops = elements_[e].ops;
+    ops.erase(ops.begin() + static_cast<std::ptrdiff_t>(o));
+    if (ops.empty()) erase_element(e);
+}
+
+void MarchTest::erase_element(std::size_t e) {
+    MTG_EXPECTS(e < elements_.size());
+    elements_.erase(elements_.begin() + static_cast<std::ptrdiff_t>(e));
 }
 
 int MarchTest::complexity() const {
@@ -73,14 +91,26 @@ bool MarchTest::has_wait() const {
 }
 
 std::string MarchTest::str(Notation n) const {
-    std::ostringstream os;
-    os << '{';
+    std::string out;
+    out += '{';
     for (std::size_t i = 0; i < elements_.size(); ++i) {
-        if (i) os << "; ";
-        os << elements_[i].str(n);
+        if (i) out += "; ";
+        append_element(out, elements_[i], n);
     }
-    os << '}';
-    return os.str();
+    out += '}';
+    return out;
+}
+
+bool is_well_formed(const MarchTest& test) {
+    int stored = -1;  // no write yet
+    for (const MarchElement& element : test.elements())
+        for (const MarchOp& op : element.ops) {
+            if (op.kind == OpKind::Write)
+                stored = op.value != 0 ? 1 : 0;
+            else if (op.kind == OpKind::Read && stored != op.value)
+                return false;
+        }
+    return true;
 }
 
 }  // namespace mtg::march

@@ -118,6 +118,13 @@ public:
 
     void push_back(MarchElement e) { elements_.push_back(std::move(e)); }
 
+    /// Removes op `o` of element `e`, and the element with it when that
+    /// was its last op.
+    void erase_op(std::size_t e, std::size_t o);
+
+    /// Removes element `e`.
+    void erase_element(std::size_t e);
+
     /// Complexity = total number of memory operations per cell. A test of
     /// complexity k is conventionally written "kn". Wait operations are not
     /// counted (they are delays, not memory operations).
@@ -137,5 +144,13 @@ public:
 private:
     std::vector<MarchElement> elements_;
 };
+
+/// Well-formedness from the op sequence alone: every read expects the
+/// value last written, and a write comes before the first read. On a
+/// fault-free memory of n >= 1 cells every cell sees exactly this
+/// sequence whatever the address orders and ⇕ choices, so this is
+/// sim::is_well_formed for any memory_size >= 1 (which accepts every test
+/// at memory_size <= 0, where no cell is read).
+[[nodiscard]] bool is_well_formed(const MarchTest& test);
 
 }  // namespace mtg::march

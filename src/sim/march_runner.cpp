@@ -15,13 +15,18 @@ using march::OpKind;
 
 std::vector<ReadSite> read_sites(const MarchTest& test) {
     std::vector<ReadSite> sites;
+    read_sites(test, sites);
+    return sites;
+}
+
+void read_sites(const MarchTest& test, std::vector<ReadSite>& out) {
+    out.clear();
     for (std::size_t e = 0; e < test.size(); ++e) {
         const auto& ops = test[e].ops;
         for (std::size_t o = 0; o < ops.size(); ++o)
             if (ops[o].kind == OpKind::Read)
-                sites.push_back({static_cast<int>(e), static_cast<int>(o)});
+                out.push_back({static_cast<int>(e), static_cast<int>(o)});
     }
-    return sites;
 }
 
 std::vector<std::vector<int>> read_site_ids(const MarchTest& test) {

@@ -36,6 +36,9 @@ struct ReadSite {
 /// All read sites of a test, in textual order.
 [[nodiscard]] std::vector<ReadSite> read_sites(const march::MarchTest& test);
 
+/// The same sites written into `out`, reusing its capacity.
+void read_sites(const march::MarchTest& test, std::vector<ReadSite>& out);
+
 /// Flat site id of every (element, op) of the test — the index into
 /// read_sites(test), or -1 for writes/waits. The lookup table the scalar
 /// trace oracle uses to attribute mismatches.
@@ -79,6 +82,8 @@ struct RunTrace {
 /// Sanity property: on a fault-free memory every read must observe a known,
 /// matching value in every ⇕ expansion (no read of uninitialised cells, no
 /// wrong expected values). All library and generated tests must satisfy it.
+/// The scalar oracle of march::is_well_formed, which reads the same answer
+/// off the op sequence and is what the generator gates on.
 [[nodiscard]] bool is_well_formed(const march::MarchTest& test,
                                   const RunOptions& opts = {});
 

@@ -8,7 +8,6 @@ using fsm::AbstractOp;
 using fsm::AbstractOpKind;
 using fsm::Input;
 using fsm::MemoryFsm;
-using fsm::PairState;
 
 namespace {
 
@@ -23,23 +22,39 @@ Input op_input(const AbstractOp& op) {
     return Input::T;
 }
 
-/// Runs the word from one concrete power-up state; true when a verify-read
-/// mismatches.
-bool run_from(const std::vector<AbstractOp>& ops, const MemoryFsm& machine,
-              PairState start, bool* read_of_unknown) {
-    PairState state = start;
+/// One op as the table walk needs it: its input symbol and, for a
+/// verify-read, the expected value (-1 for writes and waits).
+struct Step {
+    Input input;
+    int expected;
+};
+
+/// The ops of one call converted once, into a per-thread buffer that the
+/// next call on this thread overwrites.
+const std::vector<Step>& steps_of(const std::vector<AbstractOp>& ops) {
+    thread_local std::vector<Step> steps;
+    steps.clear();
+    for (const AbstractOp& op : ops)
+        steps.push_back({op_input(op), op.is_read() ? int{op.value} : -1});
+    return steps;
+}
+
+/// Runs the steps from the power-up state with index `start`; true when a
+/// verify-read mismatches.
+bool run_from(const std::vector<Step>& steps, const MemoryFsm& machine,
+              int start, bool* read_of_unknown) {
+    int state = start;
     bool detected = false;
-    for (const AbstractOp& op : ops) {
-        const Input in = op_input(op);
-        if (op.is_read()) {
-            const Trit out = machine.output(state, in);
+    for (const Step& step : steps) {
+        if (step.expected >= 0) {
+            const Trit out = machine.output(state, step.input);
             if (!is_known(out)) {
                 if (read_of_unknown) *read_of_unknown = true;
-            } else if (trit_bit(out) != op.value) {
+            } else if (trit_bit(out) != step.expected) {
                 detected = true;
             }
         }
-        state = machine.next(state, in);
+        state = machine.next(state, step.input);
     }
     return detected;
 }
@@ -47,9 +62,11 @@ bool run_from(const std::vector<AbstractOp>& ops, const MemoryFsm& machine,
 }  // namespace
 
 bool gts_detects(const std::vector<AbstractOp>& ops, const MemoryFsm& faulty) {
-    // Guaranteed detection: mismatch under every power-up completion.
-    for (const PairState& start : fsm::all_known_states()) {
-        if (!run_from(ops, faulty, start, nullptr)) return false;
+    // Guaranteed detection: mismatch under every power-up completion, the
+    // four known states by index (fsm::all_known_states order).
+    const std::vector<Step>& steps = steps_of(ops);
+    for (int start = 0; start < fsm::kStateCount; ++start) {
+        if (!run_from(steps, faulty, start, nullptr)) return false;
     }
     return true;
 }
@@ -60,10 +77,11 @@ bool gts_detects(const std::vector<AbstractOp>& ops,
 }
 
 bool gts_well_formed(const std::vector<AbstractOp>& ops) {
-    const MemoryFsm good = MemoryFsm::good();
-    for (const PairState& start : fsm::all_known_states()) {
+    static const MemoryFsm good = MemoryFsm::good();
+    const std::vector<Step>& steps = steps_of(ops);
+    for (int start = 0; start < fsm::kStateCount; ++start) {
         bool read_unknown = false;
-        const bool mismatch = run_from(ops, good, start, &read_unknown);
+        const bool mismatch = run_from(steps, good, start, &read_unknown);
         if (mismatch || read_unknown) return false;
     }
     return true;

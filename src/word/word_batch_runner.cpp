@@ -17,12 +17,17 @@ WordBatchRunner::WordBatchRunner(const MarchTest& test,
     MTG_EXPECTS(opts.width >= 1 && opts.width <= 64);
     MTG_EXPECTS(!backgrounds.empty());
     MTG_EXPECTS(sim::lane_width_supported(width_));
-    plan_.test = test;
     plan_.backgrounds = std::move(backgrounds);
     plan_.opts = opts;
     plan_.pool = pool != nullptr ? pool : &util::ThreadPool::global();
-    plan_.expansions = expansion_choices(test, opts);
-    plan_.sites = sim::read_sites(test);
+    set_test(test);
+}
+
+void WordBatchRunner::set_test(const MarchTest& test) {
+    plan_.test = test;
+    march::expansion_choices(test, plan_.opts.max_any_expansion,
+                             plan_.expansions);
+    sim::read_sites(test, plan_.sites);
 }
 
 std::vector<bool> WordBatchRunner::detects(

@@ -20,7 +20,9 @@
 /// This is the one packed runner: engine::PackedBackend also answers
 /// bit-universe queries with it, as words = n cells of width 1 under the
 /// solid background, and a plan of width 1 runs the compile-time width-1
-/// pass (see word_kernels.hpp).
+/// pass (see word_kernels.hpp). For those it keeps one runner per thread
+/// and points it at each query's test with set_test, which refills the
+/// plan's buffers instead of building a new plan.
 ///
 /// The block width W ∈ {1, 4, 8} is chosen once per process by runtime
 /// CPUID dispatch (AVX-512 → 8, AVX2 → 4, else 1 — see lane_dispatch.hpp)
@@ -92,6 +94,13 @@ public:
                                                                  population);
                         });
     }
+
+    /// Points the runner at `test`, keeping its backgrounds, options,
+    /// pool and width: the test, its ⇕ expansions and its read sites are
+    /// copied into the buffers the runner already holds, so a runner
+    /// reused across queries (engine::PackedBackend keeps one bit-view
+    /// runner per thread) allocates only when a test outgrows them.
+    void set_test(const march::MarchTest& test);
 
     [[nodiscard]] const march::MarchTest& test() const { return plan_.test; }
     [[nodiscard]] const WordRunOptions& options() const {

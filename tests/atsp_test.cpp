@@ -152,9 +152,10 @@ Tour reference_or_opt(const CostMatrix& costs, Tour tour) {
 /// returns exactly the reference's order and cost. Seeded instances of
 /// every size from 4 to 11 nodes, a third of them with forbidden arcs.
 /// Each instance starts once from its nearest-neighbour incumbent (when
-/// one exists) and once from a random permutation, which may itself use
-/// forbidden arcs; a start that is not a permutation of the nodes must
-/// come back unchanged.
+/// one exists), once from a random permutation, which may itself use
+/// forbidden arcs, and once from that permutation with a `cost` field
+/// that is not its tour_cost; a start that is not a permutation of the
+/// nodes must come back unchanged.
 TEST(Heuristics, OrOptNeverWorsens) {
     SplitMix64 rng(7150);
     int compared = 0;
@@ -174,6 +175,11 @@ TEST(Heuristics, OrOptNeverWorsens) {
             std::swap(order[static_cast<std::size_t>(k)],
                       order[rng.below(static_cast<std::uint64_t>(k) + 1)]);
         starts.push_back(Tour{order, tour_cost(m, order)});
+        // A stale cost field, above or below the order's true cost: moves
+        // are compared against the field, and priced from the true cost.
+        const Cost stale = static_cast<Cost>(1 + rng.below(40));
+        starts.push_back(Tour{order, tour_cost(m, order) +
+                                         (trial % 2 == 0 ? stale : -stale)});
         if (trial % 16 == 0) {
             order.back() = order.front();  // not a permutation
             starts.push_back(Tour{order, tour_cost(m, order)});

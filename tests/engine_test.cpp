@@ -14,7 +14,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -26,6 +28,7 @@
 #include "net/worker.hpp"
 #include "sim/march_runner.hpp"
 #include "util/contracts.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 #include "word/word_batch_runner.hpp"
 
@@ -772,6 +775,57 @@ TEST(EngineQuery, EmptyPopulationIsVacuouslyCovered) {
     Query detects = query;
     detects.want = Want::Detects;
     EXPECT_TRUE(eng.run(detects).detected.empty());
+}
+
+/// The packed backend keeps one bit-view runner per thread and points it
+/// at each query's test, building it again only when the memory size, the
+/// ⇕ cap, the pool or the lane width changes. One thread alternates every
+/// one of those, the Want and the test, query by query, and every answer
+/// must equal a Scalar session's: a runner serving a stale setup (the
+/// previous test, expansions, read sites, size, pool or width) would
+/// answer for the wrong question.
+TEST(EnginePackedRunner, PerThreadRunnerNeverServesAStaleSetup) {
+    util::ThreadPool pool_a(1);
+    util::ThreadPool pool_b(2);
+    std::vector<std::unique_ptr<Engine>> sessions;
+    for (util::ThreadPool* pool : {&pool_a, &pool_b})
+        for (int width : {0, 1, 4, 8})
+            sessions.push_back(std::make_unique<Engine>(
+                EngineConfig{.backend = BackendKind::Packed,
+                             .pool = pool,
+                             .lane_width = width}));
+    const Engine scalar(EngineConfig{.backend = BackendKind::Scalar});
+    const char* names[] = {"MATS+", "March C-", "MATS+Del", "March SS",
+                           "PMOVI", "March X"};
+    const std::vector<FaultKind>& kinds = fault::all_fault_kinds();
+    const Want wants[] = {Want::Detects, Want::DetectsAll, Want::Traces};
+
+    SplitMix64 rng(20261019);
+    for (int step = 0; step < 300; ++step) {
+        Query query;
+        query.test = march::find_march_test(names[rng.below(6)]).test;
+        query.universe = BitUniverse{
+            {.memory_size = rng.below(2) == 0 ? 4 : 9,
+             .max_any_expansion = static_cast<int>(rng.below(4)) * 2}};
+        query.want = wants[rng.below(3)];
+        query.kinds = kinds;
+        const Engine& packed = *sessions[rng.below(sessions.size())];
+        const Result want = scalar.run(query);
+        const Result got = packed.run(query);
+        const auto& opts = std::get<BitUniverse>(query.universe).opts;
+        const std::string label =
+            "step " + std::to_string(step) + ": " + query.test.str() +
+            " n=" + std::to_string(opts.memory_size) +
+            " cap=" + std::to_string(opts.max_any_expansion) +
+            " W=" + std::to_string(packed.config().lane_width);
+        ASSERT_EQ(got.all, want.all) << label;
+        ASSERT_EQ(got.detected, want.detected) << label;
+        expect_traces_eq(got.traces, want.traces, label.c_str());
+        if (query.want == Want::DetectsAll) {
+            ASSERT_EQ(packed.covers_all(query.test, kinds, opts), want.all)
+                << label;
+        }
+    }
 }
 
 }  // namespace

@@ -1,12 +1,74 @@
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "march/library.hpp"
 #include "march/march_test.hpp"
 #include "march/parser.hpp"
+#include "sim/march_runner.hpp"
 #include "util/rng.hpp"
 
 namespace mtg::march {
 namespace {
+
+/// A seeded random test: 1-6 elements of any address order, each of 1-4
+/// ops drawn from r0, r1, w0, w1 and del. With `track` set, a read
+/// expects the value last written three times in four, so well-formed
+/// tests are common; otherwise every op is uniform.
+MarchTest random_test(SplitMix64& rng, bool track) {
+    MarchTest test;
+    int stored = -1;
+    const int elements = rng.range(1, 6);
+    for (int e = 0; e < elements; ++e) {
+        const auto order = static_cast<AddressOrder>(rng.range(0, 2));
+        std::vector<MarchOp> ops;
+        const int count = rng.range(1, 4);
+        for (int i = 0; i < count; ++i) {
+            const int pick = rng.range(0, 4);
+            if (pick == 4) {
+                ops.push_back(MarchOp::del());
+            } else if (pick >= 2) {
+                stored = rng.range(0, 1);
+                ops.push_back(MarchOp::w(stored));
+            } else if (track && stored >= 0 && rng.below(4) != 0) {
+                ops.push_back(MarchOp::r(stored));
+            } else {
+                ops.push_back(MarchOp::r(rng.range(0, 1)));
+            }
+        }
+        test.push_back(MarchElement(order, std::move(ops)));
+    }
+    return test;
+}
+
+/// The ostringstream renderer str() replaced, kept as its oracle.
+std::string reference_str(const MarchTest& test, Notation n) {
+    std::ostringstream os;
+    os << '{';
+    for (std::size_t i = 0; i < test.size(); ++i) {
+        if (i) os << "; ";
+        const MarchElement& element = test[i];
+        switch (element.order) {
+            case AddressOrder::Ascending:
+                os << (n == Notation::Unicode ? "⇑" : "^");
+                break;
+            case AddressOrder::Descending:
+                os << (n == Notation::Unicode ? "⇓" : "v");
+                break;
+            case AddressOrder::Any:
+                os << (n == Notation::Unicode ? "⇕" : "~");
+                break;
+        }
+        os << '(';
+        for (std::size_t k = 0; k < element.ops.size(); ++k) {
+            if (k) os << ',';
+            os << element.ops[k].str();
+        }
+        os << ')';
+    }
+    os << '}';
+    return os.str();
+}
 
 TEST(MarchOp, Printing) {
     EXPECT_EQ(MarchOp::r(0).str(), "r0");
@@ -46,6 +108,71 @@ TEST(MarchTest, PrintAscii) {
 TEST(MarchTest, PrintUnicodeArrows) {
     MarchTest test{{AddressOrder::Ascending, {MarchOp::r(0)}}};
     EXPECT_EQ(test.str(Notation::Unicode), "{⇑(r0)}");
+}
+
+TEST(MarchTest, PrintMatchesTheStreamRenderer) {
+    std::vector<MarchTest> tests;
+    for (const auto& named : known_march_tests()) tests.push_back(named.test);
+    SplitMix64 rng(20261019);
+    for (int trial = 0; trial < 500; ++trial)
+        tests.push_back(random_test(rng, false));
+    for (const MarchTest& test : tests)
+        for (const Notation notation : {Notation::Ascii, Notation::Unicode}) {
+            EXPECT_EQ(test.str(notation), reference_str(test, notation));
+            for (const MarchElement& element : test.elements()) {
+                const std::string braced =
+                    reference_str(MarchTest{element}, notation);
+                EXPECT_EQ(element.str(notation),
+                          braced.substr(1, braced.size() - 2));
+            }
+        }
+}
+
+TEST(MarchTest, EraseOpDropsAnElementLeftEmpty) {
+    MarchTest test = parse_march("{~(w0); ^(r0,w1); v(r1)}");
+    test.erase_op(1, 0);
+    EXPECT_EQ(test, parse_march("{~(w0); ^(w1); v(r1)}"));
+    test.erase_op(1, 0);  // the element's last op
+    EXPECT_EQ(test, parse_march("{~(w0); v(r1)}"));
+    test.erase_op(1, 0);  // the last element's last op
+    EXPECT_EQ(test, parse_march("{~(w0)}"));
+    test.erase_op(0, 0);
+    EXPECT_TRUE(test.empty());
+    EXPECT_THROW(test.erase_op(0, 0), ContractViolation);
+}
+
+TEST(MarchTest, EraseElementKeepsTheOthersInOrder) {
+    MarchTest test = parse_march("{~(w0); ^(r0,w1); v(r1,w0); ~(r0)}");
+    test.erase_element(1);
+    EXPECT_EQ(test, parse_march("{~(w0); v(r1,w0); ~(r0)}"));
+    test.erase_element(2);
+    EXPECT_EQ(test, parse_march("{~(w0); v(r1,w0)}"));
+    test.erase_element(0);
+    EXPECT_EQ(test, parse_march("{v(r1,w0)}"));
+    EXPECT_THROW(test.erase_element(1), ContractViolation);
+}
+
+/// march::is_well_formed reads the op sequence; the scalar
+/// sim::is_well_formed simulates a fault-free n-cell memory under every
+/// ⇕ expansion. They must agree at every n >= 1, on every library test
+/// and on seeded random tests of every address order, with delays.
+TEST(MarchWellFormed, MatchesTheScalarSimulation) {
+    std::vector<MarchTest> tests;
+    for (const auto& named : known_march_tests()) tests.push_back(named.test);
+    SplitMix64 rng(1019);
+    for (int trial = 0; trial < 4000; ++trial)
+        tests.push_back(random_test(rng, trial % 4 != 0));
+    int well_formed = 0;
+    for (const MarchTest& test : tests) {
+        const bool fast = is_well_formed(test);
+        for (const int n : {1, 2, 3, 8})
+            ASSERT_EQ(fast, sim::is_well_formed(test, {.memory_size = n}))
+                << test.str() << " at n = " << n;
+        if (fast) ++well_formed;
+    }
+    // Both answers must be exercised in bulk.
+    EXPECT_GT(well_formed, 400);
+    EXPECT_LT(well_formed, static_cast<int>(tests.size()) - 400);
 }
 
 TEST(Opposite, FlipsConcreteOrders) {

@@ -81,7 +81,7 @@ TEST(ExpansionCap, PastThirtyTwoAnyElementsTheUniformSweepsStayDefined) {
     ASSERT_EQ(march::any_order_count(test), 34);
     EXPECT_TRUE(march::any_descending(~0u, 33));
     EXPECT_FALSE(march::any_descending(0u, 33));
-    EXPECT_TRUE(is_well_formed(test));
+    EXPECT_TRUE(sim::is_well_formed(test));
     const engine::Engine& engine = engine::Engine::global();
     const RunOptions opts;
     for (FaultKind kind : {FaultKind::Saf0, FaultKind::CfidUp1}) {
@@ -179,8 +179,8 @@ TEST(UninitialisedReads, XNeverCountsAsDetection) {
 }
 
 TEST(UninitialisedReads, MakeTestsIllFormed) {
-    EXPECT_FALSE(is_well_formed(parse_march("{^(r0,w0)}")));
-    EXPECT_TRUE(is_well_formed(parse_march("{^(w0); ^(r0)}")));
+    EXPECT_FALSE(sim::is_well_formed(parse_march("{^(r0,w0)}")));
+    EXPECT_TRUE(sim::is_well_formed(parse_march("{^(w0); ^(r0)}")));
 }
 
 TEST(UninitialisedReads, StuckAtCellsReadDespiteNoInitialisation) {

@@ -85,15 +85,15 @@ TEST(FirstUncovered, FindsTheGap) {
 
 TEST(IsWellFormed, LibraryTestsNeverReadUnknownOrWrongValues) {
     for (const auto& named : march::known_march_tests())
-        EXPECT_TRUE(is_well_formed(named.test)) << named.name;
+        EXPECT_TRUE(sim::is_well_formed(named.test)) << named.name;
 }
 
 TEST(IsWellFormed, RejectsReadBeforeInitialisation) {
-    EXPECT_FALSE(is_well_formed(parse_march("{~(r0); ~(w0)}")));
+    EXPECT_FALSE(sim::is_well_formed(parse_march("{~(r0); ~(w0)}")));
 }
 
 TEST(IsWellFormed, RejectsWrongExpectedValue) {
-    EXPECT_FALSE(is_well_formed(parse_march("{~(w0); ~(r1)}")));
+    EXPECT_FALSE(sim::is_well_formed(parse_march("{~(w0); ~(r1)}")));
 }
 
 TEST(GuaranteedFailingReads, IntersectionOverExpansions) {

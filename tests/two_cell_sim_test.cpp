@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include "fault/kinds.hpp"
 #include "sim/two_cell_sim.hpp"
+#include "util/rng.hpp"
 
 namespace mtg::sim {
 namespace {
@@ -87,6 +89,109 @@ TEST(GtsDetects, WaitSensitisesRetention) {
     const std::vector<AbstractOp> without = {AbstractOp::write(Cell::I, 1),
                                              AbstractOp::read(Cell::I, 1)};
     EXPECT_FALSE(gts_detects(without, FaultInstance{FaultKind::Drf0, Cell::I}));
+}
+
+/// The walk gts_detects and gts_well_formed made before they ran on raw
+/// table indices: a PairState through MemoryFsm::next and output per op,
+/// every op to the end, from each fsm::all_known_states start. Kept as
+/// the oracle of the index walk.
+bool reference_run_from(const std::vector<AbstractOp>& ops,
+                        const fsm::MemoryFsm& machine, fsm::PairState state,
+                        bool* read_of_unknown) {
+    bool detected = false;
+    for (const AbstractOp& op : ops) {
+        const fsm::Input in =
+            op.is_read()    ? fsm::read_input(op.cell)
+            : op.is_write() ? fsm::write_input(op.cell, op.value)
+                            : fsm::Input::T;
+        if (op.is_read()) {
+            const Trit out = machine.output(state, in);
+            if (!is_known(out)) {
+                if (read_of_unknown) *read_of_unknown = true;
+            } else if (trit_bit(out) != op.value) {
+                detected = true;
+            }
+        }
+        state = machine.next(state, in);
+    }
+    return detected;
+}
+
+bool reference_detects(const std::vector<AbstractOp>& ops,
+                       const fsm::MemoryFsm& faulty) {
+    for (const fsm::PairState& start : fsm::all_known_states())
+        if (!reference_run_from(ops, faulty, start, nullptr)) return false;
+    return true;
+}
+
+bool reference_well_formed(const std::vector<AbstractOp>& ops) {
+    const fsm::MemoryFsm good = fsm::MemoryFsm::good();
+    for (const fsm::PairState& start : fsm::all_known_states()) {
+        bool read_unknown = false;
+        if (reference_run_from(ops, good, start, &read_unknown) ||
+            read_unknown)
+            return false;
+    }
+    return true;
+}
+
+/// A seeded random word of 1-16 ops over both cells. A read expects the
+/// cell's last written value two times in three once it has one, and a
+/// random value otherwise, so the words read unwritten cells, read wrong
+/// values and are well formed, all in bulk.
+std::vector<AbstractOp> random_word(SplitMix64& rng) {
+    std::vector<AbstractOp> ops;
+    int stored[2] = {-1, -1};
+    const int length = rng.range(1, 16);
+    for (int k = 0; k < length; ++k) {
+        const auto cell = static_cast<Cell>(rng.range(0, 1));
+        int& value = stored[static_cast<int>(cell)];
+        switch (rng.range(0, 4)) {
+            case 0:
+                ops.push_back(AbstractOp::wait());
+                break;
+            case 1:
+            case 2:
+                value = rng.range(0, 1);
+                ops.push_back(AbstractOp::write(cell, value));
+                break;
+            default:
+                ops.push_back(AbstractOp::read(
+                    cell, value >= 0 && rng.below(3) != 0 ? value
+                                                          : rng.range(0, 1)));
+                break;
+        }
+    }
+    return ops;
+}
+
+TEST(GtsWalk, MatchesThePerOpReference) {
+    std::vector<fsm::MemoryFsm> machines;
+    for (const FaultInstance& instance :
+         fault::instantiate(fault::all_fault_kinds()))
+        machines.push_back(fault::faulty_machine(instance));
+    SplitMix64 rng(20261019);
+    int well_formed = 0;
+    int detections = 0;
+    int probes = 0;
+    for (int trial = 0; trial < 600; ++trial) {
+        const std::vector<AbstractOp> ops = random_word(rng);
+        const bool formed = gts_well_formed(ops);
+        ASSERT_EQ(formed, reference_well_formed(ops)) << "trial " << trial;
+        if (formed) ++well_formed;
+        for (std::size_t m = 0; m < machines.size(); ++m) {
+            const bool detected = gts_detects(ops, machines[m]);
+            ASSERT_EQ(detected, reference_detects(ops, machines[m]))
+                << "trial " << trial << ", machine " << m;
+            if (detected) ++detections;
+            ++probes;
+        }
+    }
+    // Both answers of both checks must be exercised in bulk.
+    EXPECT_GT(well_formed, 30);
+    EXPECT_LT(well_formed, 570);
+    EXPECT_GT(detections, probes / 50);
+    EXPECT_LT(detections, probes - probes / 50);
 }
 
 }  // namespace
