@@ -2,11 +2,14 @@
 /// Word-oriented extension: coverage of solid vs counting backgrounds on
 /// intra-word coupling faults, simulation cost versus word width, and the
 /// scalar-vs-packed kernel head-to-head (emits a BENCH_word.json summary
-/// line mirroring bench_sim's).
+/// line mirroring bench_sim's), and sweep's word leg through an Engine.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "bench_timing.hpp"
 
@@ -337,6 +340,71 @@ void print_retention() {
     summary.print();
 }
 
+/// Sweep's word leg: the 16 library tests × CFid Traces on 4 words × 8
+/// bits under the counting backgrounds, each through a local Engine
+/// session, as perfbench's sweep workload runs them (its
+/// `engine.local_word` span). Faults per second over the whole campaign,
+/// on a one-worker pool and on the process-wide pool. Emits the
+/// `sweep_word_leg` BENCH_word.json line (median-of-5 timings); `host`
+/// names the CPU count and the widest vector ISA.
+void print_sweep_word_leg() {
+    const word::WordRunOptions opts{.words = 4, .width = 8};
+    const auto backgrounds = word::counting_backgrounds(opts.width);
+    const auto kinds = fault::parse_fault_kinds("CFid");
+    std::vector<engine::Query> campaign;
+    for (const auto& named : march::known_march_tests()) {
+        engine::Query query;
+        query.test = named.test;
+        query.universe = engine::WordUniverse{backgrounds, opts};
+        query.want = engine::Want::Traces;
+        query.kinds = kinds;
+        campaign.push_back(std::move(query));
+    }
+    util::ThreadPool serial(1);
+    const engine::Engine one(engine::EngineConfig{.pool = &serial});
+    util::ThreadPool& pool = util::ThreadPool::global();
+    const engine::Engine many(engine::EngineConfig{.pool = &pool});
+    const auto sweep = [&](const engine::Engine& session) {
+        std::size_t traces = 0;
+        for (const engine::Query& query : campaign)
+            traces += session.run(query).word_traces.size();
+        return traces;
+    };
+    const std::size_t population =
+        one.word_population(kinds, opts)->faults.size();
+    const auto faults = static_cast<double>(population * campaign.size());
+    const double fps = faults / seconds_per_sweep([&] { return sweep(one); });
+    const double mt_fps =
+        faults / seconds_per_sweep([&] { return sweep(many); });
+    const char* isa = sim::cpu_has_avx512f() ? "avx512f"
+                      : sim::cpu_has_avx2()  ? "avx2"
+                                             : "generic";
+    const std::string host = std::to_string(
+                                 std::thread::hardware_concurrency()) +
+                             "-CPU " + isa;
+    std::printf(
+        "Sweep word leg (%zu library tests x %zu CFid placements, %d words "
+        "x %d bits, counting, Traces):\n"
+        "  1 thread        : %12.0f faults/sec\n"
+        "  %u threads       : %12.0f faults/sec\n\n",
+        campaign.size(), population, opts.words, opts.width, fps,
+        pool.worker_count(), mt_fps);
+
+    benchutil::JsonSummary summary("word");
+    summary.field("workload", "sweep_word_leg")
+        .field("host", host)
+        .field("tests", campaign.size())
+        .field("kinds", "CFid")
+        .field("words", opts.words)
+        .field("width", opts.width)
+        .field("backgrounds", backgrounds.size())
+        .field("population", population)
+        .field("sweep_faults_per_sec", fps)
+        .field("threads", pool.worker_count())
+        .field("sweep_mt_faults_per_sec", mt_fps);
+    summary.print();
+}
+
 void print_summary() {
     TextTable table;
     table.set_header({"width", "backgrounds", "ops/word",
@@ -401,6 +469,7 @@ int main(int argc, char** argv) {
     print_scalar_vs_packed();
     print_trace_head_to_head();
     print_retention();
+    print_sweep_word_leg();
     benchmark::Initialize(&argc, argv);
     benchmark::RunSpecifiedBenchmarks();
     return 0;

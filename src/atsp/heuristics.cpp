@@ -4,40 +4,64 @@
 
 namespace mtg::atsp {
 
-std::optional<Tour> nearest_neighbour(const CostMatrix& costs, int start) {
+namespace {
+
+/// The nearest-neighbour walk from `start`, written into `order`, with
+/// `visited` as scratch; both keep their capacity across calls. False at
+/// a dead end of forbidden arcs.
+bool nearest_neighbour_order(const CostMatrix& costs, int start,
+                             std::vector<char>& visited,
+                             std::vector<int>& order) {
     const int n = costs.size();
     MTG_EXPECTS(start >= 0 && start < n);
-    std::vector<bool> visited(static_cast<std::size_t>(n), false);
-    std::vector<int> order;
-    order.reserve(static_cast<std::size_t>(n));
+    visited.assign(static_cast<std::size_t>(n), 0);
+    order.clear();
     int current = start;
-    visited[static_cast<std::size_t>(current)] = true;
+    visited[static_cast<std::size_t>(current)] = 1;
     order.push_back(current);
     for (int step = 1; step < n; ++step) {
         int best = -1;
         Cost best_cost = kForbidden;
         for (int next = 0; next < n; ++next) {
-            if (visited[static_cast<std::size_t>(next)]) continue;
+            if (visited[static_cast<std::size_t>(next)] != 0) continue;
             const Cost c = costs.at(current, next);
             if (c < best_cost) {
                 best_cost = c;
                 best = next;
             }
         }
-        if (best < 0) return std::nullopt;
-        visited[static_cast<std::size_t>(best)] = true;
+        if (best < 0) return false;
+        visited[static_cast<std::size_t>(best)] = 1;
         order.push_back(best);
         current = best;
     }
-    if (costs.is_forbidden(current, start)) return std::nullopt;
-    return Tour{order, tour_cost(costs, order)};
+    return !costs.is_forbidden(current, start);
+}
+
+}  // namespace
+
+std::optional<Tour> nearest_neighbour(const CostMatrix& costs, int start) {
+    std::vector<char> visited;
+    Tour tour;
+    if (!nearest_neighbour_order(costs, start, visited, tour.order))
+        return std::nullopt;
+    tour.cost = tour_cost(costs, tour.order);
+    return tour;
 }
 
 std::optional<Tour> best_nearest_neighbour(const CostMatrix& costs) {
     std::optional<Tour> best;
+    // One scratch walk for every start; an improving walk is swapped into
+    // `best`, whose old order becomes the next walk's buffer.
+    std::vector<char> visited;
+    std::vector<int> order;
     for (int start = 0; start < costs.size(); ++start) {
-        auto tour = nearest_neighbour(costs, start);
-        if (tour && (!best || tour->cost < best->cost)) best = tour;
+        if (!nearest_neighbour_order(costs, start, visited, order)) continue;
+        const Cost cost = tour_cost(costs, order);
+        if (best && cost >= best->cost) continue;
+        if (!best) best.emplace();
+        best->order.swap(order);
+        best->cost = cost;
     }
     return best;
 }

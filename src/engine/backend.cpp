@@ -190,6 +190,11 @@ std::span<const word::InjectedBitFault> word_faults(
 /// the word is the cell.
 struct BitTraceEmit {
     using Trace = sim::RunTrace;
+    static void reserve(Trace& trace, std::size_t reads,
+                        std::size_t observations) {
+        trace.failing_reads.reserve(reads);
+        trace.failing_observations.reserve(observations);
+    }
     static void read(Trace& trace, int background,
                      const sim::ReadSite& site) {
         MTG_ASSERT(background == 0);

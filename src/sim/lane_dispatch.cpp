@@ -4,10 +4,8 @@
 
 namespace mtg::sim {
 
-LaneIsa active_lane_isa(std::size_t work_items) {
-    return work_items >= kZmmWorkItemThreshold && cpu_has_avx512f()
-               ? LaneIsa::Avx512
-               : LaneIsa::Generic;
+LaneIsa active_lane_isa(std::size_t /*work_items*/) {
+    return cpu_has_avx512f() ? LaneIsa::Avx512 : LaneIsa::Generic;
 }
 
 bool lane_width_supported(int width) {
@@ -45,9 +43,7 @@ int active_lane_width() {
 int clamp_lane_width(int width, std::size_t population) {
     const std::size_t words =
         (population + kChunkLanes - 1) / kChunkLanes;
-    if (words <= 3) return 1;
-    if (words <= 7 || width < 8) return width < 4 ? 1 : 4;
-    return width;
+    return words <= 3 ? 1 : width;
 }
 
 }  // namespace mtg::sim

@@ -11,10 +11,12 @@
 /// 1. A runner or Engine session given an explicit width runs exactly
 /// that width instead.
 ///
-/// Codegen is one rule, active_lane_isa: only a large W=8 job on an
-/// AVX-512F host runs the `target("avx512f")` wrapper (word_kernels.cpp);
-/// every other pass runs the generic instantiation, so an explicit W=8 on
-/// a non-AVX host runs baseline code instead of crashing.
+/// The rule is one measured cut (README, "One lane rule"): a population
+/// of at most three 63-lane plane words runs W=1, any larger one the CPUID
+/// width, and every W=8 pass on an AVX-512F host runs the
+/// `target("avx512f")` wrapper (word_kernels.cpp). Every other pass runs
+/// the generic instantiation, so an explicit W=8 on a non-AVX host runs
+/// baseline code instead of crashing.
 
 #include <cstddef>
 
@@ -32,11 +34,11 @@ namespace mtg::sim {
 /// CPUID, then cached for the process lifetime.
 [[nodiscard]] int active_lane_width();
 
-/// Widest profitable width ≤ `width` for a population of `population`
-/// faults: a chunk only amortises its per-pass machinery over lanes that
-/// exist, so populations spanning few 63-lane plane words run narrower
-/// blocks (≤3 words → 1, ≤7 → 4, else 8). Results are bit-identical at
-/// every width, so the clamp is invisible except in throughput.
+/// Width a population of `population` faults runs at under an upper bound
+/// of `width`: 1 when the faults fill at most three 63-lane plane words
+/// (a wider block would carry mostly empty lanes), `width` otherwise.
+/// Results are bit-identical at every width, so the clamp is invisible
+/// except in throughput.
 [[nodiscard]] int clamp_lane_width(int width, std::size_t population);
 
 /// Host CPU feature queries (false on non-x86 builds).
@@ -49,16 +51,14 @@ namespace mtg::sim {
 /// longer returned and stay only so callers that name them still build.
 enum class LaneIsa { Auto, Avx512, Avx2, Generic };
 
-/// Job size (chunks × ⇕ expansions) below which a W=8 job runs the
-/// generic pass: a short burst of zmm work never amortises the AVX-512
-/// frequency-license ramp. A pass walks all of a chunk's expansions as
-/// one prefix-sharing tree, so the product measures the job, not the
-/// number of work items.
+/// Unused by the library: no job size gates the zmm wrapper any more. It
+/// stays declared only because the perfbench driver names it in its run
+/// fingerprint.
 inline constexpr std::size_t kZmmWorkItemThreshold = 64;
 
-/// The codegen a W=8 job of `work_items` (chunks × ⇕ expansions) runs:
-/// Avx512 on an AVX-512F host at kZmmWorkItemThreshold or more, Generic
-/// otherwise.
-[[nodiscard]] LaneIsa active_lane_isa(std::size_t work_items);
+/// The codegen every W=8 pass runs: Avx512 on an AVX-512F host, Generic
+/// otherwise. The parameter is unused; it stays only for the perfbench
+/// driver's fingerprint call.
+[[nodiscard]] LaneIsa active_lane_isa(std::size_t work_items = 0);
 
 }  // namespace mtg::sim

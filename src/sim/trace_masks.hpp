@@ -24,11 +24,15 @@
 /// instead of AND-ing a dense slab (the observation grid is
 /// O(backgrounds · sites · words · width) dense but only O(touched cells)
 /// sparse — see word_kernels.hpp).
+///
+/// Both sinks are re-armed in place: reset() starts a new chunk and keeps
+/// every allocation at its high-water capacity, so the per-thread pair
+/// word_run keeps (word_kernels.hpp) costs no allocation once it has seen
+/// the largest grid of a workload.
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "sim/lane_block.hpp"
@@ -42,11 +46,15 @@ namespace mtg::sim::detail {
 template <typename Block>
 class GuaranteedMasks {
 public:
-    /// `size` coordinates, all lanes of `init` initially guaranteed (the
-    /// kernels seed with the chunk's used-lane mask: intersecting the
-    /// first pass then leaves exactly that pass's failures).
-    GuaranteedMasks(std::size_t size, const Block& init)
-        : guaranteed_(size, init), now_(size, block_zero<Block>()) {}
+    /// Re-arms the grid for a new chunk: `size` coordinates, all lanes of
+    /// `init` initially guaranteed (the kernels seed with the chunk's
+    /// used-lane mask: intersecting the first pass then leaves exactly
+    /// that pass's failures), no mark pending. Keeps every allocation.
+    void reset(std::size_t size, const Block& init) {
+        guaranteed_.assign(size, init);
+        now_.assign(size, block_zero<Block>());
+        marks_.clear();
+    }
 
     /// Zeroes the per-pass grid; call before every expansion pass.
     void begin_pass() {
@@ -126,13 +134,31 @@ struct SparseObsEntry {
 template <typename Block>
 class SparseGuaranteedRuns {
 public:
-    explicit SparseGuaranteedRuns(std::size_t coords)
-        : guaranteed_(coords), now_(coords) {}
+    SparseGuaranteedRuns() = default;
+    explicit SparseGuaranteedRuns(std::size_t coords) { reset(coords); }
+
+    /// Re-arms the runs for a new chunk of `coords` coordinates: every run
+    /// empty, no pass committed, no mark pending. The run vectors are kept
+    /// at their high-water count and capacity, and only the first `coords`
+    /// are in use.
+    void reset(std::size_t coords) {
+        if (guaranteed_.size() < coords) {
+            guaranteed_.resize(coords);
+            now_.resize(coords);
+        }
+        for (std::size_t c = 0; c < coords; ++c) {
+            guaranteed_[c].clear();
+            now_[c].clear();
+        }
+        coords_ = coords;
+        marks_.clear();
+        first_pass_ = true;
+    }
 
     /// Clears the per-pass runs (keeping their capacity); call before
     /// every expansion pass.
     void begin_pass() {
-        for (auto& run : now_) run.clear();
+        for (std::size_t c = 0; c < coords_; ++c) now_[c].clear();
     }
 
     /// Records that `lanes` mismatched at (word, bit) of run `coord`
@@ -145,7 +171,7 @@ public:
     /// Intersects the finished pass into the guaranteed runs; the pass
     /// runs are left as they are.
     void commit_pass() {
-        for (std::size_t c = 0; c < now_.size(); ++c) {
+        for (std::size_t c = 0; c < coords_; ++c) {
             auto& now = sorted_;
             now.assign(now_[c].begin(), now_[c].end());
             std::sort(now.begin(), now.end());
@@ -178,14 +204,15 @@ public:
     /// Saves every pass run's length; the matching rollback() truncates
     /// the runs back to them.
     void mark() {
-        for (const auto& run : now_) marks_.push_back(run.size());
+        for (std::size_t c = 0; c < coords_; ++c)
+            marks_.push_back(now_[c].size());
     }
 
     /// Returns the pass runs to the last unmatched mark().
     void rollback() {
         const auto saved =
-            marks_.end() - static_cast<std::ptrdiff_t>(now_.size());
-        for (std::size_t c = 0; c < now_.size(); ++c)
+            marks_.end() - static_cast<std::ptrdiff_t>(coords_);
+        for (std::size_t c = 0; c < coords_; ++c)
             now_[c].resize(saved[static_cast<std::ptrdiff_t>(c)]);
         marks_.erase(saved, marks_.end());
     }
@@ -195,26 +222,24 @@ public:
         std::size_t coord) const {
         return guaranteed_[coord];
     }
-    [[nodiscard]] std::size_t size() const { return guaranteed_.size(); }
+    [[nodiscard]] std::size_t size() const { return coords_; }
 
     /// Total populated cells across every guaranteed run (the sparse
     /// grid's memory footprint, for benches and tests).
     [[nodiscard]] std::size_t entry_count() const {
         std::size_t n = 0;
-        for (const auto& run : guaranteed_) n += run.size();
+        for (std::size_t c = 0; c < coords_; ++c) n += guaranteed_[c].size();
         return n;
     }
 
-    /// Hands the guaranteed runs off to the caller (the chunk result).
-    [[nodiscard]] std::vector<std::vector<SparseObsEntry<Block>>> take() {
-        return std::move(guaranteed_);
-    }
-
 private:
+    /// Runs [0, coords_) are in use; later ones keep their capacity for a
+    /// larger chunk.
     std::vector<std::vector<SparseObsEntry<Block>>> guaranteed_;
     std::vector<std::vector<SparseObsEntry<Block>>> now_;
     std::vector<SparseObsEntry<Block>> sorted_;  ///< commit_pass's copy
     std::vector<std::size_t> marks_;  ///< saved run lengths, innermost last
+    std::size_t coords_{0};
     bool first_pass_{true};
 };
 

@@ -27,14 +27,24 @@
 /// (one lane lives in one plane word), so their cost stays scalar at any
 /// width.
 ///
-/// Per-op cost: a write costs its word's bits plus the decoder-map,
-/// coupling and static-coupling entries filed at its word; a read costs
-/// its word's bits plus the decoder-map entries at its word; a wait costs
-/// the DRF entries. No op walks the whole memory or every fault. Within
-/// that, a write or read skips work that a lane holding one fault makes an
-/// exact no-op:
+/// Per-op cost: a write costs its word's bits plus the decoder-map, Af
+/// and static-coupling entries filed at its word and the CFin/CFid entries
+/// filed at the bits of its word that took a transition; a read costs its
+/// word's bits plus the decoder-map entries at its word; a wait costs the
+/// DRF entries. No op walks the whole memory or every fault. Within that,
+/// a write or read skips work that a lane holding one fault makes an exact
+/// no-op:
 ///   - the single-bit fault algebra runs only at bit positions holding a
 ///     single-bit fault (a flag per position, set by inject());
+///   - a CFin or CFid entry is filed under its aggressor's flat bit index
+///     and the transition it needs (slot 2·at for ↑, 2·at+1 for ↓), and a
+///     write walks a bit's ↑ list only when some lane of that bit rose and
+///     its ↓ list only when some lane fell. The entry fires in the lanes
+///     `lanes & rising[b]` (or `falling[b]`), and lanes are disjoint, so
+///     a list whose transition plane is empty fires nowhere. Counting
+///     backgrounds mix directions within a word, never within a bit. Af
+///     entries follow every write to their word and stay in one list per
+///     word;
 ///   - a CFst entry filed under its aggressor word needs no read of the
 ///     aggressor planes: in a CFst lane no single-bit fault, redirect or
 ///     coupling can touch the aggressor, so after the write it holds the
@@ -102,7 +112,8 @@ public:
           known_(value_.size(), sim::block_zero<Block>()),
           single_(value_.size()),
           has_single_(value_.size(), 0),
-          coupling_(static_cast<std::size_t>(words)),
+          coupling_(2 * value_.size()),
+          af_(static_cast<std::size_t>(words)),
           afmap_(static_cast<std::size_t>(words)),
           static_(static_cast<std::size_t>(words)) {
         MTG_EXPECTS(words > 0);
@@ -129,8 +140,10 @@ public:
             has_single_[at] = 0;
         }
         single_dirty_.clear();
-        for (std::size_t w : coupling_dirty_) coupling_[w].clear();
+        for (std::size_t slot : coupling_dirty_) coupling_[slot].clear();
         coupling_dirty_.clear();
+        for (std::size_t w : af_dirty_) af_[w].clear();
+        af_dirty_.clear();
         for (std::size_t w : afmap_dirty_) afmap_[w].clear();
         afmap_dirty_.clear();
         for (std::size_t w : static_dirty_) static_[w].clear();
@@ -146,10 +159,11 @@ public:
             known_.resize(bits);
             single_.resize(bits);
             has_single_.resize(bits, 0);
+            coupling_.resize(2 * bits);
         }
         const auto word_count = static_cast<std::size_t>(words);
-        if (word_count != coupling_.size()) {
-            coupling_.resize(word_count);
+        if (word_count != af_.size()) {
+            af_.resize(word_count);
             afmap_.resize(word_count);
             static_.resize(word_count);
         }
@@ -216,20 +230,24 @@ public:
                 push_retention(a, true, lanes);
                 return;
             case fault::FaultKind::CfinUp:
-            case fault::FaultKind::CfinDown:
             case fault::FaultKind::CfidUp0:
             case fault::FaultKind::CfidUp1:
+                push_coupling(fault, 2 * a, lanes);
+                return;
+            case fault::FaultKind::CfinDown:
             case fault::FaultKind::CfidDown0:
             case fault::FaultKind::CfidDown1:
-            case fault::FaultKind::Af:
-                coupling_dirty_.push_back(
-                    static_cast<std::size_t>(fault.a.word));
+                push_coupling(fault, 2 * a + 1, lanes);
+                return;
+            case fault::FaultKind::Af: {
+                const auto aw = static_cast<std::size_t>(fault.a.word);
+                if (af_[aw].empty()) af_dirty_.push_back(aw);
                 for_each_block_word(lanes, [&](int w, LaneMask m) {
-                    coupling_[static_cast<std::size_t>(fault.a.word)]
-                        .push_back({fault.kind, fault.a.bit, index(fault.b),
-                                    w, m});
+                    af_[aw].push_back(
+                        {fault.kind, fault.a.bit, index(fault.b), w, m});
                 });
                 return;
+            }
             case fault::FaultKind::CfstS0F0:
                 push_static(fault, false, false, lanes);
                 return;
@@ -347,63 +365,51 @@ public:
 
         // Phase 2: coupling sensitised by the aggressor-bit transitions of
         // this store, applied after the whole word is written. Per-fault
-        // entries touch one plane word each.
-        for (const CouplingEntry& c : coupling_[w]) {
-            // A fixed width of 1 has one aggressor bit; saying so lets the
-            // transition planes stay in registers.
-            const int b = Width == 1 ? 0 : c.aggressor_bit;
-            const int bw = c.word;
-            const std::size_t v = c.victim;
-            LaneMask t = 0;
-            switch (c.kind) {
-                case fault::FaultKind::CfinUp:
-                    t = c.lanes & sim::block_word(rising[b], bw);
-                    sim::block_word_ref(value_[v], bw) ^=
-                        t & sim::block_word(known_[v], bw);  // X stays X
-                    continue;
-                case fault::FaultKind::CfinDown:
-                    t = c.lanes & sim::block_word(falling[b], bw);
-                    sim::block_word_ref(value_[v], bw) ^=
-                        t & sim::block_word(known_[v], bw);
-                    continue;
-                case fault::FaultKind::CfidUp0:
-                case fault::FaultKind::CfidUp1:
-                    t = c.lanes & sim::block_word(rising[b], bw);
-                    break;
-                case fault::FaultKind::CfidDown0:
-                case fault::FaultKind::CfidDown1:
-                    t = c.lanes & sim::block_word(falling[b], bw);
-                    break;
-                case fault::FaultKind::Af:
-                    t = c.lanes & sim::block_word(active, bw);
-                    break;
-                default:
-                    MTG_ASSERT(false && "not a coupling kind");
-                    break;
-            }
-            if (!t) continue;
-            switch (c.kind) {
-                case fault::FaultKind::CfidUp0:
-                case fault::FaultKind::CfidDown0:
-                    sim::block_word_ref(value_[v], bw) &= ~t;
-                    break;
-                case fault::FaultKind::CfidUp1:
-                case fault::FaultKind::CfidDown1:
-                    sim::block_word_ref(value_[v], bw) |= t;
-                    break;
-                case fault::FaultKind::Af: {
-                    // Shorted decoder: the victim tracks the aggressor's
-                    // newly stored value on every write to its word.
-                    const LaneMask stored = sim::block_word(
-                        value_[base + static_cast<std::size_t>(b)], bw);
-                    LaneMask& vv = sim::block_word_ref(value_[v], bw);
-                    vv = (vv & ~t) | (stored & t);
-                    break;
+        // entries touch one plane word each. CFin and CFid entries sit in
+        // one list per (aggressor bit, transition), walked only when that
+        // transition plane has a lane (see the file comment).
+        for (int b = 0; b < width; ++b) {
+            const std::size_t at = base + static_cast<std::size_t>(b);
+            for (int fall = 0; fall < 2; ++fall) {
+                const Block& edge = fall != 0 ? falling[b] : rising[b];
+                const std::vector<CouplingEntry>& list =
+                    coupling_[2 * at + static_cast<std::size_t>(fall)];
+                if (list.empty() || sim::block_none(edge)) continue;
+                for (const CouplingEntry& c : list) {
+                    const int bw = c.word;
+                    const LaneMask t = c.lanes & sim::block_word(edge, bw);
+                    if (!t) continue;
+                    LaneMask& vv = sim::block_word_ref(value_[c.victim], bw);
+                    switch (c.kind) {
+                        case fault::FaultKind::CfinUp:
+                        case fault::FaultKind::CfinDown:
+                            vv ^= t & sim::block_word(known_[c.victim],
+                                                      bw);  // X stays X
+                            continue;
+                        case fault::FaultKind::CfidUp0:
+                        case fault::FaultKind::CfidDown0:
+                            vv &= ~t;
+                            break;
+                        default:  // CfidUp1, CfidDown1
+                            vv |= t;
+                            break;
+                    }
+                    sim::block_word_ref(known_[c.victim], bw) |= t;
                 }
-                default:
-                    break;
             }
-            sim::block_word_ref(known_[v], bw) |= t;
+        }
+        for (const CouplingEntry& c : af_[w]) {
+            // Shorted decoder: the victim tracks the aggressor's newly
+            // stored value on every write to its word.
+            const int bw = c.word;
+            const LaneMask t = c.lanes & sim::block_word(active, bw);
+            if (!t) continue;
+            const int b = Width == 1 ? 0 : c.aggressor_bit;
+            const LaneMask stored = sim::block_word(
+                value_[base + static_cast<std::size_t>(b)], bw);
+            LaneMask& vv = sim::block_word_ref(value_[c.victim], bw);
+            vv = (vv & ~t) | (stored & t);
+            sim::block_word_ref(known_[c.victim], bw) |= t;
         }
 
         // State coupling: the entries whose aggressor or victim sits in
@@ -527,7 +533,9 @@ private:
         Block drdf0{}, drdf1{};
         Block irf0{}, irf1{};
     };
-    /// Transition/Af coupling bound to an aggressor bit of some word.
+    /// Transition (CFin, CFid) or Af coupling bound to an aggressor bit.
+    /// Only Af entries read `aggressor_bit`: a CFin/CFid list's slot
+    /// already names the bit.
     struct CouplingEntry {
         fault::FaultKind kind;
         int aggressor_bit;
@@ -590,15 +598,19 @@ private:
     /// 1 where single_ holds a fault: write() and read() skip the
     /// single-bit algebra at every other bit position.
     std::vector<std::uint8_t> has_single_;
-    std::vector<std::vector<CouplingEntry>> coupling_;  ///< by aggr. word
-    std::vector<std::vector<MapEntry>> afmap_;          ///< by aggr. word
+    /// CFin/CFid entries by aggressor bit and transition: [2·at] for the
+    /// rising kinds, [2·at + 1] for the falling ones.
+    std::vector<std::vector<CouplingEntry>> coupling_;
+    std::vector<std::vector<CouplingEntry>> af_;  ///< Af by aggr. word
+    std::vector<std::vector<MapEntry>> afmap_;    ///< by aggr. word
     std::vector<StaticLists> static_;  ///< by aggr./victim word
     std::vector<RetentionEntry> retention_;  ///< the bits holding a DRF
     Block occupied_{};  ///< lanes already holding a fault
     // Flat bit / word indices a reset() must undo (duplicates are fine —
     // clearing is idempotent).
     std::vector<std::size_t> single_dirty_;
-    std::vector<std::size_t> coupling_dirty_;
+    std::vector<std::size_t> coupling_dirty_;  ///< coupling_ slots
+    std::vector<std::size_t> af_dirty_;
     std::vector<std::size_t> afmap_dirty_;
     std::vector<std::size_t> static_dirty_;
 
@@ -637,6 +649,17 @@ private:
                                     force};
             static_[aw].by_sense[sense].push_back(entry);
             if (vw != aw) static_[vw].by_victim.push_back(entry);
+        });
+    }
+
+    /// Files a CFin/CFid fault under coupling_[slot], its aggressor bit's
+    /// list for the transition it needs.
+    void push_coupling(const InjectedBitFault& fault, std::size_t slot,
+                       const Block& lanes) {
+        if (coupling_[slot].empty()) coupling_dirty_.push_back(slot);
+        for_each_block_word(lanes, [&](int w, LaneMask m) {
+            coupling_[slot].push_back(
+                {fault.kind, fault.a.bit, index(fault.b), w, m});
         });
     }
 

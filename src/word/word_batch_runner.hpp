@@ -28,12 +28,13 @@
 /// CPUID dispatch (AVX-512 → 8, AVX2 → 4, else 1 — see lane_dispatch.hpp)
 /// or per runner via the constructor, and is bit-identical across widths.
 /// Every query goes through one dispatch, population size → lane block →
-/// pass; only a W=8 pass has a second codegen to choose
-/// (sim::active_lane_isa, on chunks × ⇕ expansions). The chunks are
-/// sharded across a util::ThreadPool, one work item per chunk writing its
-/// own result slot, and detects_all fail-fasts through a shared atomic
-/// flag that every chunk's walk checks at its leaves. Results are
-/// bit-identical for every worker count.
+/// pass: a population of at most three plane words runs W=1, any other the
+/// runner's width, and a W=8 pass runs the zmm wrapper on every AVX-512F
+/// host (sim::active_lane_isa). The chunks are sharded across a
+/// util::ThreadPool, one work item per chunk writing its own result slot,
+/// and detects_all fail-fasts through a shared atomic flag that every
+/// chunk's walk checks at its leaves. Results are bit-identical for every
+/// worker count.
 
 #include <span>
 #include <vector>
@@ -108,8 +109,8 @@ public:
     }
 
     /// Block width this runner executes with (1, 4 or 8 plane words). An
-    /// auto-detected width is an upper bound: per call the runner clamps
-    /// to the narrowest block the population fills (results are
+    /// auto-detected width is an upper bound: per call the runner runs a
+    /// population of at most three plane words at W=1 (results are
     /// bit-identical at every width); an explicit constructor width is
     /// exact.
     [[nodiscard]] int lane_width() const { return width_; }
@@ -121,7 +122,7 @@ private:
 
     /// Calls `job` with the pass for a population of this size: the lane
     /// block of the (clamped) width, and for W=8 the codegen
-    /// sim::active_lane_isa picks for the job's chunks × ⇕ expansions.
+    /// sim::active_lane_isa picks for the host.
     template <typename Job>
     auto dispatch(std::size_t population, Job job) const {
         const int bits = plan_.opts.width;
@@ -130,9 +131,7 @@ private:
             case 4:
                 return job(detail::generic_pass<LaneBlock<4>>(bits));
             case 8:
-                return job(detail::word_pass_w8(
-                    bits, sim::block_chunk_total<LaneBlock<8>>(population) *
-                              plan_.expansions.size()));
+                return job(detail::word_pass_w8(bits));
             default:
                 return job(detail::generic_pass<LaneMask>(bits));
         }

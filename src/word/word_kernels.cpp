@@ -7,7 +7,8 @@
 /// operation flattened in, under `target("avx512f")`, so each block
 /// operation is one zmm op. It is a strong symbol local to this TU (no
 /// per-TU -m flags, no weak-symbol ODR leakage into generic code), handed
-/// out only when sim::active_lane_isa says Avx512, which needs AVX-512F.
+/// out for every W=8 job when sim::active_lane_isa says Avx512, which
+/// needs AVX-512F.
 /// Its signature is pointer-only: returning a 512-bit vector by value
 /// would change the calling convention with the ISA. For the same reason
 /// the ⇕ expansion walk inside it is a loop, not a recursion: a recursive
@@ -53,10 +54,9 @@ template WordPassFn<LaneMask> generic_pass<LaneMask>(int);
 template WordPassFn<LaneBlock<4>> generic_pass<LaneBlock<4>>(int);
 template WordPassFn<LaneBlock<8>> generic_pass<LaneBlock<8>>(int);
 
-WordPassFn<LaneBlock<8>> word_pass_w8(
-    int width, [[maybe_unused]] std::size_t work_items) {
+WordPassFn<LaneBlock<8>> word_pass_w8(int width) {
 #if MTG_ZMM_WRAPPER
-    if (sim::active_lane_isa(work_items) == sim::LaneIsa::Avx512)
+    if (sim::active_lane_isa() == sim::LaneIsa::Avx512)
         return width == 1 ? &word_pass_avx512<1> : &word_pass_avx512<0>;
 #endif
     return generic_pass<LaneBlock<8>>(width);

@@ -15,7 +15,7 @@
 /// chunk's walk checks at its leaves. Because
 /// each plane word of a block is bit-identical to a scalar chunk, results
 /// are identical across lane widths and worker counts. The pass is
-/// reached through a `WordPassFn` pointer so that a large W=8 job on an
+/// reached through a `WordPassFn` pointer so that a W=8 job on an
 /// AVX-512F host can run the `target("avx512f")` wrapper in
 /// word_kernels.cpp (see sim::active_lane_isa).
 ///
@@ -45,7 +45,11 @@
 /// semantics, 63·W faults per sweep. The sinks mark their path state at a
 /// branch point and roll back to it with the planes (trace_masks.hpp).
 /// word_run shards chunks across the pool, each chunk writing a disjoint
-/// slice of the WordRunTrace vector.
+/// slice of the trace vector. Each thread keeps one pair of sinks
+/// (TraceSinks), re-armed per chunk, and fans the traces out of them
+/// directly: a counting walk over the chunk's guaranteed grids first sizes
+/// every trace's two vectors exactly (Emit::reserve), then one walk fills
+/// them in canonical order.
 ///
 /// The (background, site) read grid is small and stays dense
 /// (sim::detail::GuaranteedMasks). The (background, site, word, bit)
@@ -403,48 +407,20 @@ bool word_detects_all(const WordPlan& plan, WordPassFn<Block> pass,
     return !escape.load(std::memory_order_relaxed);
 }
 
-/// Per-coordinate failing-lane masks of one population chunk, already
-/// intersected across every ⇕ expansion (see word_site_index for the
-/// grid layout).
-template <typename Block>
-struct WordChunkResult {
-    Block detected{};
-    std::vector<Block> site_fail;  ///< [background × site]
-    /// Per (background × site) run sorted by (word, bit).
-    std::vector<std::vector<sim::detail::SparseObsEntry<Block>>>
-        observations;
-};
-
-template <typename Block>
-WordChunkResult<Block> word_run_chunk(const WordPlan& plan,
-                                      WordPassFn<Block> pass,
-                                      const InjectedBitFault* faults,
-                                      int count) {
-    MTG_EXPECTS(count > 0 && count <= block_fault_lanes<Block>);
-    const Block used = block_used_lanes<Block>(count);
-    const std::size_t site_cells =
-        plan.backgrounds.size() * plan.sites.size();
-
-    WordChunkResult<Block> out;
-    GuaranteedMasks<Block> sites(site_cells, used);
-    SparseGuaranteedRuns<Block> observations(site_cells);
-    pass(plan, faults, count, nullptr, &out.detected, &sites,
-         &observations);
-    out.observations = observations.take();
-
-    out.site_fail.resize(site_cells);
-    for (std::size_t s = 0; s < site_cells; ++s)
-        out.site_fail[s] = sites.guaranteed(s);
-    return out;
-}
-
 /// How word_run records a guaranteed failing read or observation into a
 /// per-fault trace: `Trace` is the trace type (it needs a `detected`
-/// flag), `read` and `observation` append one entry. WordTraceEmit builds
-/// the word universe's WordRunTrace; another emitter builds another trace
-/// type from the same coordinates without a second copy.
+/// flag), `reserve` sizes a trace for the number of reads and
+/// observations it is about to receive, and `read` and `observation`
+/// append one entry. WordTraceEmit builds the word universe's
+/// WordRunTrace; another emitter builds another trace type from the same
+/// coordinates without a second copy.
 struct WordTraceEmit {
     using Trace = WordRunTrace;
+    static void reserve(Trace& trace, std::size_t reads,
+                        std::size_t observations) {
+        trace.failing_reads.reserve(reads);
+        trace.failing_observations.reserve(observations);
+    }
     static void read(Trace& trace, int background, const sim::ReadSite& site) {
         trace.failing_reads.push_back({background, site});
     }
@@ -455,82 +431,130 @@ struct WordTraceEmit {
     }
 };
 
+/// The trace sinks of one pass: the dense (background, site) read grid and
+/// the sparse (background, site, word, bit) observation runs. word_run
+/// keeps one pair per thread, like the pass's ArmedPassScratch and
+/// ExpansionWalk, and re-arms it per chunk, so a query allocates no grid.
+/// This rests on one invariant: neither a pass nor the extraction that
+/// reads the sinks issues a query, so nothing on this thread can re-arm
+/// them between a chunk's pass and the end of its extraction.
+template <typename Block>
+struct TraceSinks {
+    GuaranteedMasks<Block> sites;
+    SparseGuaranteedRuns<Block> observations;
+
+    /// This thread's pair.
+    static TraceSinks& local() {
+        thread_local TraceSinks sinks;
+        return sinks;
+    }
+};
+
+/// Fans one chunk's guaranteed grids out into its `count` per-fault
+/// traces, `out[i]` for fault lane fault_lane(i). Entry-major: lane-major
+/// probing would undo the sparse win (O(lanes · words · width) per coord),
+/// so each (background, site) run is walked once and every entry's lane
+/// mask is fanned out. Coordinates ascend (background, site) and runs are
+/// sorted by (word, bit), so each trace sees its words in ascending order —
+/// the canonical trace order. A first, counting walk over the same grids
+/// gives each trace its exact number of reads and of (background, site,
+/// word) observations, so every vector is sized once.
+template <typename Block, typename Emit>
+void word_emit_chunk(const WordPlan& plan, const TraceSinks<Block>& sinks,
+                     const Block& detected, int count,
+                     typename Emit::Trace* out) {
+    constexpr int kLanes = sim::block_lane_count<Block>;
+    const auto lane_trace = [&](int lane) -> typename Emit::Trace& {
+        // Inverse of fault_lane: chunk index of a fault lane.
+        return out[(lane / sim::kLaneCount) * sim::kChunkLanes +
+                   lane % sim::kLaneCount - 1];
+    };
+    std::uint32_t reads[kLanes] = {};
+    std::uint32_t observations[kLanes] = {};
+    const std::size_t coords = sinks.sites.size();
+    for (std::size_t coord = 0; coord < coords; ++coord) {
+        sim::for_each_lane(sinks.sites.guaranteed(coord),
+                           [&](int lane) { ++reads[lane]; });
+        // One observation per (lane, word) of the run: OR the lanes of
+        // each word's entries together and count each lane once.
+        const auto& run = sinks.observations.run(coord);
+        for (std::size_t i = 0; i < run.size();) {
+            Block lanes = block_zero<Block>();
+            const std::int32_t word = run[i].word;
+            for (; i < run.size() && run[i].word == word; ++i)
+                lanes |= run[i].lanes;
+            sim::for_each_lane(lanes, [&](int lane) { ++observations[lane]; });
+        }
+    }
+    for (int i = 0; i < count; ++i) {
+        const int lane = fault_lane(i);
+        out[i].detected = block_test(detected, lane);
+        Emit::reserve(out[i], reads[lane], observations[lane]);
+    }
+
+    // Each lane keeps one open (word, bits) accumulator, flushed when the
+    // run moves that lane to a new word and once more when the run ends.
+    struct LaneAcc {
+        std::int32_t word{-1};
+        std::uint64_t bits{0};
+    };
+    LaneAcc acc[kLanes];
+    for (std::size_t k = 0; k < plan.backgrounds.size(); ++k)
+        for (std::size_t s = 0; s < plan.sites.size(); ++s) {
+            const std::size_t coord = word_site_index(plan, k, s);
+            const int background = static_cast<int>(k);
+            const sim::ReadSite& site = plan.sites[s];
+            sim::for_each_lane(sinks.sites.guaranteed(coord), [&](int lane) {
+                Emit::read(lane_trace(lane), background, site);
+            });
+            Block dirty = block_zero<Block>();
+            for (const auto& entry : sinks.observations.run(coord)) {
+                sim::for_each_lane(entry.lanes, [&](int lane) {
+                    LaneAcc& a = acc[lane];
+                    if (a.word != entry.word) {
+                        if (a.word >= 0)
+                            Emit::observation(lane_trace(lane), background,
+                                              site, a.word, a.bits);
+                        a.word = entry.word;
+                        a.bits = 0;
+                    }
+                    a.bits |= std::uint64_t{1} << entry.bit;
+                });
+                dirty |= entry.lanes;
+            }
+            sim::for_each_lane(dirty, [&](int lane) {
+                LaneAcc& a = acc[lane];
+                Emit::observation(lane_trace(lane), background, site, a.word,
+                                  a.bits);
+                a.word = -1;
+                a.bits = 0;
+            });
+        }
+}
+
 template <typename Block, typename Emit = WordTraceEmit>
 std::vector<typename Emit::Trace> word_run(
     const WordPlan& plan, WordPassFn<Block> pass,
     std::span<const InjectedBitFault> population) {
-    using Trace = typename Emit::Trace;
-    std::vector<Trace> result(population.size());
+    std::vector<typename Emit::Trace> result(population.size());
     if (population.empty()) return result;
     const std::size_t chunks = block_chunk_total<Block>(population.size());
     const auto per = static_cast<std::size_t>(block_fault_lanes<Block>);
+    const std::size_t coords = plan.backgrounds.size() * plan.sites.size();
 
     // Chunk-wise sharding: each item walks every ⇕ choice itself and
     // writes a disjoint result slice.
     plan.pool->parallel_for(chunks, [&](std::size_t c, unsigned) {
         const std::size_t base = c * per;
         const int count = block_chunk_count<Block>(population.size(), c);
-        const WordChunkResult<Block> chunk =
-            word_run_chunk<Block>(plan, pass, population.data() + base,
-                                  count);
-        for (int i = 0; i < count; ++i)
-            result[base + static_cast<std::size_t>(i)].detected =
-                block_test(chunk.detected, fault_lane(i));
-        // Entry-major extraction: lane-major probing would undo the
-        // sparse win (O(lanes · words · width) per coord), so walk each
-        // (background, site) run once and fan every entry's lane mask out
-        // to the per-fault traces. Coordinates ascend (bkg, site) and
-        // runs are sorted by (word, bit), so each trace sees its words in
-        // ascending order — the canonical trace order.
-        const auto lane_result = [&](int lane) -> Trace& {
-            // Inverse of fault_lane: population index of a fault lane.
-            return result[base +
-                          static_cast<std::size_t>(
-                              (lane / sim::kLaneCount) * sim::kChunkLanes +
-                              lane % sim::kLaneCount - 1)];
-        };
-        struct LaneAcc {
-            std::int32_t word{-1};
-            std::uint64_t bits{0};
-        };
-        std::vector<LaneAcc> acc(
-            static_cast<std::size_t>(sim::block_lane_count<Block>));
-        for (std::size_t k = 0; k < plan.backgrounds.size(); ++k)
-            for (std::size_t s = 0; s < plan.sites.size(); ++s) {
-                const std::size_t coord = word_site_index(plan, k, s);
-                sim::for_each_lane(
-                    chunk.site_fail[coord], [&](int lane) {
-                        Emit::read(lane_result(lane), static_cast<int>(k),
-                                   plan.sites[s]);
-                    });
-                // Each lane keeps one open (word, bits) accumulator,
-                // flushed when the run moves that lane to a new word and
-                // once more when the run ends.
-                Block dirty = block_zero<Block>();
-                for (const auto& entry : chunk.observations[coord]) {
-                    sim::for_each_lane(entry.lanes, [&](int lane) {
-                        LaneAcc& a = acc[static_cast<std::size_t>(lane)];
-                        if (a.word != entry.word) {
-                            if (a.word >= 0)
-                                Emit::observation(lane_result(lane),
-                                                  static_cast<int>(k),
-                                                  plan.sites[s], a.word,
-                                                  a.bits);
-                            a.word = entry.word;
-                            a.bits = 0;
-                        }
-                        a.bits |= std::uint64_t{1} << entry.bit;
-                    });
-                    dirty |= entry.lanes;
-                }
-                sim::for_each_lane(dirty, [&](int lane) {
-                    LaneAcc& a = acc[static_cast<std::size_t>(lane)];
-                    Emit::observation(lane_result(lane), static_cast<int>(k),
-                                      plan.sites[s], a.word, a.bits);
-                    a.word = -1;
-                    a.bits = 0;
-                });
-            }
+        TraceSinks<Block>& sinks = TraceSinks<Block>::local();
+        sinks.sites.reset(coords, block_used_lanes<Block>(count));
+        sinks.observations.reset(coords);
+        Block detected = block_zero<Block>();
+        pass(plan, population.data() + base, count, nullptr, &detected,
+             &sinks.sites, &sinks.observations);
+        word_emit_chunk<Block, Emit>(plan, sinks, detected, count,
+                                     result.data() + base);
     });
     return result;
 }
@@ -545,10 +569,8 @@ std::vector<typename Emit::Trace> word_run(
 template <typename Block>
 [[nodiscard]] WordPassFn<Block> generic_pass(int width);
 
-/// The pass of a W=8 job of `work_items` (chunks × ⇕ expansions): the zmm
-/// wrapper when sim::active_lane_isa(work_items) is Avx512, generic_pass
-/// otherwise. Both are bit-identical.
-[[nodiscard]] WordPassFn<LaneBlock<8>> word_pass_w8(int width,
-                                                    std::size_t work_items);
+/// The pass of a W=8 job: the zmm wrapper when sim::active_lane_isa() is
+/// Avx512, generic_pass otherwise. Both are bit-identical.
+[[nodiscard]] WordPassFn<LaneBlock<8>> word_pass_w8(int width);
 
 }  // namespace mtg::word::detail

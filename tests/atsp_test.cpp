@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 
 #include "atsp/branch_bound.hpp"
 #include "atsp/heuristics.hpp"
@@ -89,6 +90,40 @@ TEST(Heuristics, NearestNeighbourProducesValidTour) {
     ASSERT_TRUE(tour.has_value());
     EXPECT_TRUE(tour_feasible(m, tour->order));
     EXPECT_EQ(tour->cost, tour_cost(m, tour->order));
+}
+
+/// best_nearest_neighbour reuses one walk buffer across start nodes and
+/// keeps an improving walk by swapping it in. Its answer must still be the
+/// first cheapest of the per-start tours, or none when no start finds a
+/// feasible tour, on instances where forbidden arcs dead-end some walks.
+TEST(Heuristics, BestNearestNeighbourIsTheFirstCheapestStart) {
+    SplitMix64 rng(0xA75BULL);
+    int infeasible = 0;
+    for (int round = 0; round < 200; ++round) {
+        const int n = 2 + static_cast<int>(rng.below(10));
+        CostMatrix m = random_instance(n, rng);
+        const std::uint64_t forbid_one_in = 2 + rng.below(4);
+        for (int i = 0; i < n; ++i)
+            for (int j = 0; j < n; ++j)
+                if (i != j && rng.below(forbid_one_in) == 0) m.forbid(i, j);
+        std::optional<Tour> want;
+        for (int start = 0; start < n; ++start) {
+            const auto tour = nearest_neighbour(m, start);
+            if (tour && (!want || tour->cost < want->cost)) want = tour;
+        }
+        const auto got = best_nearest_neighbour(m);
+        ASSERT_EQ(got.has_value(), want.has_value()) << "round " << round;
+        if (!want) {
+            ++infeasible;
+            continue;
+        }
+        EXPECT_EQ(got->order, want->order) << "round " << round;
+        EXPECT_EQ(got->cost, want->cost) << "round " << round;
+        EXPECT_TRUE(tour_feasible(m, got->order)) << "round " << round;
+    }
+    // Both outcomes occur, so the dead-end path is exercised.
+    EXPECT_GT(infeasible, 0);
+    EXPECT_LT(infeasible, 200);
 }
 
 /// The Or-opt of the original implementation, which built three fresh

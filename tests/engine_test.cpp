@@ -828,5 +828,85 @@ TEST(EnginePackedRunner, PerThreadRunnerNeverServesAStaleSetup) {
     }
 }
 
+/// Word and bit trace queries share each thread's trace sinks: word_run
+/// re-arms one grid/run pair per thread per chunk and fans traces out of
+/// it. One thread alternates, over 200 queries on Packed sessions of every
+/// lane width, word Traces of one and of three W=8 chunks on tests of 2
+/// (MATS+) and 13 (March SS) read sites, bit Traces, and the bit and word
+/// DictionarySweeps; every answer must equal a Scalar session's. A sink
+/// that kept a grid, a run, a mark or the committed state of an earlier
+/// query or chunk would leak it into a later trace.
+TEST(EnginePackedRunner, PerThreadTraceSinksNeverServeAStaleGrid) {
+    util::ThreadPool serial(1);
+    std::vector<std::unique_ptr<Engine>> sessions;
+    for (int width : {0, 1, 4, 8})
+        sessions.push_back(std::make_unique<Engine>(
+            EngineConfig{.backend = BackendKind::Packed,
+                         .pool = &serial,
+                         .lane_width = width}));
+    const Engine scalar(EngineConfig{.backend = BackendKind::Scalar});
+
+    struct Case {
+        std::string label;
+        Query query;
+        Result want;
+    };
+    std::vector<Case> cases;
+    const auto word_case = [&](const char* name, const char* kinds,
+                               int words, bool counting, Want want) {
+        Query query;
+        query.test = march::find_march_test(name).test;
+        query.universe = WordUniverse{
+            counting ? word::counting_backgrounds(8)
+                     : word::solid_background(8),
+            {.words = words, .width = 8}};
+        query.want = want;
+        query.kinds = fault::parse_fault_kinds(kinds);
+        cases.push_back({std::string(name) + " word " + kinds + " " +
+                             std::to_string(words) + "x8",
+                         query, scalar.run(query)});
+    };
+    const auto bit_case = [&](const char* name, const char* kinds, int n,
+                              Want want) {
+        Query query;
+        query.test = march::find_march_test(name).test;
+        query.universe = BitUniverse{{.memory_size = n}};
+        query.want = want;
+        query.kinds = fault::parse_fault_kinds(kinds);
+        cases.push_back({std::string(name) + " bit " + kinds, query,
+                         scalar.run(query)});
+    };
+    // 276 faults: one W=8 chunk. 1,499 faults: three.
+    const char* kMany = "SAF,TF,CFin,CFid,CFst,AF";
+    for (const char* name : {"MATS+", "March SS"}) {
+        word_case(name, "CFid", 4, true, Want::Traces);
+        word_case(name, kMany, 8, std::string(name) == "MATS+",
+                  Want::Traces);
+    }
+    bit_case("March C-", "SAF,TF,CFin,CFid,CFst,AF,RDF,DRF", 9,
+             Want::Traces);
+    bit_case("March SS", "SAF,TF,CFin,CFid,AF", 6, Want::DictionarySweep);
+    word_case("March C-", "SAF,TF,CFin,CFid", 4, true,
+              Want::DictionarySweep);
+    ASSERT_EQ(cases[1].want.word_traces.size(), 1499u);
+
+    SplitMix64 rng(0x51A4CULL);
+    for (int step = 0; step < 200; ++step) {
+        const Case& c = cases[rng.below(cases.size())];
+        const Engine& packed = *sessions[rng.below(sessions.size())];
+        const Result got = packed.run(c.query);
+        const std::string label =
+            "step " + std::to_string(step) + ": " + c.label +
+            " W=" + std::to_string(packed.config().lane_width);
+        ASSERT_EQ(got.all, c.want.all) << label;
+        ASSERT_EQ(got.detected, c.want.detected) << label;
+        expect_traces_eq(got.traces, c.want.traces, label.c_str());
+        expect_word_traces_eq(got.word_traces, c.want.word_traces,
+                              label.c_str());
+        ASSERT_EQ(got.instances.size(), c.want.instances.size()) << label;
+        if (HasFatalFailure()) return;
+    }
+}
+
 }  // namespace
 }  // namespace mtg

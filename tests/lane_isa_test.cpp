@@ -1,11 +1,10 @@
 /// \file lane_isa_test.cpp
 /// W=8 codegen dispatch: the W=8 pass has two codegens of one template,
 /// the `target("avx512f")` wrapper and the generic instantiation. One rule
-/// (sim::active_lane_isa) hands out the wrapper for jobs of at least
-/// kZmmWorkItemThreshold pass executions on AVX-512F hosts, and both
-/// codegens must give bit-identical verdicts and traces, for the width-1
-/// pass bit queries run and the run-time-width word pass. The W=4 and W=1
-/// session comparisons are lane_width_test's.
+/// (sim::active_lane_isa) hands out the wrapper for every W=8 job on
+/// AVX-512F hosts, and both codegens must give bit-identical verdicts and
+/// traces, for the width-1 pass bit queries run and the run-time-width
+/// word pass. The W=4 and W=1 session comparisons are lane_width_test's.
 
 #include <gtest/gtest.h>
 
@@ -29,20 +28,19 @@ using fault::FaultKind;
 using sim::LaneIsa;
 using Block = sim::LaneBlock<8>;
 
-TEST(LaneIsaDispatch, ZmmOnlyForLargeJobsOnAvx512Hosts) {
-    const std::size_t small = sim::kZmmWorkItemThreshold - 1;
-    const std::size_t large = sim::kZmmWorkItemThreshold;
+TEST(LaneIsaDispatch, ZmmForEveryW8JobOnAvx512Hosts) {
     const LaneIsa wide =
         sim::cpu_has_avx512f() ? LaneIsa::Avx512 : LaneIsa::Generic;
-    EXPECT_EQ(sim::active_lane_isa(large), wide);
-    EXPECT_EQ(sim::active_lane_isa(100 * large), wide);
-    EXPECT_EQ(sim::active_lane_isa(small), LaneIsa::Generic);
-    EXPECT_EQ(sim::active_lane_isa(0), LaneIsa::Generic);
+    // The job size no longer matters: the parameter is unused.
+    for (const std::size_t size :
+         {std::size_t{0}, std::size_t{63}, std::size_t{64},
+          ~std::size_t{0}})
+        EXPECT_EQ(sim::active_lane_isa(size), wide) << "size " << size;
+    EXPECT_EQ(sim::active_lane_isa(), wide);
     // The W=8 getter follows the rule, for both word widths.
     for (int bits : {1, 8}) {
         const auto generic = word::detail::generic_pass<Block>(bits);
-        EXPECT_EQ(word::detail::word_pass_w8(bits, small), generic);
-        EXPECT_EQ(word::detail::word_pass_w8(bits, large) != generic,
+        EXPECT_EQ(word::detail::word_pass_w8(bits) != generic,
                   sim::cpu_has_avx512f())
             << "word width " << bits;
     }
@@ -62,13 +60,12 @@ word::detail::WordPlan make_plan(const march::MarchTest& test,
     return plan;
 }
 
-/// Runs the pass word_pass_w8 hands a large job (the zmm wrapper on an
-/// AVX-512F host) and `generic` through every grid driver on `plan`.
+/// Runs the pass word_pass_w8 hands out (the zmm wrapper on an AVX-512F
+/// host) and `generic` through every grid driver on `plan`.
 void expect_codegens_agree(const word::detail::WordPlan& plan,
                            std::span<const word::InjectedBitFault> population,
                            word::detail::WordPassFn<Block> generic) {
-    const auto zmm = word::detail::word_pass_w8(plan.opts.width,
-                                                sim::kZmmWorkItemThreshold);
+    const auto zmm = word::detail::word_pass_w8(plan.opts.width);
     EXPECT_EQ(word::detail::word_detects(plan, zmm, population),
               word::detail::word_detects(plan, generic, population));
     EXPECT_EQ(word::detail::word_detects_all(plan, zmm, population),

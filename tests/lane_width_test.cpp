@@ -207,14 +207,16 @@ TEST(LaneDispatch, ClampPicksTheNarrowestFillingWidth) {
     EXPECT_EQ(sim::clamp_lane_width(8, 0), 1);
     EXPECT_EQ(sim::clamp_lane_width(8, 63), 1);
     EXPECT_EQ(sim::clamp_lane_width(8, 189), 1);
-    // 4..7 words: one AVX2-sized block.
-    EXPECT_EQ(sim::clamp_lane_width(8, 190), 4);
-    EXPECT_EQ(sim::clamp_lane_width(8, 441), 4);
-    // 8+ words: full-width blocks (bounded by the runner's width).
+    // 4+ words: full-width blocks (bounded by the runner's width).
+    EXPECT_EQ(sim::clamp_lane_width(8, 190), 8);
+    EXPECT_EQ(sim::clamp_lane_width(8, 441), 8);
     EXPECT_EQ(sim::clamp_lane_width(8, 504), 8);
     EXPECT_EQ(sim::clamp_lane_width(8, 100000), 8);
     EXPECT_EQ(sim::clamp_lane_width(4, 100000), 4);
     EXPECT_EQ(sim::clamp_lane_width(1, 100000), 1);
+    // An AVX2 host's width keeps the same three-word cut.
+    EXPECT_EQ(sim::clamp_lane_width(4, 189), 1);
+    EXPECT_EQ(sim::clamp_lane_width(4, 190), 4);
 }
 
 /// Constructing a runner with an explicit width keeps that width exact

@@ -16,7 +16,6 @@
 #include "march/expansion.hpp"
 #include "march/library.hpp"
 #include "march/parser.hpp"
-#include "sim/lane_dispatch.hpp"
 #include "sim/march_runner.hpp"
 #include "sim/pass_scratch.hpp"
 #include "util/rng.hpp"
@@ -640,16 +639,14 @@ TEST(ExpansionTree, RetentionDelaysUnderAnyOrder) {
                                all_kinds_population(opts.memory_size), opts);
 }
 
-/// Six ⇕ elements give 64 choices, so a W=8 job of one chunk reaches
-/// kZmmWorkItemThreshold and runs the zmm pass on an AVX-512F host.
+/// Six ⇕ elements give 64 choices, a choice tree six branch points
+/// deep; at W=8 every chunk runs the zmm pass on an AVX-512F host.
 TEST(ExpansionTree, ZmmSizedJob) {
     const RunOptions opts{.memory_size = 5, .max_any_expansion = 6};
     const auto test = march::parse_march(
         "{~(w0); ~(r0,w1); ~(r1,w0); ~(r0,w1); ~(r1,w0); ~(r0,w1); ^(r1)}");
     const auto population = all_kinds_population(opts.memory_size);
-    ASSERT_GE(block_chunk_total<LaneBlock<8>>(population.size()) *
-                  expansion_choices(test, opts).size(),
-              kZmmWorkItemThreshold);
+    ASSERT_EQ(expansion_choices(test, opts).size(), 64u);
     expect_tree_matches_scalar("zmm", test, population, opts);
 }
 

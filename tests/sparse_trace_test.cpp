@@ -68,6 +68,45 @@ TEST(SparseGuaranteedRuns, CommitSortsDescendingPassOrder) {
     EXPECT_TRUE(runs.run(0).empty());
 }
 
+/// reset() re-arms a sink for a new chunk in place, at a smaller or a
+/// larger grid: nothing committed, no mark pending. The first pass after
+/// it seeds the guaranteed state again instead of intersecting with the
+/// previous chunk's.
+TEST(TraceSinks, ResetStartsAFreshChunk) {
+    SparseGuaranteedRuns<sim::LaneMask> runs(3);
+    runs.begin_pass();
+    runs.append(2, 4, 1, 0b110);
+    runs.mark();
+    runs.commit_pass();
+    runs.reset(1);
+    EXPECT_EQ(runs.size(), 1u);
+    EXPECT_EQ(runs.entry_count(), 0u);
+    runs.begin_pass();
+    runs.append(0, 3, 0, 0b10);
+    runs.commit_pass();
+    ASSERT_EQ(runs.run(0).size(), 1u);
+    EXPECT_EQ(runs.run(0)[0].lanes, 0b10u);
+    runs.reset(3);
+    EXPECT_EQ(runs.size(), 3u);
+    EXPECT_EQ(runs.entry_count(), 0u);
+
+    sim::detail::GuaranteedMasks<sim::LaneMask> masks;
+    masks.reset(2, 0b1110);
+    masks.begin_pass();
+    (*masks.pass_grid())[1] |= 0b0110;
+    masks.mark();
+    masks.commit_pass();
+    EXPECT_EQ(masks.guaranteed(0), 0u);
+    EXPECT_EQ(masks.guaranteed(1), 0b0110u);
+    masks.reset(1, 0b0011);
+    EXPECT_EQ(masks.size(), 1u);
+    EXPECT_EQ(masks.guaranteed(0), 0b0011u);
+    masks.begin_pass();
+    (*masks.pass_grid())[0] |= 0b0010;
+    masks.commit_pass();
+    EXPECT_EQ(masks.guaranteed(0), 0b0010u);
+}
+
 TEST(SparseGuaranteedRuns, EmptyPassClearsEverything) {
     SparseGuaranteedRuns<sim::LaneMask> runs(1);
     runs.begin_pass();

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "engine/engine.hpp"
@@ -16,7 +17,6 @@
 #include "march/expansion.hpp"
 #include "march/library.hpp"
 #include "march/parser.hpp"
-#include "sim/lane_dispatch.hpp"
 #include "util/rng.hpp"
 #include "word/background.hpp"
 #include "word/packed_word_memory.hpp"
@@ -503,6 +503,168 @@ TEST(PackedBookkeeping, RearmCfstDrfCfstMatchesFreshMemory) {
     }
 }
 
+// ---- transition coupling filed by aggressor bit --------------------------
+//
+// The packed memory files each CFin/CFid entry under its aggressor's flat
+// bit index and the transition it needs (rising or falling), and a write
+// walks a bit's list only when some lane of that bit took that
+// transition; Af entries stay in one list per word and follow every
+// write to it. This population puts all seven kinds on every aggressor
+// bit, each once with a victim in the aggressor's word and once with a
+// victim in another word, so every list is shared by lanes of several
+// plane words and a write moves both directions within a word under the
+// counting backgrounds.
+
+std::vector<InjectedBitFault> transition_coupling_population() {
+    constexpr FaultKind kinds[] = {
+        FaultKind::CfinUp,    FaultKind::CfinDown,  FaultKind::CfidUp0,
+        FaultKind::CfidUp1,   FaultKind::CfidDown0, FaultKind::CfidDown1,
+        FaultKind::Af};
+    std::vector<InjectedBitFault> population;
+    for (int w = 0; w < kBookWords; ++w)
+        for (int bit = 0; bit < kBookWidth; ++bit)
+            for (int k = 0; k < 7; ++k) {
+                const BitAddr aggressor{w, bit};
+                population.push_back(InjectedBitFault::coupling(
+                    kinds[k], aggressor, {w, (bit + 1 + k) % kBookWidth}));
+                population.push_back(InjectedBitFault::coupling(
+                    kinds[k], aggressor,
+                    {(w + 1 + k % 3) % kBookWords, (bit + k) % kBookWidth}));
+            }
+    return population;
+}
+
+/// A seeded random well-formed test: an opening write, then per element
+/// one to three ops that read the value last written or write either
+/// value, in a random address order.
+march::MarchTest random_march_test(SplitMix64& rng) {
+    std::vector<march::MarchElement> elements;
+    int value = rng.range(0, 1);
+    const int count = rng.range(2, 6);
+    for (int e = 0; e < count; ++e) {
+        std::vector<march::MarchOp> ops;
+        if (e == 0) ops.push_back(march::MarchOp::w(value));
+        for (int o = rng.range(e == 0 ? 0 : 1, 3); o > 0; --o) {
+            if (rng.range(0, 1) == 0) {
+                ops.push_back(march::MarchOp::r(value));
+            } else {
+                value = rng.range(0, 1);
+                ops.push_back(march::MarchOp::w(value));
+            }
+        }
+        elements.emplace_back(
+            static_cast<march::AddressOrder>(rng.range(0, 2)),
+            std::move(ops));
+    }
+    return march::MarchTest(std::move(elements));
+}
+
+TEST(PackedBookkeeping, CouplingListsByAggressorBitMatchScalarOracles) {
+    const auto population = transition_coupling_population();
+    ASSERT_EQ(population.size(), 448u);  // 8 plane words: one W=8 chunk
+    const WordRunOptions opts = {.words = kBookWords, .width = kBookWidth};
+    const auto backgrounds = counting_backgrounds(kBookWidth);
+    std::vector<std::pair<std::string, march::MarchTest>> tests;
+    for (const auto& named : march::known_march_tests())
+        tests.emplace_back(named.name, named.test);
+    SplitMix64 rng(0xC0B1EULL);
+    for (int i = 0; i < 8; ++i) {
+        const march::MarchTest test = random_march_test(rng);
+        tests.emplace_back(test.str(), test);
+    }
+    std::size_t detected = 0;
+    for (const auto& [name, test] : tests) {
+        std::vector<bool> want_detects;
+        std::vector<WordRunTrace> want_traces;
+        for (const InjectedBitFault& fault : population) {
+            want_detects.push_back(detects(test, backgrounds, fault, opts));
+            want_traces.push_back(
+                guaranteed_trace(test, backgrounds, fault, opts));
+            detected += want_detects.back() ? 1 : 0;
+        }
+        for (const int lane_width : {1, 4, 8}) {
+            const WordBatchRunner runner(test, backgrounds, opts, nullptr,
+                                         lane_width);
+            const std::vector<bool> got_detects = runner.detects(population);
+            const std::vector<WordRunTrace> got_traces =
+                runner.run(population);
+            ASSERT_EQ(got_traces.size(), population.size());
+            for (std::size_t i = 0; i < population.size(); ++i) {
+                ASSERT_EQ(got_detects[i], want_detects[i])
+                    << name << " W=" << lane_width << " #" << i << ' '
+                    << fault_kind_name(population[i].kind);
+                ASSERT_TRUE(got_traces[i] == want_traces[i])
+                    << name << " W=" << lane_width << " #" << i << ' '
+                    << fault_kind_name(population[i].kind);
+            }
+        }
+    }
+    // Both verdicts occur, so neither a list that never fires nor one that
+    // fires everywhere could pass.
+    EXPECT_GT(detected, 0u);
+    EXPECT_LT(detected, tests.size() * population.size());
+}
+
+/// A memory re-armed between chunks whose CFin/CFid entries sit on the
+/// same aggressor bits must run exactly like a freshly built one holding
+/// the new chunk: no list entry of an earlier chunk may survive reset().
+TEST(PackedBookkeeping, RearmCouplingListsMatchesFreshMemory) {
+    using Block = sim::LaneBlock<8>;
+    using Memory = PackedWordMemoryT<Block>;
+    const auto inject = [](Memory& memory,
+                           const std::vector<InjectedBitFault>& chunk) {
+        for (std::size_t i = 0; i < chunk.size(); ++i)
+            memory.inject(chunk[i],
+                          sim::block_lane_bit<Block>(
+                              sim::fault_lane(static_cast<int>(i))));
+    };
+    const auto coupling = transition_coupling_population();
+    // The same faults in reverse lane order, and SAF on every bit: the
+    // lanes that held a coupling fault hold another fault or none.
+    const std::vector<InjectedBitFault> reversed(coupling.rbegin(),
+                                                 coupling.rend());
+    std::vector<InjectedBitFault> saf;
+    for (int w = 0; w < kBookWords; ++w)
+        for (int bit = 0; bit < kBookWidth; ++bit)
+            saf.push_back(InjectedBitFault::single(
+                (w + bit) % 2 == 0 ? FaultKind::Saf0 : FaultKind::Saf1,
+                {w, bit}));
+    SplitMix64 rng(0x2E5E7ULL);
+    Memory armed(kBookWords, kBookWidth);
+    const struct {
+        const char* label;
+        const std::vector<InjectedBitFault>* chunk;
+    } steps[] = {{"coupling", &coupling},
+                 {"reversed after coupling", &reversed},
+                 {"SAF after coupling", &saf},
+                 {"coupling after SAF", &coupling}};
+    for (const auto& step : steps) {
+        armed.reset(kBookWords, kBookWidth);
+        inject(armed, *step.chunk);
+        Memory fresh(kBookWords, kBookWidth);
+        inject(fresh, *step.chunk);
+        Memory::ReadResult got[kBookWidth], want[kBookWidth];
+        for (int op = 0; op < 160; ++op) {
+            const int word = rng.range(0, kBookWords - 1);
+            if (rng.range(0, 2) != 0) {
+                const auto value =
+                    rng.next() & ((std::uint64_t{1} << kBookWidth) - 1);
+                armed.write(word, value);
+                fresh.write(word, value);
+                continue;
+            }
+            armed.read(word, got);
+            fresh.read(word, want);
+            for (int bit = 0; bit < kBookWidth; ++bit) {
+                ASSERT_TRUE(got[bit].value == want[bit].value)
+                    << step.label << " op " << op << " bit " << bit;
+                ASSERT_TRUE(got[bit].known == want[bit].known)
+                    << step.label << " op " << op << " bit " << bit;
+            }
+        }
+    }
+}
+
 // ---- ⇕ expansion tree ------------------------------------------------------
 //
 // One pass walks every ⇕ choice of a chunk as a depth-first tree: at a
@@ -646,14 +808,13 @@ TEST(ExpansionTree, IntraWordStaticCouplingBesideDecoderMaps) {
                                    population, book_options(4));
 }
 
-/// Six ⇕ elements give 64 choices, so a W=8 job of one chunk reaches
-/// kZmmWorkItemThreshold and runs the zmm pass on an AVX-512F host.
+/// Six ⇕ elements give 64 choices, a choice tree six branch points
+/// deep; at W=8 the one chunk runs the zmm pass on an AVX-512F host.
 TEST(ExpansionTree, ZmmSizedJob) {
     const auto test = march::parse_march(
         "{~(w0); ~(r0,w1); ~(r1,w0); ~(r0,w1); ~(r1,w0); ~(r0,w1); ^(r1)}");
     const WordRunOptions opts = book_options(6);
-    ASSERT_GE(expansion_choices(test, opts).size(),
-              sim::kZmmWorkItemThreshold);
+    ASSERT_EQ(expansion_choices(test, opts).size(), 64u);
     expect_tree_matches_scalar("zmm", test, solid_background(kBookWidth),
                                mixed_population(), opts);
 }

@@ -9,9 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <tuple>
 #include <vector>
 
+#include "engine/engine.hpp"
 #include "fault/kinds.hpp"
 #include "march/library.hpp"
 #include "march/parser.hpp"
@@ -21,6 +23,7 @@
 #include "word/background.hpp"
 #include "word/packed_word_memory.hpp"
 #include "word/word_batch_runner.hpp"
+#include "word/word_kernels.hpp"
 #include "word/word_trace.hpp"
 
 namespace mtg::word {
@@ -296,6 +299,68 @@ TEST(WordTraceDifferential, DetectedAgreesWithDetects) {
     const auto verdicts = runner.detects(population);
     for (std::size_t i = 0; i < population.size(); ++i)
         ASSERT_EQ(traces[i].detected, verdicts[i]) << i;
+}
+
+/// The sweep benchmark's word leg: every library test × the CFid
+/// coverage population (276 placements) on 4 words × 8 bits under the
+/// counting backgrounds. Packed Traces must equal Scalar Traces fault for
+/// fault through Engine sessions at lane widths 0 (CPUID, clamped), 1, 4
+/// and 8, and through the W=8 pass in both codegens: the one word_pass_w8
+/// hands out (the zmm wrapper on an AVX-512F host) and the generic
+/// instantiation.
+TEST(WordTraceDifferential, SweepShapeMatchesScalarAtEveryWidthAndCodegen) {
+    using engine::Engine;
+    using engine::EngineConfig;
+    const WordRunOptions opts{.words = 4, .width = 8};
+    const auto backgrounds = counting_backgrounds(opts.width);
+    const auto kinds = fault::parse_fault_kinds("CFid");
+    const Engine scalar(EngineConfig{.backend = engine::BackendKind::Scalar});
+    std::vector<std::unique_ptr<Engine>> sessions;
+    for (int width : {0, 1, 4, 8})
+        sessions.push_back(std::make_unique<Engine>(
+            EngineConfig{.backend = engine::BackendKind::Packed,
+                         .lane_width = width}));
+    const auto population = scalar.word_population(kinds, opts)->faults;
+    ASSERT_EQ(population.size(), 276u);
+    using Block = sim::LaneBlock<8>;
+    const detail::WordPassFn<Block> codegens[] = {
+        detail::word_pass_w8(opts.width),
+        detail::generic_pass<Block>(opts.width)};
+
+    for (const auto& named : march::known_march_tests()) {
+        engine::Query query;
+        query.test = named.test;
+        query.universe = engine::WordUniverse{backgrounds, opts};
+        query.want = engine::Want::Traces;
+        query.kinds = kinds;
+        const std::vector<WordRunTrace> want = scalar.run(query).word_traces;
+        ASSERT_EQ(want.size(), population.size()) << named.name;
+        for (const auto& session : sessions) {
+            const std::vector<WordRunTrace> got =
+                session->run(query).word_traces;
+            ASSERT_EQ(got.size(), want.size()) << named.name;
+            for (std::size_t i = 0; i < want.size(); ++i)
+                expect_trace_eq(got[i], want[i], named.name.c_str(),
+                                population[i].kind, i);
+            if (HasFatalFailure()) return;
+        }
+        detail::WordPlan plan;
+        plan.test = named.test;
+        plan.backgrounds = backgrounds;
+        plan.opts = opts;
+        plan.pool = &util::ThreadPool::global();
+        plan.expansions = expansion_choices(named.test, opts);
+        plan.sites = sim::read_sites(named.test);
+        for (const auto pass : codegens) {
+            const std::vector<WordRunTrace> got =
+                detail::word_run(plan, pass, population);
+            ASSERT_EQ(got.size(), want.size()) << named.name;
+            for (std::size_t i = 0; i < want.size(); ++i)
+                expect_trace_eq(got[i], want[i], named.name.c_str(),
+                                population[i].kind, i);
+            if (HasFatalFailure()) return;
+        }
+    }
 }
 
 TEST(WordTraceDifferential, EmptyPopulation) {
