@@ -13,11 +13,17 @@
 /// calls on a fresh Scorer each sweep (cold probe cache, warm Engine) —
 /// the figure a user sees between typing `march_tool synth` and the test.
 ///
+/// The process runs at one simulation thread (it sets MTG_THREADS=1
+/// before the pool starts), the setting the committed baseline was
+/// recorded at: the every-placement leg is three width-1 chunks per
+/// probe, so at more threads it would time fork/join wake-ups.
+///
 /// Emits BENCH_synth.json (keys end in _per_sec; scripts/bench_diff.py
 /// diffs them against the committed dev-box baseline in CI).
 
 #include <array>
 #include <cstdio>
+#include <cstdlib>
 #include <vector>
 
 #include "bench_timing.hpp"
@@ -95,6 +101,7 @@ double full_probes_per_sec(const engine::Engine& engine,
 }  // namespace
 
 int main(int argc, char** argv) {
+    setenv("MTG_THREADS", "1", 1);
     benchmark::Initialize(&argc, argv);
 
     const engine::Engine engine;
@@ -139,6 +146,7 @@ int main(int argc, char** argv) {
 
     benchutil::JsonSummary("synth")
         .field("workload", "saf_tf_cfin")
+        .field("threads", 1)
         .field("probe_candidates", candidates.size())
         .field("full_faults", full.size())
         .field("class_faults", classes->faults.size())

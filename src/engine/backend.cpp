@@ -132,81 +132,26 @@ public:
 
 // The bit universe on the one packed kernel: an n-cell bit memory is an
 // n-word × 1-bit memory under the solid background, cell c being (word c,
-// bit 0). word::bit_view defines the mapping of options and faults;
-// BitTraceEmit maps the kernel's trace entries back. Each thread keeps one
-// bit-view runner (bit_runner) and one word-form population buffer
-// (word_faults) and refills them per query, so a small bit query pays for
-// its kernel pass and not for building a plan.
+// bit 0). A bit query runs as the word query of its word::BitView and
+// maps its traces back with word::bit_trace. Each thread keeps one runner
+// for both universes (runner) and one view (thread_bit_view) and refills
+// them per query, so a small query pays for its kernel pass and not for
+// building a plan.
 
-/// This thread's bit-view runner, pointed at the query's test. A small
-/// generator probe would otherwise pay for building a plan (backgrounds,
-/// ⇕ expansions, read sites) on top of its pass, so the runner is built
-/// again only when the memory size, the ⇕ cap, the pool or the lane width
-/// changes; for any other query WordBatchRunner::set_test refills the
-/// buffers it holds. Like the buffer of word_faults below, this rests on
-/// kernel passes never issuing queries: no call on this thread can
-/// retarget the runner while a query runs on it.
-const word::WordBatchRunner& bit_runner(const BitContext& ctx) {
-    struct Cached {
-        std::optional<word::WordBatchRunner> runner;
-        int memory_size{0};
-        int max_any_expansion{0};
-        util::ThreadPool* pool{nullptr};
-        int lane_width{0};
-    };
-    thread_local Cached cached;
-    if (cached.runner && cached.memory_size == ctx.opts.memory_size &&
-        cached.max_any_expansion == ctx.opts.max_any_expansion &&
-        cached.pool == ctx.pool && cached.lane_width == ctx.lane_width) {
-        cached.runner->set_test(ctx.test);
-        return *cached.runner;
-    }
-    cached.runner.emplace(ctx.test, word::solid_background(1),
-                          word::bit_view(ctx.opts), ctx.pool, ctx.lane_width);
-    cached.memory_size = ctx.opts.memory_size;
-    cached.max_any_expansion = ctx.opts.max_any_expansion;
-    cached.pool = ctx.pool;
-    cached.lane_width = ctx.lane_width;
-    return *cached.runner;
+/// This thread's runner, retargeted at the query by WordBatchRunner::
+/// reset. Like thread_bit_view, this rests on kernel passes never issuing
+/// queries: no call on this thread can retarget the runner while a query
+/// runs on it.
+const word::WordBatchRunner& runner(const WordContext& ctx) {
+    thread_local std::optional<word::WordBatchRunner> runner;
+    if (runner)
+        runner->reset(ctx.test, ctx.backgrounds, ctx.opts, ctx.pool,
+                      ctx.lane_width);
+    else
+        runner.emplace(ctx.test, ctx.backgrounds, ctx.opts, ctx.pool,
+                       ctx.lane_width);
+    return *runner;
 }
-
-/// The population in word form, in a per-thread buffer that the next call
-/// on this thread overwrites: each bit query maps its faults once and
-/// reads them until it returns, and small generator probes would
-/// otherwise pay an allocation per query. Kernel passes never issue
-/// queries, so no call on this thread can overwrite the buffer while a
-/// query reads it.
-std::span<const word::InjectedBitFault> word_faults(
-    std::span<const sim::InjectedFault> population) {
-    thread_local std::vector<word::InjectedBitFault> faults;
-    faults.clear();
-    for (const sim::InjectedFault& fault : population)
-        faults.push_back(word::bit_view(fault));
-    return faults;
-}
-
-/// Records the width-1 kernel's trace entries as a bit trace: background 0
-/// is the only background and every observation is bit 0 of its word, so
-/// the word is the cell.
-struct BitTraceEmit {
-    using Trace = sim::RunTrace;
-    static void reserve(Trace& trace, std::size_t reads,
-                        std::size_t observations) {
-        trace.failing_reads.reserve(reads);
-        trace.failing_observations.reserve(observations);
-    }
-    static void read(Trace& trace, int background,
-                     const sim::ReadSite& site) {
-        MTG_ASSERT(background == 0);
-        trace.failing_reads.push_back(site);
-    }
-    static void observation(Trace& trace, int background,
-                            const sim::ReadSite& site, int word,
-                            std::uint64_t bits) {
-        MTG_ASSERT(background == 0 && bits == 1);
-        trace.failing_observations.push_back({site, word});
-    }
-};
 
 class PackedBackend final : public Backend {
 public:
@@ -215,20 +160,22 @@ public:
     [[nodiscard]] std::vector<bool> detects(
         const BitContext& ctx,
         std::span<const sim::InjectedFault> population) const override {
-        return bit_runner(ctx).detects(word_faults(population));
+        const word::BitView& view = thread_bit_view(ctx, population);
+        return detects(word_context(ctx, view), view.faults);
     }
 
     [[nodiscard]] bool detects_all(
         const BitContext& ctx,
         std::span<const sim::InjectedFault> population) const override {
-        return bit_runner(ctx).detects_all(word_faults(population));
+        const word::BitView& view = thread_bit_view(ctx, population);
+        return detects_all(word_context(ctx, view), view.faults);
     }
 
     [[nodiscard]] std::vector<sim::RunTrace> traces(
         const BitContext& ctx,
         std::span<const sim::InjectedFault> population) const override {
-        return bit_runner(ctx).run_with<BitTraceEmit>(
-            word_faults(population));
+        const word::BitView& view = thread_bit_view(ctx, population);
+        return word::bit_trace(traces(word_context(ctx, view), view.faults));
     }
 
     [[nodiscard]] std::vector<bool> detects(
@@ -248,15 +195,16 @@ public:
         std::span<const word::InjectedBitFault> population) const override {
         return runner(ctx).run(population);
     }
-
-private:
-    [[nodiscard]] static word::WordBatchRunner runner(const WordContext& ctx) {
-        return word::WordBatchRunner(ctx.test, ctx.backgrounds, ctx.opts,
-                                     ctx.pool, ctx.lane_width);
-    }
 };
 
 }  // namespace
+
+const word::BitView& thread_bit_view(
+    const BitContext& ctx, std::span<const sim::InjectedFault> population) {
+    thread_local word::BitView view;
+    view.assign(ctx.opts, population);
+    return view;
+}
 
 std::vector<std::pair<std::size_t, std::size_t>> shard_ranges(
     std::size_t total, int shards) {

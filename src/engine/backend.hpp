@@ -16,17 +16,18 @@
 ///     (sim::run_once / word::detects intersection). Slow, obviously
 ///     correct — kept for differential testing.
 ///   - PackedBackend: the production path; wraps word::WordBatchRunner
-///     (63·W-lane packed passes, (chunk × ⇕) grid sharded across the
-///     thread pool) for both universes. A bit query runs as the width-1
-///     word universe under the solid background, cell c being (word c,
-///     bit 0) — word::bit_view — on a runner each thread keeps and points
-///     at the query's test (rebuilt only when the memory size, ⇕ cap,
-///     pool or lane width changes).
+///     (63·W-lane packed passes, one work item per chunk, sharded across
+///     the thread pool) for both universes. A bit query runs as the
+///     width-1 word universe under the solid background, cell c being
+///     (word c, bit 0) — word::BitView — and its traces map back through
+///     word::bit_trace. Each thread keeps one runner for both universes
+///     and retargets it at every query (WordBatchRunner::reset).
 ///   - RemoteBackend (net/remote_backend.hpp): splits the population into
 ///     shard_ranges, scatters them to worker peers speaking the net/wire
 ///     format and merges the replies — per-fault verdicts by
 ///     concatenation, the all-detected verdict by AND — with straggler
-///     re-dispatch and dead-peer failover.
+///     re-dispatch and dead-peer failover. A bit query crosses the fleet
+///     as its width-1 word view.
 ///
 /// Every backend produces bit-identical results for every lane width,
 /// worker count and peer count (tests/engine_test.cpp enforces this
@@ -62,6 +63,22 @@ struct WordContext {
     util::ThreadPool* pool{nullptr};
     int lane_width{0};
 };
+
+/// This thread's width-1 word view of a bit query, refilled by every
+/// call in the buffers it already holds: a fresh view per query would pay
+/// an allocation, and for a large population fresh pages, each time. The
+/// next call on this thread overwrites it, so a caller reads it only
+/// until its query returns; no backend issues a bit query while running
+/// one.
+[[nodiscard]] const word::BitView& thread_bit_view(
+    const BitContext& ctx, std::span<const sim::InjectedFault> population);
+
+/// The word-universe context of a bit query's width-1 word view; `view`
+/// must outlive it.
+[[nodiscard]] inline WordContext word_context(const BitContext& ctx,
+                                              const word::BitView& view) {
+    return {ctx.test, view.backgrounds, view.opts, ctx.pool, ctx.lane_width};
+}
 
 /// The uniform execution interface: three verdict shapes × two universes.
 /// All methods are const and safe to call concurrently.

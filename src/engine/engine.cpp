@@ -1,7 +1,6 @@
 #include "engine/engine.hpp"
 
 #include <algorithm>
-#include <set>
 
 #include "util/contracts.hpp"
 #include "word/word_batch_runner.hpp"
@@ -261,7 +260,7 @@ Result Engine::run_bit(const Query& query,
 Result Engine::run_word(const Query& query,
                         const WordUniverse& universe) const {
     MTG_EXPECTS(query.bit_faults.empty());
-    MTG_EXPECTS(!universe.backgrounds.empty());
+    MTG_EXPECTS(word::valid_setup(universe.backgrounds, universe.opts));
     Result out;
     out.want = query.want;
     const WordContext ctx{query.test, universe.backgrounds, universe.opts,
@@ -308,36 +307,6 @@ bool Engine::covers_all(const march::MarchTest& test,
         ctx, bit_population(kinds, opts.memory_size)->faults);
 }
 
-std::optional<fault::FaultKind> Engine::first_uncovered(
-    const march::MarchTest& test, const std::vector<fault::FaultKind>& kinds,
-    const sim::RunOptions& opts) const {
-    if (kinds.empty()) return std::nullopt;
-    // One multi-kind per-fault query over the concatenated population:
-    // hits the same canonical cache entry covers_all primes, instead of
-    // evicting it with |kinds| single-kind entries as the old per-kind
-    // covers_everywhere loop did.
-    Query query;
-    query.test = test;
-    query.universe = BitUniverse{opts};
-    query.want = Want::Detects;
-    query.kinds = kinds;
-    const Result result = run(query);
-    if (result.all) return std::nullopt;
-    // Map every miss back to its owning canonical kind through the cached
-    // entry's offsets (a deterministic rebuild if the entry was evicted in
-    // between — contents are identical either way), then report the first
-    // *caller-order* kind that owns a miss, preserving the documented
-    // "first kind in your list" semantics under canonical storage.
-    const auto entry = bit_population(kinds, opts.memory_size);
-    MTG_EXPECTS(entry->faults.size() == result.detected.size());
-    std::set<fault::FaultKind> missed;
-    for (std::size_t i = 0; i < result.detected.size(); ++i)
-        if (!result.detected[i]) missed.insert(entry->kind_of(i));
-    for (fault::FaultKind kind : kinds)
-        if (missed.count(kind) != 0) return kind;
-    return kinds.back();  // unreachable: every miss has an owner
-}
-
 std::vector<bool> Engine::detects(
     const march::MarchTest& test,
     std::span<const sim::InjectedFault> population,
@@ -373,6 +342,7 @@ std::vector<bool> Engine::detects(
     const std::vector<word::Background>& backgrounds,
     std::span<const word::InjectedBitFault> population,
     const word::WordRunOptions& opts) const {
+    MTG_EXPECTS(word::valid_setup(backgrounds, opts));
     count(Want::Detects);
     const WordContext ctx{test, backgrounds, opts, config_.pool,
                           config_.lane_width};
@@ -384,6 +354,7 @@ std::vector<word::WordRunTrace> Engine::traces(
     const std::vector<word::Background>& backgrounds,
     std::span<const word::InjectedBitFault> population,
     const word::WordRunOptions& opts) const {
+    MTG_EXPECTS(word::valid_setup(backgrounds, opts));
     count(Want::Traces);
     const WordContext ctx{test, backgrounds, opts, config_.pool,
                           config_.lane_width};

@@ -46,14 +46,12 @@
 /// runs the concurrent hammer battery (tests/engine_hammer_test.cpp) to
 /// keep it honest.
 
-#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <utility>
 #include <variant>
@@ -71,7 +69,9 @@ struct BitUniverse {
 };
 
 /// Word universe: bit-fault placements on a words × width memory, the
-/// test run once per data background.
+/// test run once per data background. Every word query, by Query or by
+/// a convenience below, requires word::valid_setup(backgrounds, opts),
+/// checked before any backend sees the query.
 struct WordUniverse {
     std::vector<word::Background> backgrounds;
     word::WordRunOptions opts{};
@@ -147,14 +147,6 @@ struct PopulationEntry {
     std::vector<Fault> faults;            ///< concatenated per kind
     /// kinds.size() + 1 fence posts: kind k owns [offsets[k], offsets[k+1]).
     std::vector<std::size_t> offsets;
-
-    /// Owning kind of faults[index]: the last kind whose offset is <= index.
-    [[nodiscard]] fault::FaultKind kind_of(std::size_t index) const {
-        MTG_EXPECTS(!kinds.empty() && index < faults.size());
-        const auto it =
-            std::upper_bound(offsets.begin() + 1, offsets.end(), index);
-        return kinds[static_cast<std::size_t>(it - (offsets.begin() + 1))];
-    }
 };
 using BitPopulationEntry = PopulationEntry<sim::InjectedFault>;
 using WordPopulationEntry = PopulationEntry<word::InjectedBitFault>;
@@ -298,14 +290,6 @@ public:
     [[nodiscard]] bool covers_all(const march::MarchTest& test,
                                   const std::vector<fault::FaultKind>& kinds,
                                   const sim::RunOptions& opts = {}) const;
-
-    /// First kind (in the caller's list order) NOT covered, or nullopt
-    /// when fully covered. The miss is mapped back to its kind through
-    /// the cached population's per-kind offsets — no re-expansion.
-    [[nodiscard]] std::optional<fault::FaultKind> first_uncovered(
-        const march::MarchTest& test,
-        const std::vector<fault::FaultKind>& kinds,
-        const sim::RunOptions& opts = {}) const;
 
     /// Per-fault guaranteed detection of an explicit population.
     [[nodiscard]] std::vector<bool> detects(

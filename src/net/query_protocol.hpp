@@ -67,7 +67,6 @@ public:
     [[nodiscard]] static Json object();
 
     [[nodiscard]] Kind kind() const { return kind_; }
-    [[nodiscard]] bool is_null() const { return kind_ == Kind::Null; }
 
     /// Typed accessors; throw std::runtime_error on kind mismatch (the
     /// parse_request error path turns that into an "ok": false reply).

@@ -26,7 +26,6 @@ namespace {
 using net::FrameChannel;
 using net::Message;
 using net::MessageType;
-using net::UniverseTag;
 using net::WantTag;
 using net::WireQuery;
 using net::WireResult;
@@ -105,50 +104,28 @@ public:
     [[nodiscard]] const char* name() const override { return "remote"; }
 
     // ------------------------------------------------------ bit universe --
+    // A bit query crosses the fleet as its width-1 word view
+    // (word::BitView); its trace replies map back through word::bit_trace.
 
     [[nodiscard]] std::vector<bool> detects(
         const BitContext& ctx,
         std::span<const sim::InjectedFault> population) const override {
-        const auto results = execute(
-            population.size(), UniverseTag::Bit, WantTag::Detects, ctx.test,
-            [&](std::size_t begin, std::size_t end, WireQuery& query) {
-                query.bit_opts = ctx.opts;
-                query.bit_faults.assign(population.begin() + begin,
-                                        population.begin() + end);
-            });
-        return merge_verdicts(results, population.size());
+        const word::BitView& view = thread_bit_view(ctx, population);
+        return detects(word_context(ctx, view), view.faults);
     }
 
     [[nodiscard]] bool detects_all(
         const BitContext& ctx,
         std::span<const sim::InjectedFault> population) const override {
-        const auto results = execute(
-            population.size(), UniverseTag::Bit, WantTag::DetectsAll,
-            ctx.test,
-            [&](std::size_t begin, std::size_t end, WireQuery& query) {
-                query.bit_opts = ctx.opts;
-                query.bit_faults.assign(population.begin() + begin,
-                                        population.begin() + end);
-            });
-        return merge_all(results);
+        const word::BitView& view = thread_bit_view(ctx, population);
+        return detects_all(word_context(ctx, view), view.faults);
     }
 
     [[nodiscard]] std::vector<sim::RunTrace> traces(
         const BitContext& ctx,
         std::span<const sim::InjectedFault> population) const override {
-        auto results = execute(
-            population.size(), UniverseTag::Bit, WantTag::Traces, ctx.test,
-            [&](std::size_t begin, std::size_t end, WireQuery& query) {
-                query.bit_opts = ctx.opts;
-                query.bit_faults.assign(population.begin() + begin,
-                                        population.begin() + end);
-            });
-        std::vector<sim::RunTrace> merged;
-        merged.reserve(population.size());
-        for (WireResult& result : results)
-            for (sim::RunTrace& trace : result.traces)
-                merged.push_back(std::move(trace));
-        return merged;
+        const word::BitView& view = thread_bit_view(ctx, population);
+        return word::bit_trace(traces(word_context(ctx, view), view.faults));
     }
 
     // ----------------------------------------------------- word universe --
@@ -156,47 +133,33 @@ public:
     [[nodiscard]] std::vector<bool> detects(
         const WordContext& ctx,
         std::span<const word::InjectedBitFault> population) const override {
-        const auto results = execute(
-            population.size(), UniverseTag::Word, WantTag::Detects, ctx.test,
-            [&](std::size_t begin, std::size_t end, WireQuery& query) {
-                query.word_opts = ctx.opts;
-                query.backgrounds = ctx.backgrounds;
-                query.word_faults.assign(population.begin() + begin,
-                                         population.begin() + end);
-            });
-        return merge_verdicts(results, population.size());
+        const auto results = execute(WantTag::Detects, ctx, population);
+        std::vector<bool> merged;
+        merged.reserve(population.size());
+        for (const WireResult& result : results)
+            merged.insert(merged.end(), result.verdicts.begin(),
+                          result.verdicts.end());
+        MTG_ENSURES(merged.size() == population.size());
+        return merged;
     }
 
     [[nodiscard]] bool detects_all(
         const WordContext& ctx,
         std::span<const word::InjectedBitFault> population) const override {
-        const auto results = execute(
-            population.size(), UniverseTag::Word, WantTag::DetectsAll,
-            ctx.test,
-            [&](std::size_t begin, std::size_t end, WireQuery& query) {
-                query.word_opts = ctx.opts;
-                query.backgrounds = ctx.backgrounds;
-                query.word_faults.assign(population.begin() + begin,
-                                         population.begin() + end);
-            });
-        return merge_all(results);
+        for (const WireResult& result :
+             execute(WantTag::DetectsAll, ctx, population))
+            if (!result.all) return false;
+        return true;
     }
 
     [[nodiscard]] std::vector<word::WordRunTrace> traces(
         const WordContext& ctx,
         std::span<const word::InjectedBitFault> population) const override {
-        auto results = execute(
-            population.size(), UniverseTag::Word, WantTag::Traces, ctx.test,
-            [&](std::size_t begin, std::size_t end, WireQuery& query) {
-                query.word_opts = ctx.opts;
-                query.backgrounds = ctx.backgrounds;
-                query.word_faults.assign(population.begin() + begin,
-                                         population.begin() + end);
-            });
+        auto results = execute(WantTag::Traces, ctx, population);
         std::vector<word::WordRunTrace> merged;
         merged.reserve(population.size());
         for (WireResult& result : results)
-            for (word::WordRunTrace& trace : result.word_traces)
+            for (word::WordRunTrace& trace : result.traces)
                 merged.push_back(std::move(trace));
         return merged;
     }
@@ -231,7 +194,6 @@ private:
         std::size_t begin{0};
         std::size_t end{0};
         WantTag want{WantTag::Detects};
-        UniverseTag universe{UniverseTag::Bit};
         std::vector<std::uint8_t> payload;  ///< encoded query, re-sendable
         bool done{false};
         std::vector<std::size_t> owing;  ///< peers owing a reply
@@ -342,17 +304,14 @@ private:
     /// protocol violation, not a mergeable result.
     [[nodiscard]] static bool result_matches(const Task& task,
                                              const WireResult& result) {
-        if (result.want != task.want || result.universe != task.universe ||
-            result.range_begin != task.begin || result.range_end != task.end)
+        if (result.want != task.want || result.range_begin != task.begin ||
+            result.range_end != task.end)
             return false;
         const std::size_t count = task.end - task.begin;
         switch (task.want) {
             case WantTag::Detects: return result.verdicts.size() == count;
             case WantTag::DetectsAll: return true;
-            case WantTag::Traces:
-                return (task.universe == UniverseTag::Bit
-                            ? result.traces.size()
-                            : result.word_traces.size()) == count;
+            case WantTag::Traces: return result.traces.size() == count;
         }
         return false;
     }
@@ -505,16 +464,18 @@ private:
 
     // --------------------------------------------------- dispatcher side --
 
-    /// Splits [0, total) into 504-lane-aligned ranges, ships each as a
-    /// Query, and gathers results with straggler re-dispatch, deadline
+    /// Splits the population into 504-lane-aligned ranges, ships each as
+    /// a Query, and gathers results with straggler re-dispatch, deadline
     /// budgeting and (policy permitting) local degradation. Returns the
     /// completed tasks' results in range order; with want == DetectsAll an
     /// escaping range short-circuits and the abandoned tasks are omitted.
-    template <typename FillQuery>
     [[nodiscard]] std::vector<WireResult> execute(
-        std::size_t total, UniverseTag universe, WantTag want,
-        const march::MarchTest& test, FillQuery&& fill) const {
-        if (total == 0) return {};
+        WantTag want, const WordContext& ctx,
+        std::span<const word::InjectedBitFault> population) const {
+        // A query no runner can run would come back from every peer as an
+        // Error or a refused frame, each costing that peer's connection.
+        MTG_EXPECTS(word::valid_setup(ctx.backgrounds, ctx.opts));
+        if (population.empty()) return {};
         const std::lock_guard<std::mutex> exec_lock(exec_mutex_);
 
         // Build and register the tasks.
@@ -534,8 +495,8 @@ private:
                 options_.degrade == DegradePolicy::FailFast)
                 throw std::runtime_error(
                     "RemoteBackend: no live peers to dispatch to");
-            const auto ranges =
-                shard_ranges(total, std::max(alive, 1) * kRangesPerPeer);
+            const auto ranges = shard_ranges(
+                population.size(), std::max(alive, 1) * kRangesPerPeer);
             tasks.reserve(ranges.size());
             for (const auto& [begin, end] : ranges) {
                 Task task;
@@ -543,15 +504,16 @@ private:
                 task.begin = begin;
                 task.end = end;
                 task.want = want;
-                task.universe = universe;
                 WireQuery query;
                 query.id = task.id;
-                query.universe = universe;
                 query.want = want;
                 query.range_begin = begin;
                 query.range_end = end;
-                query.test = test;
-                fill(begin, end, query);
+                query.test = ctx.test;
+                query.opts = ctx.opts;
+                query.backgrounds = ctx.backgrounds;
+                query.faults.assign(population.begin() + begin,
+                                    population.begin() + end);
                 task.payload = net::encode_query(query);
                 tasks.push_back(std::move(task));
             }
@@ -711,26 +673,6 @@ private:
                 break;  // AND short-circuit, exactly like the remote path
         }
         lock.lock();
-    }
-
-    // --------------------------------------------------------- merging ---
-
-    [[nodiscard]] static std::vector<bool> merge_verdicts(
-        const std::vector<WireResult>& results, std::size_t total) {
-        std::vector<bool> merged;
-        merged.reserve(total);
-        for (const WireResult& result : results)
-            merged.insert(merged.end(), result.verdicts.begin(),
-                          result.verdicts.end());
-        MTG_ENSURES(merged.size() == total);
-        return merged;
-    }
-
-    [[nodiscard]] static bool merge_all(
-        const std::vector<WireResult>& results) {
-        for (const WireResult& result : results)
-            if (!result.all) return false;
-        return true;
     }
 };
 

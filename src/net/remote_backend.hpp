@@ -9,7 +9,10 @@
 /// as a wire.hpp Query to a peer, and merges the replies: per-fault
 /// verdicts and traces concatenate by range position, the all-detected
 /// verdict ANDs (with early exit — an escaping range marks the remaining
-/// ones moot).
+/// ones moot). Every query crosses the fleet as a word query: a bit query
+/// is shipped as its width-1 word view (word::BitView) and its traces
+/// are mapped back with word::bit_trace, so there is one scatter-and-merge
+/// path per Want.
 ///
 /// Peer lifecycle — every peer runs the state machine
 ///

@@ -134,32 +134,7 @@ fault::FaultKind get_fault_kind(Reader& r) {
     return static_cast<fault::FaultKind>(kind);
 }
 
-void put_bit_faults(Writer& w,
-                    std::span<const sim::InjectedFault> faults) {
-    w.count(faults.size());
-    for (const sim::InjectedFault& fault : faults) {
-        w.u8(static_cast<std::uint8_t>(fault.kind));
-        w.i32(fault.cell_a);
-        w.i32(fault.cell_b);
-    }
-}
-
-std::vector<sim::InjectedFault> get_bit_faults(Reader& r) {
-    std::vector<sim::InjectedFault> faults;
-    const std::size_t n = r.count();
-    faults.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        sim::InjectedFault fault;
-        fault.kind = get_fault_kind(r);
-        fault.cell_a = r.i32();
-        fault.cell_b = r.i32();
-        faults.push_back(fault);
-    }
-    return faults;
-}
-
-void put_word_faults(Writer& w,
-                     std::span<const word::InjectedBitFault> faults) {
+void put_faults(Writer& w, std::span<const word::InjectedBitFault> faults) {
     w.count(faults.size());
     for (const word::InjectedBitFault& fault : faults) {
         w.u8(static_cast<std::uint8_t>(fault.kind));
@@ -170,7 +145,7 @@ void put_word_faults(Writer& w,
     }
 }
 
-std::vector<word::InjectedBitFault> get_word_faults(Reader& r) {
+std::vector<word::InjectedBitFault> get_faults(Reader& r) {
     std::vector<word::InjectedBitFault> faults;
     const std::size_t n = r.count();
     faults.reserve(n);
@@ -229,47 +204,7 @@ sim::ReadSite get_read_site(Reader& r) {
     return site;
 }
 
-void put_bit_traces(Writer& w, const std::vector<sim::RunTrace>& traces) {
-    w.count(traces.size());
-    for (const sim::RunTrace& trace : traces) {
-        w.u8(trace.detected ? 1 : 0);
-        w.count(trace.failing_reads.size());
-        for (const sim::ReadSite& site : trace.failing_reads)
-            put_read_site(w, site);
-        w.count(trace.failing_observations.size());
-        for (const sim::Observation& obs : trace.failing_observations) {
-            put_read_site(w, obs.site);
-            w.i32(obs.cell);
-        }
-    }
-}
-
-std::vector<sim::RunTrace> get_bit_traces(Reader& r) {
-    std::vector<sim::RunTrace> traces;
-    const std::size_t n = r.count();
-    traces.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        sim::RunTrace trace;
-        trace.detected = r.u8() != 0;
-        const std::size_t reads = r.count();
-        trace.failing_reads.reserve(reads);
-        for (std::size_t j = 0; j < reads; ++j)
-            trace.failing_reads.push_back(get_read_site(r));
-        const std::size_t observations = r.count();
-        trace.failing_observations.reserve(observations);
-        for (std::size_t j = 0; j < observations; ++j) {
-            sim::Observation obs;
-            obs.site = get_read_site(r);
-            obs.cell = r.i32();
-            trace.failing_observations.push_back(obs);
-        }
-        traces.push_back(std::move(trace));
-    }
-    return traces;
-}
-
-void put_word_traces(Writer& w,
-                     const std::vector<word::WordRunTrace>& traces) {
+void put_traces(Writer& w, const std::vector<word::WordRunTrace>& traces) {
     w.count(traces.size());
     for (const word::WordRunTrace& trace : traces) {
         w.u8(trace.detected ? 1 : 0);
@@ -288,7 +223,7 @@ void put_word_traces(Writer& w,
     }
 }
 
-std::vector<word::WordRunTrace> get_word_traces(Reader& r) {
+std::vector<word::WordRunTrace> get_traces(Reader& r) {
     std::vector<word::WordRunTrace> traces;
     const std::size_t n = r.count();
     traces.reserve(n);
@@ -318,14 +253,6 @@ std::vector<word::WordRunTrace> get_word_traces(Reader& r) {
     return traces;
 }
 
-UniverseTag get_universe(Reader& r) {
-    const std::uint8_t tag = r.u8();
-    if (tag != static_cast<std::uint8_t>(UniverseTag::Bit) &&
-        tag != static_cast<std::uint8_t>(UniverseTag::Word))
-        throw WireFormatError("bad universe tag");
-    return static_cast<UniverseTag>(tag);
-}
-
 WantTag get_want(Reader& r) {
     const std::uint8_t tag = r.u8();
     if (tag < static_cast<std::uint8_t>(WantTag::Detects) ||
@@ -347,26 +274,19 @@ std::vector<std::uint8_t> encode_query(const WireQuery& query) {
     Writer w;
     put_header(w, MessageType::Query);
     w.u64(query.id);
-    w.u8(static_cast<std::uint8_t>(query.universe));
     w.u8(static_cast<std::uint8_t>(query.want));
     w.u64(query.range_begin);
     w.u64(query.range_end);
     put_test(w, query.test);
-    if (query.universe == UniverseTag::Bit) {
-        w.i32(query.bit_opts.memory_size);
-        w.i32(query.bit_opts.max_any_expansion);
-        put_bit_faults(w, query.bit_faults);
-    } else {
-        w.i32(query.word_opts.words);
-        w.i32(query.word_opts.width);
-        w.i32(query.word_opts.max_any_expansion);
-        w.count(query.backgrounds.size());
-        for (const word::Background& background : query.backgrounds) {
-            w.i32(background.width);
-            w.u64(background.bits);
-        }
-        put_word_faults(w, query.word_faults);
+    w.i32(query.opts.words);
+    w.i32(query.opts.width);
+    w.i32(query.opts.max_any_expansion);
+    w.count(query.backgrounds.size());
+    for (const word::Background& background : query.backgrounds) {
+        w.i32(background.width);
+        w.u64(background.bits);
     }
+    put_faults(w, query.faults);
     return w.take();
 }
 
@@ -374,19 +294,13 @@ std::vector<std::uint8_t> encode_result(const WireResult& result) {
     Writer w;
     put_header(w, MessageType::Result);
     w.u64(result.id);
-    w.u8(static_cast<std::uint8_t>(result.universe));
     w.u8(static_cast<std::uint8_t>(result.want));
     w.u64(result.range_begin);
     w.u64(result.range_end);
     switch (result.want) {
         case WantTag::Detects: put_verdicts(w, result.verdicts); break;
         case WantTag::DetectsAll: w.u8(result.all ? 1 : 0); break;
-        case WantTag::Traces:
-            if (result.universe == UniverseTag::Bit)
-                put_bit_traces(w, result.traces);
-            else
-                put_word_traces(w, result.word_traces);
-            break;
+        case WantTag::Traces: put_traces(w, result.traces); break;
     }
     return w.take();
 }
@@ -429,32 +343,30 @@ Message decode_message(std::span<const std::uint8_t> payload) {
             message.type = MessageType::Query;
             WireQuery& q = message.query;
             q.id = r.u64();
-            q.universe = get_universe(r);
             q.want = get_want(r);
             q.range_begin = r.u64();
             q.range_end = r.u64();
             q.test = get_test(r);
-            if (q.universe == UniverseTag::Bit) {
-                q.bit_opts.memory_size = r.i32();
-                q.bit_opts.max_any_expansion = r.i32();
-                q.bit_faults = get_bit_faults(r);
-            } else {
-                q.word_opts.words = r.i32();
-                q.word_opts.width = r.i32();
-                q.word_opts.max_any_expansion = r.i32();
-                const std::size_t backgrounds = r.count();
-                q.backgrounds.reserve(backgrounds);
-                for (std::size_t i = 0; i < backgrounds; ++i) {
-                    word::Background background;
-                    background.width = r.i32();
-                    background.bits = r.u64();
-                    q.backgrounds.push_back(background);
-                }
-                q.word_faults = get_word_faults(r);
+            q.opts.words = r.i32();
+            q.opts.width = r.i32();
+            q.opts.max_any_expansion = r.i32();
+            const std::size_t backgrounds = r.count();
+            q.backgrounds.reserve(backgrounds);
+            for (std::size_t i = 0; i < backgrounds; ++i) {
+                word::Background background;
+                background.width = r.i32();
+                background.bits = r.u64();
+                // A background is applied at the word width; a wider one
+                // would also overflow Background::complement's shift.
+                if (background.width != q.opts.width)
+                    throw WireFormatError("background width " +
+                                          std::to_string(background.width) +
+                                          " is not the word width " +
+                                          std::to_string(q.opts.width));
+                q.backgrounds.push_back(background);
             }
-            if (q.range_end - q.range_begin !=
-                (q.universe == UniverseTag::Bit ? q.bit_faults.size()
-                                                : q.word_faults.size()))
+            q.faults = get_faults(r);
+            if (q.range_end - q.range_begin != q.faults.size())
                 throw WireFormatError("range/population size mismatch");
             break;
         }
@@ -462,7 +374,6 @@ Message decode_message(std::span<const std::uint8_t> payload) {
             message.type = MessageType::Result;
             WireResult& res = message.result;
             res.id = r.u64();
-            res.universe = get_universe(r);
             res.want = get_want(r);
             res.range_begin = r.u64();
             res.range_end = r.u64();
@@ -471,12 +382,7 @@ Message decode_message(std::span<const std::uint8_t> payload) {
                     res.verdicts = get_verdicts(r);
                     break;
                 case WantTag::DetectsAll: res.all = r.u8() != 0; break;
-                case WantTag::Traces:
-                    if (res.universe == UniverseTag::Bit)
-                        res.traces = get_bit_traces(r);
-                    else
-                        res.word_traces = get_word_traces(r);
-                    break;
+                case WantTag::Traces: res.traces = get_traces(r); break;
             }
             break;
         }

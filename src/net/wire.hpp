@@ -11,10 +11,11 @@
 ///
 /// with all multi-byte integers little-endian. Five message types exist:
 ///
-///   Query   — (test, universe, range, want) plus the population slice of
-///             the range: the coordinator ships the concrete faults, so a
-///             worker is completely stateless (no shared placement code
-///             version to keep in sync across a fleet).
+///   Query   — (test, range, want, word options, backgrounds) plus the
+///             population slice of the range: the coordinator ships the
+///             concrete faults, so a worker is completely stateless (no
+///             shared placement code version to keep in sync across a
+///             fleet).
 ///   Result  — the verdict for one range, shaped by the query's want:
 ///             per-fault verdict bits packed into 64-bit masks (the same
 ///             lane-mask currency the packed kernels reduce in), one
@@ -27,16 +28,19 @@
 ///             Dead lifecycle. Pings are not queries: hooks and query
 ///             counters ignore them.
 ///
-/// Both fault universes are covered: a Query carries a universe tag and
-/// either (RunOptions + InjectedFault slice) or (WordRunOptions +
-/// backgrounds + InjectedBitFault slice). Query ids are opaque u64s chosen
-/// by the coordinator; a Result echoes the id and range of its Query so
-/// replies can be matched across re-dispatches (duplicate replies carry
-/// the same id — first one wins, the rest are dropped).
+/// One fault universe crosses the wire, the word universe: a Query
+/// carries WordRunOptions, backgrounds and an InjectedBitFault slice. A
+/// bit query travels as its width-1 word view (word::bit_view: n words of
+/// width 1 under the solid background), and the coordinator maps its
+/// trace replies back with word::bit_trace. Query ids are opaque u64s
+/// chosen by the coordinator; a Result echoes the id and range of its
+/// Query so replies can be matched across re-dispatches (duplicate
+/// replies carry the same id — first one wins, the rest are dropped).
 ///
-/// Decoding is strict: any truncation, trailing garbage, unknown tag or
-/// out-of-range count throws WireFormatError, which the transport layers
-/// convert into "corrupt peer" (connection closed, range re-dispatched).
+/// Decoding is strict: any truncation, trailing garbage, unknown tag,
+/// out-of-range count or background whose width is not the query's word
+/// width throws WireFormatError, which the transport layers convert into
+/// "corrupt peer" (connection closed, range re-dispatched).
 
 #include <cstdint>
 #include <span>
@@ -45,14 +49,13 @@
 #include <vector>
 
 #include "march/march_test.hpp"
-#include "sim/march_runner.hpp"
 #include "word/word_march.hpp"
 #include "word/word_trace.hpp"
 
 namespace mtg::net {
 
 /// Bumped on any incompatible payload change; peers reject mismatches.
-inline constexpr std::uint8_t kWireVersion = 1;
+inline constexpr std::uint8_t kWireVersion = 2;
 
 /// Thrown by the decoder on any malformed payload.
 class WireFormatError : public std::runtime_error {
@@ -68,7 +71,6 @@ enum class MessageType : std::uint8_t {
     Ping = 5,
     Pong = 6,
 };
-enum class UniverseTag : std::uint8_t { Bit = 1, Word = 2 };
 
 /// Verdict shape on the wire. The Engine's four Want values map onto
 /// three: DictionarySweep is Traces over pre-placed instances (the
@@ -76,34 +78,27 @@ enum class UniverseTag : std::uint8_t { Bit = 1, Word = 2 };
 enum class WantTag : std::uint8_t { Detects = 1, DetectsAll = 2, Traces = 3 };
 
 /// One shard query: evaluate `want` for the population slice
-/// [range_begin, range_end) shipped in `bit_faults` / `word_faults`.
+/// [range_begin, range_end) shipped in `faults`.
 struct WireQuery {
     std::uint64_t id{0};
-    UniverseTag universe{UniverseTag::Bit};
     WantTag want{WantTag::Detects};
     std::uint64_t range_begin{0};
     std::uint64_t range_end{0};
     march::MarchTest test;
-    // Bit universe:
-    sim::RunOptions bit_opts{};
-    std::vector<sim::InjectedFault> bit_faults;
-    // Word universe:
-    word::WordRunOptions word_opts{};
+    word::WordRunOptions opts{};
     std::vector<word::Background> backgrounds;
-    std::vector<word::InjectedBitFault> word_faults;
+    std::vector<word::InjectedBitFault> faults;
 };
 
-/// One shard result, echoing the query's id/universe/want/range.
+/// One shard result, echoing the query's id/want/range.
 struct WireResult {
     std::uint64_t id{0};
-    UniverseTag universe{UniverseTag::Bit};
     WantTag want{WantTag::Detects};
     std::uint64_t range_begin{0};
     std::uint64_t range_end{0};
     std::vector<bool> verdicts;  ///< Detects (packed as 64-bit masks)
     bool all{true};              ///< DetectsAll
-    std::vector<sim::RunTrace> traces;            ///< Traces, bit universe
-    std::vector<word::WordRunTrace> word_traces;  ///< Traces, word universe
+    std::vector<word::WordRunTrace> traces;  ///< Traces
 };
 
 /// A worker-side failure for query `id`.
@@ -133,7 +128,8 @@ struct Message {
 [[nodiscard]] std::vector<std::uint8_t> encode_pong(const WirePing& pong);
 
 /// Decodes one payload. Throws WireFormatError on version mismatch,
-/// unknown tags, truncation or trailing bytes.
+/// unknown tags, truncation, trailing bytes or a background whose width
+/// is not the query's word width.
 [[nodiscard]] Message decode_message(std::span<const std::uint8_t> payload);
 
 }  // namespace mtg::net

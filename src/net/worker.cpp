@@ -18,37 +18,21 @@ WireResult evaluate_query(const engine::Backend& backend,
                           const WireQuery& query) {
     WireResult result;
     result.id = query.id;
-    result.universe = query.universe;
     result.want = query.want;
     result.range_begin = query.range_begin;
     result.range_end = query.range_end;
-    if (query.universe == UniverseTag::Bit) {
-        const engine::BitContext ctx{query.test, query.bit_opts, nullptr, 0};
-        switch (query.want) {
-            case WantTag::Detects:
-                result.verdicts = backend.detects(ctx, query.bit_faults);
-                break;
-            case WantTag::DetectsAll:
-                result.all = backend.detects_all(ctx, query.bit_faults);
-                break;
-            case WantTag::Traces:
-                result.traces = backend.traces(ctx, query.bit_faults);
-                break;
-        }
-    } else {
-        const engine::WordContext ctx{query.test, query.backgrounds,
-                                      query.word_opts, nullptr, 0};
-        switch (query.want) {
-            case WantTag::Detects:
-                result.verdicts = backend.detects(ctx, query.word_faults);
-                break;
-            case WantTag::DetectsAll:
-                result.all = backend.detects_all(ctx, query.word_faults);
-                break;
-            case WantTag::Traces:
-                result.word_traces = backend.traces(ctx, query.word_faults);
-                break;
-        }
+    const engine::WordContext ctx{query.test, query.backgrounds, query.opts,
+                                  nullptr, 0};
+    switch (query.want) {
+        case WantTag::Detects:
+            result.verdicts = backend.detects(ctx, query.faults);
+            break;
+        case WantTag::DetectsAll:
+            result.all = backend.detects_all(ctx, query.faults);
+            break;
+        case WantTag::Traces:
+            result.traces = backend.traces(ctx, query.faults);
+            break;
     }
     return result;
 }

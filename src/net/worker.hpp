@@ -4,9 +4,11 @@
 /// The fleet worker: answers wire.hpp shard queries over one connection.
 ///
 /// A worker is completely stateless — every query carries the March test,
-/// the universe options and the concrete population slice, so the worker
-/// just evaluates it through a local PackedBackend (global thread pool,
-/// CPUID lane width) and replies. Connections are served sequentially:
+/// the word options, the backgrounds and the concrete population slice,
+/// so the worker just evaluates it as a word query through a local
+/// PackedBackend (global thread pool, CPUID lane width) and replies; a
+/// bit query arrives as its width-1 word view and reuses the thread's
+/// runner like any other. Connections are served sequentially:
 /// queries on one connection are answered in arrival order (the
 /// coordinator matches replies by id, not by order, so pipelining is
 /// legal).

@@ -228,11 +228,6 @@ inline bool block_none(const Block& b) {
     return BlockTraits<Block>::none(b);
 }
 
-template <typename Block>
-inline bool block_any(const Block& b) {
-    return !block_none(b);
-}
-
 /// Plane word `i` of the block.
 template <typename Block>
 inline LaneMask block_word(const Block& b, int i) {

@@ -3,19 +3,15 @@
 /// \file thread_pool.hpp
 /// Fixed-size worker pool for data-parallel loops over independent indices.
 ///
-/// The batched simulation kernels shard their (chunk × ⇕-expansion) work
-/// grids across this pool: `parallel_for(count, body)` invokes
-/// `body(index, worker)` exactly once for every index in [0, count), with
-/// `worker` in [0, worker_count()) identifying the executing lane so
-/// callers can keep atomic-free per-worker accumulators and merge them
-/// after the call returns. Each worker owns a contiguous index range and
-/// pops it front-to-back lock-free; when a range drains the worker steals
-/// the back half of another worker's remaining range (batch stealing), so
-/// the handout costs O(workers · log count) CAS operations per job
-/// instead of one contended fetch_add per index — the wide lane-block
-/// kernels shrink the grid enough that per-index counter traffic was
-/// measurable. Item → worker assignment is nondeterministic either way;
-/// callers already merge order-independently.
+/// The packed kernels run one work item per population chunk (a whole
+/// pass over every ⇕ choice), so a loop is one to about a thousand items:
+/// `parallel_for(count, body)` invokes `body(index, worker)` exactly once
+/// for every index in [0, count), with `worker` in [0, worker_count())
+/// identifying the executing lane so callers can keep atomic-free
+/// per-worker accumulators and merge them after the call returns. Every
+/// lane takes its next index from one shared atomic counter, so a slow
+/// item never strands the others behind it. Item → worker assignment is
+/// nondeterministic; callers merge order-independently.
 ///
 /// The process-wide pool (`ThreadPool::global()`) sizes itself from the
 /// MTG_THREADS environment variable when set to a positive integer,
@@ -50,8 +46,6 @@ public:
     /// is rethrown on the caller after the loop drains. Concurrent
     /// parallel_for calls from different threads are serialised; a nested
     /// call from inside a body runs inline on the calling worker.
-    /// `count` must fit in 32 bits (ranges pack two 32-bit bounds into one
-    /// atomic word).
     void parallel_for(std::size_t count,
                       const std::function<void(std::size_t, unsigned)>& body);
 
@@ -75,8 +69,6 @@ private:
 
     void worker_loop(unsigned worker);
     void drain(unsigned worker);
-    /// Next index for `worker`: own range front, else a stolen back half.
-    std::size_t take_index(unsigned worker);
 };
 
 }  // namespace mtg::util

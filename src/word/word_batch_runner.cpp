@@ -7,26 +7,21 @@ namespace mtg::word {
 
 using march::MarchTest;
 
-WordBatchRunner::WordBatchRunner(const MarchTest& test,
-                                 std::vector<Background> backgrounds,
-                                 const WordRunOptions& opts,
-                                 util::ThreadPool* pool, int lane_width)
-    : width_(lane_width != 0 ? lane_width : sim::active_lane_width()),
-      adaptive_(lane_width == 0) {
-    MTG_EXPECTS(opts.words > 0);
-    MTG_EXPECTS(opts.width >= 1 && opts.width <= 64);
-    MTG_EXPECTS(!backgrounds.empty());
-    MTG_EXPECTS(sim::lane_width_supported(width_));
-    plan_.backgrounds = std::move(backgrounds);
+void WordBatchRunner::reset(const MarchTest& test,
+                            const std::vector<Background>& backgrounds,
+                            const WordRunOptions& opts,
+                            util::ThreadPool* pool, int lane_width) {
+    const int width =
+        lane_width != 0 ? lane_width : sim::active_lane_width();
+    MTG_EXPECTS(valid_setup(backgrounds, opts));
+    MTG_EXPECTS(sim::lane_width_supported(width));
+    width_ = width;
+    adaptive_ = lane_width == 0;
+    plan_.test = test;
+    plan_.backgrounds = backgrounds;
     plan_.opts = opts;
     plan_.pool = pool != nullptr ? pool : &util::ThreadPool::global();
-    set_test(test);
-}
-
-void WordBatchRunner::set_test(const MarchTest& test) {
-    plan_.test = test;
-    march::expansion_choices(test, plan_.opts.max_any_expansion,
-                             plan_.expansions);
+    march::expansion_choices(test, opts.max_any_expansion, plan_.expansions);
     sim::read_sites(test, plan_.sites);
 }
 
@@ -41,6 +36,13 @@ bool WordBatchRunner::detects_all(
     std::span<const InjectedBitFault> population) const {
     return dispatch(population.size(), [&](auto pass) {
         return detail::word_detects_all(plan_, pass, population);
+    });
+}
+
+std::vector<WordRunTrace> WordBatchRunner::run(
+    std::span<const InjectedBitFault> population) const {
+    return dispatch(population.size(), [&](auto pass) {
+        return detail::word_run(plan_, pass, population);
     });
 }
 

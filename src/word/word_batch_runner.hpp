@@ -20,9 +20,9 @@
 /// This is the one packed runner: engine::PackedBackend also answers
 /// bit-universe queries with it, as words = n cells of width 1 under the
 /// solid background, and a plan of width 1 runs the compile-time width-1
-/// pass (see word_kernels.hpp). For those it keeps one runner per thread
-/// and points it at each query's test with set_test, which refills the
-/// plan's buffers instead of building a new plan.
+/// pass (see word_kernels.hpp). It keeps one runner per thread for both
+/// universes and retargets it at each query with reset, which refills
+/// the plan's buffers instead of building a new plan.
 ///
 /// The block width W ∈ {1, 4, 8} is chosen once per process by runtime
 /// CPUID dispatch (AVX-512 → 8, AVX2 → 4, else 1 — see lane_dispatch.hpp)
@@ -59,9 +59,23 @@ namespace mtg::word {
 class WordBatchRunner {
 public:
     WordBatchRunner(const march::MarchTest& test,
-                    std::vector<Background> backgrounds,
+                    const std::vector<Background>& backgrounds,
                     const WordRunOptions& opts = {},
-                    util::ThreadPool* pool = nullptr, int lane_width = 0);
+                    util::ThreadPool* pool = nullptr, int lane_width = 0) {
+        reset(test, backgrounds, opts, pool, lane_width);
+    }
+
+    /// Retargets the runner at a new query, as if constructed from these
+    /// arguments: the test, its ⇕ expansions, its read sites and the
+    /// backgrounds are copied into the buffers the runner already holds,
+    /// so a runner reused across queries (engine::PackedBackend keeps one
+    /// per thread) allocates only when a query outgrows them. Requires
+    /// valid_setup(backgrounds, opts); a failed precondition leaves the
+    /// runner as it was.
+    void reset(const march::MarchTest& test,
+               const std::vector<Background>& backgrounds,
+               const WordRunOptions& opts, util::ThreadPool* pool,
+               int lane_width);
 
     /// Guaranteed detection under EVERY ⇕ expansion (the word::detects
     /// semantics), element i answering for population[i].
@@ -80,28 +94,7 @@ public:
     /// bit-identical to the scalar word::guaranteed_trace oracle. Sharded
     /// chunk-wise (each chunk writes a disjoint result range).
     [[nodiscard]] std::vector<WordRunTrace> run(
-        std::span<const InjectedBitFault> population) const {
-        return run_with<detail::WordTraceEmit>(population);
-    }
-
-    /// run() with each trace built by `Emit` (see detail::WordTraceEmit),
-    /// so a caller with its own trace type gets it filled directly.
-    template <typename Emit>
-    [[nodiscard]] std::vector<typename Emit::Trace> run_with(
-        std::span<const InjectedBitFault> population) const {
-        return dispatch(population.size(),
-                        [&]<typename Block>(detail::WordPassFn<Block> pass) {
-                            return detail::word_run<Block, Emit>(plan_, pass,
-                                                                 population);
-                        });
-    }
-
-    /// Points the runner at `test`, keeping its backgrounds, options,
-    /// pool and width: the test, its ⇕ expansions and its read sites are
-    /// copied into the buffers the runner already holds, so a runner
-    /// reused across queries (engine::PackedBackend keeps one bit-view
-    /// runner per thread) allocates only when a test outgrows them.
-    void set_test(const march::MarchTest& test);
+        std::span<const InjectedBitFault> population) const;
 
     [[nodiscard]] const march::MarchTest& test() const { return plan_.test; }
     [[nodiscard]] const WordRunOptions& options() const {
@@ -117,8 +110,8 @@ public:
 
 private:
     detail::WordPlan plan_;
-    int width_;
-    bool adaptive_;
+    int width_{0};
+    bool adaptive_{false};
 
     /// Calls `job` with the pass for a population of this size: the lane
     /// block of the (clamped) width, and for W=8 the codegen

@@ -48,8 +48,8 @@
 /// slice of the trace vector. Each thread keeps one pair of sinks
 /// (TraceSinks), re-armed per chunk, and fans the traces out of them
 /// directly: a counting walk over the chunk's guaranteed grids first sizes
-/// every trace's two vectors exactly (Emit::reserve), then one walk fills
-/// them in canonical order.
+/// every trace's two vectors exactly, then one walk fills them in
+/// canonical order.
 ///
 /// The (background, site) read grid is small and stays dense
 /// (sim::detail::GuaranteedMasks). The (background, site, word, bit)
@@ -407,30 +407,6 @@ bool word_detects_all(const WordPlan& plan, WordPassFn<Block> pass,
     return !escape.load(std::memory_order_relaxed);
 }
 
-/// How word_run records a guaranteed failing read or observation into a
-/// per-fault trace: `Trace` is the trace type (it needs a `detected`
-/// flag), `reserve` sizes a trace for the number of reads and
-/// observations it is about to receive, and `read` and `observation`
-/// append one entry. WordTraceEmit builds the word universe's
-/// WordRunTrace; another emitter builds another trace type from the same
-/// coordinates without a second copy.
-struct WordTraceEmit {
-    using Trace = WordRunTrace;
-    static void reserve(Trace& trace, std::size_t reads,
-                        std::size_t observations) {
-        trace.failing_reads.reserve(reads);
-        trace.failing_observations.reserve(observations);
-    }
-    static void read(Trace& trace, int background, const sim::ReadSite& site) {
-        trace.failing_reads.push_back({background, site});
-    }
-    static void observation(Trace& trace, int background,
-                            const sim::ReadSite& site, int word,
-                            std::uint64_t bits) {
-        trace.failing_observations.push_back({background, site, word, bits});
-    }
-};
-
 /// The trace sinks of one pass: the dense (background, site) read grid and
 /// the sparse (background, site, word, bit) observation runs. word_run
 /// keeps one pair per thread, like the pass's ArmedPassScratch and
@@ -459,12 +435,11 @@ struct TraceSinks {
 /// the canonical trace order. A first, counting walk over the same grids
 /// gives each trace its exact number of reads and of (background, site,
 /// word) observations, so every vector is sized once.
-template <typename Block, typename Emit>
+template <typename Block>
 void word_emit_chunk(const WordPlan& plan, const TraceSinks<Block>& sinks,
-                     const Block& detected, int count,
-                     typename Emit::Trace* out) {
+                     const Block& detected, int count, WordRunTrace* out) {
     constexpr int kLanes = sim::block_lane_count<Block>;
-    const auto lane_trace = [&](int lane) -> typename Emit::Trace& {
+    const auto lane_trace = [&](int lane) -> WordRunTrace& {
         // Inverse of fault_lane: chunk index of a fault lane.
         return out[(lane / sim::kLaneCount) * sim::kChunkLanes +
                    lane % sim::kLaneCount - 1];
@@ -489,7 +464,8 @@ void word_emit_chunk(const WordPlan& plan, const TraceSinks<Block>& sinks,
     for (int i = 0; i < count; ++i) {
         const int lane = fault_lane(i);
         out[i].detected = block_test(detected, lane);
-        Emit::reserve(out[i], reads[lane], observations[lane]);
+        out[i].failing_reads.reserve(reads[lane]);
+        out[i].failing_observations.reserve(observations[lane]);
     }
 
     // Each lane keeps one open (word, bits) accumulator, flushed when the
@@ -505,7 +481,7 @@ void word_emit_chunk(const WordPlan& plan, const TraceSinks<Block>& sinks,
             const int background = static_cast<int>(k);
             const sim::ReadSite& site = plan.sites[s];
             sim::for_each_lane(sinks.sites.guaranteed(coord), [&](int lane) {
-                Emit::read(lane_trace(lane), background, site);
+                lane_trace(lane).failing_reads.push_back({background, site});
             });
             Block dirty = block_zero<Block>();
             for (const auto& entry : sinks.observations.run(coord)) {
@@ -513,8 +489,8 @@ void word_emit_chunk(const WordPlan& plan, const TraceSinks<Block>& sinks,
                     LaneAcc& a = acc[lane];
                     if (a.word != entry.word) {
                         if (a.word >= 0)
-                            Emit::observation(lane_trace(lane), background,
-                                              site, a.word, a.bits);
+                            lane_trace(lane).failing_observations.push_back(
+                                {background, site, a.word, a.bits});
                         a.word = entry.word;
                         a.bits = 0;
                     }
@@ -524,19 +500,19 @@ void word_emit_chunk(const WordPlan& plan, const TraceSinks<Block>& sinks,
             }
             sim::for_each_lane(dirty, [&](int lane) {
                 LaneAcc& a = acc[lane];
-                Emit::observation(lane_trace(lane), background, site, a.word,
-                                  a.bits);
+                lane_trace(lane).failing_observations.push_back(
+                    {background, site, a.word, a.bits});
                 a.word = -1;
                 a.bits = 0;
             });
         }
 }
 
-template <typename Block, typename Emit = WordTraceEmit>
-std::vector<typename Emit::Trace> word_run(
+template <typename Block>
+std::vector<WordRunTrace> word_run(
     const WordPlan& plan, WordPassFn<Block> pass,
     std::span<const InjectedBitFault> population) {
-    std::vector<typename Emit::Trace> result(population.size());
+    std::vector<WordRunTrace> result(population.size());
     if (population.empty()) return result;
     const std::size_t chunks = block_chunk_total<Block>(population.size());
     const auto per = static_cast<std::size_t>(block_fault_lanes<Block>);
@@ -553,8 +529,8 @@ std::vector<typename Emit::Trace> word_run(
         Block detected = block_zero<Block>();
         pass(plan, population.data() + base, count, nullptr, &detected,
              &sinks.sites, &sinks.observations);
-        word_emit_chunk<Block, Emit>(plan, sinks, detected, count,
-                                     result.data() + base);
+        word_emit_chunk<Block>(plan, sinks, detected, count,
+                               result.data() + base);
     });
     return result;
 }

@@ -1,6 +1,10 @@
 #include "word/word_march.hpp"
 
+#include <algorithm>
+
 #include "march/expansion.hpp"
+#include "util/contracts.hpp"
+#include "word/word_trace.hpp"
 
 namespace mtg::word {
 
@@ -8,6 +12,47 @@ using march::AddressOrder;
 using march::MarchOp;
 using march::MarchTest;
 using march::OpKind;
+
+bool valid_setup(const std::vector<Background>& backgrounds,
+                 const WordRunOptions& opts) {
+    return opts.words > 0 && opts.width >= 1 && opts.width <= 64 &&
+           !backgrounds.empty() &&
+           std::ranges::all_of(backgrounds, [&](const Background& b) {
+               return b.width == opts.width;
+           });
+}
+
+void BitView::assign(const sim::RunOptions& bit_opts,
+                     std::span<const sim::InjectedFault> population) {
+    opts = bit_view(bit_opts);
+    faults.clear();
+    faults.reserve(population.size());
+    for (const sim::InjectedFault& fault : population)
+        faults.push_back(bit_view(fault));
+}
+
+sim::RunTrace bit_trace(const WordRunTrace& trace) {
+    sim::RunTrace out;
+    out.detected = trace.detected;
+    out.failing_reads.reserve(trace.failing_reads.size());
+    for (const WordReadSite& read : trace.failing_reads) {
+        MTG_EXPECTS(read.background == 0);
+        out.failing_reads.push_back(read.site);
+    }
+    out.failing_observations.reserve(trace.failing_observations.size());
+    for (const WordObservation& obs : trace.failing_observations) {
+        MTG_EXPECTS(obs.background == 0 && obs.bits == 1);
+        out.failing_observations.push_back({obs.site, obs.word});
+    }
+    return out;
+}
+
+std::vector<sim::RunTrace> bit_trace(std::span<const WordRunTrace> traces) {
+    std::vector<sim::RunTrace> out;
+    out.reserve(traces.size());
+    for (const WordRunTrace& trace : traces) out.push_back(bit_trace(trace));
+    return out;
+}
 
 int word_complexity(const MarchTest& test,
                     const std::vector<Background>& backgrounds) {
@@ -68,6 +113,7 @@ bool run_once_detects(const MarchTest& test,
                       const std::vector<Background>& backgrounds,
                       const InjectedBitFault& fault, unsigned any_choices,
                       const WordRunOptions& opts) {
+    MTG_EXPECTS(valid_setup(backgrounds, opts));
     WordMemory memory(opts.words, opts.width);
     memory.inject(fault);
     bool detected = false;
@@ -94,6 +140,7 @@ bool detects(const MarchTest& test, const std::vector<Background>& backgrounds,
 bool is_well_formed(const MarchTest& test,
                     const std::vector<Background>& backgrounds,
                     const WordRunOptions& opts) {
+    MTG_EXPECTS(valid_setup(backgrounds, opts));
     for (unsigned choice : expansion_choices(test, opts)) {
         WordMemory memory(opts.words, opts.width);
         // A fault-free run must produce no mismatch and no unknown read

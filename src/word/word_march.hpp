@@ -10,6 +10,9 @@
 /// questions (coverage of a kind's placement set, batched traces) are
 /// engine::Engine queries (see engine/engine.hpp).
 
+#include <span>
+#include <vector>
+
 #include "march/march_test.hpp"
 #include "sim/march_runner.hpp"
 #include "word/background.hpp"
@@ -17,12 +20,21 @@
 
 namespace mtg::word {
 
+struct WordRunTrace;
+
 /// Execution options.
 struct WordRunOptions {
     int words{8};
     int width{8};
     int max_any_expansion{4};  ///< 2^k ⇕ expansions per background run
 };
+
+/// True when a word test can run on `opts`' memory under `backgrounds`:
+/// at least one word of 1..64 bits and at least one background, each
+/// exactly `opts.width` bits wide (Background::complement shifts by its
+/// width). Every word query requires it.
+[[nodiscard]] bool valid_setup(const std::vector<Background>& backgrounds,
+                               const WordRunOptions& opts);
 
 /// A bit test on n cells as a word test: n words of width 1, run under
 /// word::solid_background(1).
@@ -37,6 +49,28 @@ struct WordRunOptions {
     const sim::InjectedFault& fault) {
     return {fault.kind, {fault.cell_a, 0}, {fault.cell_b, 0}};
 }
+
+/// A bit query as a word query: its options, population and the solid
+/// width-1 background, mapped by bit_view. The backends keep one view per
+/// thread and refill it for every bit query.
+struct BitView {
+    /// Refills the view for this query in the buffers it already holds.
+    void assign(const sim::RunOptions& bit_opts,
+                std::span<const sim::InjectedFault> population);
+
+    WordRunOptions opts;
+    std::vector<Background> backgrounds = solid_background(1);
+    std::vector<InjectedBitFault> faults;
+};
+
+/// A trace of the width-1 word view as a bit trace: background 0 is the
+/// only background and every observation is bit 0 of its word, so the
+/// word is the cell. Requires exactly that shape of `trace`.
+[[nodiscard]] sim::RunTrace bit_trace(const WordRunTrace& trace);
+
+/// bit_trace of each trace, in order.
+[[nodiscard]] std::vector<sim::RunTrace> bit_trace(
+    std::span<const WordRunTrace> traces);
 
 /// Complexity of the expanded word test: per-word operations summed over
 /// all backgrounds.

@@ -149,6 +149,7 @@ WordRunTrace guaranteed_trace(const MarchTest& test,
                               const std::vector<Background>& backgrounds,
                               const InjectedBitFault& fault,
                               const WordRunOptions& opts) {
+    MTG_EXPECTS(valid_setup(backgrounds, opts));
     const std::vector<unsigned> choices = expansion_choices(test, opts);
     MTG_EXPECTS(!choices.empty());
     WordRunTrace result =

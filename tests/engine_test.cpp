@@ -113,8 +113,6 @@ TEST(EngineDifferential, BitQueriesMatchScalarOracleEverywhere) {
         // session.
         const Engine& global = Engine::global();
         EXPECT_EQ(global.covers_all(test, kinds, opts), ref_all.all);
-        EXPECT_EQ(global.first_uncovered(test, kinds, opts).has_value(),
-                  !ref_all.all);
 
         for (int width : {1, 4, 8}) {
             for (unsigned workers : worker_counts()) {
@@ -350,6 +348,39 @@ TEST(EngineRemote, WordQueriesMatchPackedOverLoopbackPeers) {
         expect_word_traces_eq(sweep.word_traces, ref_sweep.word_traces,
                               "remote word dictionary sweep");
     }
+}
+
+TEST(EngineRemote, WrongWidthBackgroundsThrowBeforeAnyPeerSeesThem) {
+    // Backgrounds narrower than the word fail word::valid_setup where the
+    // query enters the Engine, so no peer receives a frame its decoder
+    // must refuse (a refused frame costs the connection). A fleet of
+    // plain fds has no reconnector, so it serving the next valid query
+    // shows that no peer was lost.
+    word::WordRunOptions opts;
+    opts.words = 6;
+    opts.width = 8;
+    const auto& test = march::march_c_minus();
+    const auto backgrounds = word::counting_backgrounds(opts.width);
+    const auto narrow = word::counting_backgrounds(4);
+    const auto population =
+        word::coverage_population(FaultKind::CfidUp1, opts);
+    const Engine packed;
+    const std::vector<bool> want =
+        packed.detects(test, backgrounds, population, opts);
+
+    net::LoopbackFleet fleet(2);
+    const Engine remote(engine::make_remote_backend(fleet.take_fds()));
+    Query query;
+    query.test = test;
+    query.universe = WordUniverse{narrow, opts};
+    query.want = Want::Detects;
+    query.kinds = {FaultKind::CfidUp1};
+    EXPECT_THROW((void)remote.run(query), ContractViolation);
+    EXPECT_THROW((void)remote.detects(test, narrow, population, opts),
+                 ContractViolation);
+    EXPECT_THROW((void)remote.traces(test, narrow, population, opts),
+                 ContractViolation);
+    EXPECT_EQ(remote.detects(test, backgrounds, population, opts), want);
 }
 
 TEST(EngineRemote, SurvivesPeerKilledMidQuery) {
@@ -635,11 +666,10 @@ TEST(EngineCache, PermutedAndDuplicatedKindListsShareOneEntry) {
     EXPECT_EQ(a->offsets.front(), 0u);
     EXPECT_EQ(a->offsets.back(), a->faults.size());
 
-    // kind_of maps every fault index back to the kind whose expansion
-    // owns it — the contract first_uncovered's miss mapping rests on.
+    // Kind k's expansion owns [offsets[k], offsets[k + 1]).
     for (std::size_t k = 0; k < a->kinds.size(); ++k)
         for (std::size_t i = a->offsets[k]; i < a->offsets[k + 1]; ++i)
-            ASSERT_EQ(a->kind_of(i), a->kinds[k]) << "index " << i;
+            ASSERT_EQ(a->faults[i].kind, a->kinds[k]) << "index " << i;
 
     const auto stats = eng.population_cache()->stats();
     EXPECT_EQ(stats.misses, 1u);  // one expansion served all three lists
@@ -697,7 +727,7 @@ TEST(EngineQuery, EmptyKindDictionarySweepIsEmpty) {
     EXPECT_TRUE(bit_sweep.traces.empty());
     EXPECT_TRUE(bit_sweep.all);
     const Result word_sweep =
-        eng.dictionary_sweep(test, word::solid_background(4), {}, {});
+        eng.dictionary_sweep(test, word::solid_background(8), {}, {});
     EXPECT_TRUE(word_sweep.instances.empty());
     EXPECT_TRUE(word_sweep.word_traces.empty());
     EXPECT_TRUE(word_sweep.all);
@@ -777,13 +807,14 @@ TEST(EngineQuery, EmptyPopulationIsVacuouslyCovered) {
     EXPECT_TRUE(eng.run(detects).detected.empty());
 }
 
-/// The packed backend keeps one bit-view runner per thread and points it
-/// at each query's test, building it again only when the memory size, the
-/// ⇕ cap, the pool or the lane width changes. One thread alternates every
-/// one of those, the Want and the test, query by query, and every answer
-/// must equal a Scalar session's: a runner serving a stale setup (the
-/// previous test, expansions, read sites, size, pool or width) would
-/// answer for the wrong question.
+/// The packed backend keeps one runner per thread for both universes and
+/// retargets it at every query (WordBatchRunner::reset). One thread
+/// alternates the memory size, the ⇕ cap, the pool, the lane width, the
+/// Want and the test, query by query, and answers a word query of
+/// another geometry and background set between every two bit queries;
+/// every answer must equal a Scalar session's: a runner serving a stale
+/// setup (the previous test, expansions, read sites, backgrounds, size,
+/// pool or width) would answer for the wrong question.
 TEST(EnginePackedRunner, PerThreadRunnerNeverServesAStaleSetup) {
     util::ThreadPool pool_a(1);
     util::ThreadPool pool_b(2);
@@ -799,6 +830,40 @@ TEST(EnginePackedRunner, PerThreadRunnerNeverServesAStaleSetup) {
                            "PMOVI", "March X"};
     const std::vector<FaultKind>& kinds = fault::all_fault_kinds();
     const Want wants[] = {Want::Detects, Want::DetectsAll, Want::Traces};
+
+    struct WordCase {
+        std::string label;
+        Query query;
+        Result want;
+    };
+    std::vector<WordCase> word_cases;
+    const auto word_case = [&](const char* name, const char* list,
+                               word::WordRunOptions opts, bool counting,
+                               Want want) {
+        Query query;
+        query.test = march::find_march_test(name).test;
+        query.universe = WordUniverse{
+            counting ? word::counting_backgrounds(opts.width)
+                     : word::solid_background(opts.width),
+            opts};
+        query.want = want;
+        query.kinds = fault::parse_fault_kinds(list);
+        word_cases.push_back({std::string(name) + " word " + list + " " +
+                                  std::to_string(opts.words) + "x" +
+                                  std::to_string(opts.width),
+                              query, scalar.run(query)});
+    };
+    word_case("MATS+", "SAF,TF,CFid", {.words = 3, .width = 4}, true,
+              Want::Detects);
+    word_case("March C-", "SAF,CFin",
+              {.words = 4, .width = 8, .max_any_expansion = 2}, false,
+              Want::DetectsAll);
+    word_case("March SS", "CFid",
+              {.words = 3, .width = 8, .max_any_expansion = 6}, true,
+              Want::Traces);
+    word_case("PMOVI", "SAF,TF,CFst", {.words = 5, .width = 4}, true,
+              Want::Traces);
+    SplitMix64 word_rng(0xB17ULL);
 
     SplitMix64 rng(20261019);
     for (int step = 0; step < 300; ++step) {
@@ -825,6 +890,19 @@ TEST(EnginePackedRunner, PerThreadRunnerNeverServesAStaleSetup) {
             ASSERT_EQ(packed.covers_all(query.test, kinds, opts), want.all)
                 << label;
         }
+
+        const WordCase& c = word_cases[word_rng.below(word_cases.size())];
+        const Engine& word_packed =
+            *sessions[word_rng.below(sessions.size())];
+        const Result word_got = word_packed.run(c.query);
+        const std::string word_label =
+            "step " + std::to_string(step) + ": " + c.label +
+            " W=" + std::to_string(word_packed.config().lane_width);
+        ASSERT_EQ(word_got.all, c.want.all) << word_label;
+        ASSERT_EQ(word_got.detected, c.want.detected) << word_label;
+        expect_word_traces_eq(word_got.word_traces, c.want.word_traces,
+                              word_label.c_str());
+        if (HasFatalFailure()) return;
     }
 }
 

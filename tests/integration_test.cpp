@@ -59,9 +59,7 @@ TEST(Integration, RedundancyAnalysisConsistentWithSimulator) {
         const auto result = generator.generate(kinds);
         ASSERT_TRUE(result.valid) << list;
         EXPECT_TRUE(result.redundancy.complete) << list;
-        EXPECT_FALSE(engine::Engine::global()
-                         .first_uncovered(result.test, kinds)
-                         .has_value())
+        EXPECT_TRUE(engine::Engine::global().covers_all(result.test, kinds))
             << list;
     }
 }

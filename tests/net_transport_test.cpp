@@ -17,6 +17,7 @@
 #include <chrono>
 #include <cstring>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "march/library.hpp"
@@ -32,81 +33,78 @@ namespace {
 
 using fault::FaultKind;
 
-WireQuery sample_bit_query() {
-    WireQuery query;
-    query.id = 0x1122334455667788ull;
-    query.universe = UniverseTag::Bit;
-    query.want = WantTag::Detects;
-    query.range_begin = 504;
-    query.range_end = 507;
-    query.test = march::march_c_minus();
-    query.bit_opts = {.memory_size = 24, .max_any_expansion = 6};
-    query.bit_faults = {
+/// A bit query as it crosses the fleet: its width-1 word view under the
+/// solid background (word::BitView).
+WireQuery sample_bit_view_query() {
+    const std::vector<sim::InjectedFault> population = {
         sim::InjectedFault::single(FaultKind::Saf0, 3),
         sim::InjectedFault::coupling(FaultKind::CfidUp0, 1, 7),
         sim::InjectedFault::coupling(FaultKind::CfinDown, 7, 1),
     };
+    word::BitView view;
+    view.assign(sim::RunOptions{.memory_size = 24, .max_any_expansion = 6},
+                population);
+    WireQuery query;
+    query.id = 0x1122334455667788ull;
+    query.want = WantTag::Detects;
+    query.range_begin = 504;
+    query.range_end = 507;
+    query.test = march::march_c_minus();
+    query.opts = view.opts;
+    query.backgrounds = std::move(view.backgrounds);
+    query.faults = std::move(view.faults);
     return query;
 }
 
 WireQuery sample_word_query() {
     WireQuery query;
     query.id = 42;
-    query.universe = UniverseTag::Word;
     query.want = WantTag::Traces;
     query.range_begin = 0;
     query.range_end = 2;
     query.test = march::find_march_test("MATS").test;
-    query.word_opts.words = 6;
-    query.word_opts.width = 4;
-    query.word_opts.max_any_expansion = 4;
+    query.opts.words = 6;
+    query.opts.width = 4;
+    query.opts.max_any_expansion = 4;
     query.backgrounds = word::counting_backgrounds(4);
-    query.word_faults = {
+    query.faults = {
         word::InjectedBitFault::single(FaultKind::Rdf1, {2, 3}),
         word::InjectedBitFault::coupling(FaultKind::CfidUp1, {0, 0}, {5, 3}),
     };
     return query;
 }
 
-TEST(WireFormat, BitQueryRoundTrip) {
-    const WireQuery query = sample_bit_query();
+void expect_query_eq(const WireQuery& got, const WireQuery& want) {
+    EXPECT_EQ(got.id, want.id);
+    EXPECT_EQ(got.want, want.want);
+    EXPECT_EQ(got.range_begin, want.range_begin);
+    EXPECT_EQ(got.range_end, want.range_end);
+    EXPECT_EQ(got.test.str(), want.test.str());
+    EXPECT_EQ(got.opts.words, want.opts.words);
+    EXPECT_EQ(got.opts.width, want.opts.width);
+    EXPECT_EQ(got.opts.max_any_expansion, want.opts.max_any_expansion);
+    EXPECT_EQ(got.backgrounds, want.backgrounds);
+    EXPECT_EQ(got.faults, want.faults);
+}
+
+TEST(WireFormat, BitViewQueryRoundTrip) {
+    const WireQuery query = sample_bit_view_query();
     const Message decoded = decode_message(encode_query(query));
     ASSERT_EQ(decoded.type, MessageType::Query);
-    const WireQuery& got = decoded.query;
-    EXPECT_EQ(got.id, query.id);
-    EXPECT_EQ(got.universe, query.universe);
-    EXPECT_EQ(got.want, query.want);
-    EXPECT_EQ(got.range_begin, query.range_begin);
-    EXPECT_EQ(got.range_end, query.range_end);
-    EXPECT_EQ(got.test.str(), query.test.str());
-    EXPECT_EQ(got.bit_opts.memory_size, query.bit_opts.memory_size);
-    EXPECT_EQ(got.bit_opts.max_any_expansion,
-              query.bit_opts.max_any_expansion);
-    EXPECT_EQ(got.bit_faults, query.bit_faults);
+    expect_query_eq(decoded.query, query);
 }
 
 TEST(WireFormat, WordQueryRoundTrip) {
     const WireQuery query = sample_word_query();
     const Message decoded = decode_message(encode_query(query));
     ASSERT_EQ(decoded.type, MessageType::Query);
-    const WireQuery& got = decoded.query;
-    EXPECT_EQ(got.id, query.id);
-    EXPECT_EQ(got.universe, UniverseTag::Word);
-    EXPECT_EQ(got.want, WantTag::Traces);
-    EXPECT_EQ(got.test.str(), query.test.str());
-    EXPECT_EQ(got.word_opts.words, query.word_opts.words);
-    EXPECT_EQ(got.word_opts.width, query.word_opts.width);
-    EXPECT_EQ(got.word_opts.max_any_expansion,
-              query.word_opts.max_any_expansion);
-    EXPECT_EQ(got.backgrounds, query.backgrounds);
-    EXPECT_EQ(got.word_faults, query.word_faults);
+    expect_query_eq(decoded.query, query);
 }
 
 TEST(WireFormat, VerdictResultRoundTripAcrossMaskBoundaries) {
     // 67 verdicts: straddles the 64-bit mask boundary, partial final mask.
     WireResult result;
     result.id = 7;
-    result.universe = UniverseTag::Bit;
     result.want = WantTag::Detects;
     result.range_begin = 0;
     result.range_end = 67;
@@ -117,32 +115,38 @@ TEST(WireFormat, VerdictResultRoundTripAcrossMaskBoundaries) {
     EXPECT_EQ(decoded.result.verdicts, result.verdicts);
 }
 
-TEST(WireFormat, TraceResultRoundTrip) {
+TEST(WireFormat, BitViewTraceResultRoundTrip) {
+    // A bit Traces reply is the width-1 view's word traces (background 0,
+    // bit 0); word::bit_trace turns the decoded ones into the bit traces.
     WireResult result;
     result.id = 9;
-    result.universe = UniverseTag::Bit;
     result.want = WantTag::Traces;
     result.range_begin = 10;
     result.range_end = 12;
-    sim::RunTrace trace;
+    word::WordRunTrace trace;
     trace.detected = true;
-    trace.failing_reads = {{1, 0}, {2, 1}};
-    trace.failing_observations = {{{1, 0}, 3}, {{2, 1}, 0}};
-    result.traces = {trace, sim::RunTrace{}};
+    trace.failing_reads = {{0, {1, 0}}, {0, {2, 1}}};
+    trace.failing_observations = {{0, {1, 0}, 3, 1}, {0, {2, 1}, 0, 1}};
+    result.traces = {trace, word::WordRunTrace{}};
     const Message decoded = decode_message(encode_result(result));
     ASSERT_EQ(decoded.type, MessageType::Result);
     ASSERT_EQ(decoded.result.traces.size(), 2u);
-    EXPECT_EQ(decoded.result.traces[0].detected, trace.detected);
-    EXPECT_EQ(decoded.result.traces[0].failing_reads, trace.failing_reads);
-    EXPECT_EQ(decoded.result.traces[0].failing_observations,
-              trace.failing_observations);
-    EXPECT_FALSE(decoded.result.traces[1].detected);
+    EXPECT_EQ(decoded.result.traces[0], trace);
+    EXPECT_EQ(decoded.result.traces[1], word::WordRunTrace{});
+
+    const sim::RunTrace bit = word::bit_trace(decoded.result.traces[0]);
+    EXPECT_TRUE(bit.detected);
+    const std::vector<sim::ReadSite> reads = {{1, 0}, {2, 1}};
+    const std::vector<sim::Observation> observations = {{{1, 0}, 3},
+                                                        {{2, 1}, 0}};
+    EXPECT_EQ(bit.failing_reads, reads);
+    EXPECT_EQ(bit.failing_observations, observations);
+    EXPECT_FALSE(word::bit_trace(decoded.result.traces[1]).detected);
 }
 
 TEST(WireFormat, WordTraceResultRoundTrip) {
     WireResult result;
     result.id = 11;
-    result.universe = UniverseTag::Word;
     result.want = WantTag::Traces;
     result.range_begin = 0;
     result.range_end = 1;
@@ -150,11 +154,11 @@ TEST(WireFormat, WordTraceResultRoundTrip) {
     trace.detected = true;
     trace.failing_reads = {{0, {1, 0}}, {2, {2, 1}}};
     trace.failing_observations = {{1, {1, 0}, 4, 0b1011}};
-    result.word_traces = {trace};
+    result.traces = {trace};
     const Message decoded = decode_message(encode_result(result));
     ASSERT_EQ(decoded.type, MessageType::Result);
-    ASSERT_EQ(decoded.result.word_traces.size(), 1u);
-    EXPECT_EQ(decoded.result.word_traces[0], trace);
+    ASSERT_EQ(decoded.result.traces.size(), 1u);
+    EXPECT_EQ(decoded.result.traces[0], trace);
 }
 
 TEST(WireFormat, DetectsAllAndErrorRoundTrip) {
@@ -177,7 +181,7 @@ TEST(WireFormat, DetectsAllAndErrorRoundTrip) {
 
 TEST(WireFormat, RejectsMalformedPayloads) {
     const std::vector<std::uint8_t> encoded =
-        encode_query(sample_bit_query());
+        encode_query(sample_bit_view_query());
 
     // Empty, garbage, wrong version, unknown message type.
     EXPECT_THROW((void)decode_message({}), WireFormatError);
@@ -204,9 +208,26 @@ TEST(WireFormat, RejectsMalformedPayloads) {
 }
 
 TEST(WireFormat, RejectsRangePopulationMismatch) {
-    WireQuery query = sample_bit_query();
-    query.range_end = query.range_begin + query.bit_faults.size() + 1;
+    WireQuery query = sample_bit_view_query();
+    query.range_end = query.range_begin + query.faults.size() + 1;
     EXPECT_THROW((void)decode_message(encode_query(query)), WireFormatError);
+}
+
+TEST(WireFormat, RejectsBackgroundsNotAsWideAsTheWord) {
+    // A background applies at the query's word width; any other width is
+    // malformed, including one past 64 bits that Background::complement
+    // could not even shift by.
+    for (const int width : {0, 1, 3, 8, 64, 65}) {
+        WireQuery query = sample_word_query();
+        query.backgrounds.back().width = width;
+        EXPECT_THROW((void)decode_message(encode_query(query)),
+                     WireFormatError)
+            << width;
+    }
+    WireQuery bit_view = sample_bit_view_query();
+    bit_view.backgrounds = word::solid_background(8);
+    EXPECT_THROW((void)decode_message(encode_query(bit_view)),
+                 WireFormatError);
 }
 
 TEST(Framing, RoundTripAndTimeoutTaxonomy) {
@@ -305,14 +326,34 @@ TEST(Framing, WorkerServesFromTheFirstFrame) {
     ASSERT_EQ(pong.type, MessageType::Pong);
     EXPECT_EQ(pong.ping.nonce, 77u);
 
-    WireQuery query = sample_bit_query();
+    WireQuery query = sample_bit_view_query();
     query.range_begin = 0;
-    query.range_end = query.bit_faults.size();
+    query.range_end = query.faults.size();
     ASSERT_TRUE(channel.send(encode_query(query)));
     ASSERT_EQ(channel.recv(payload, 5000), FrameChannel::RecvStatus::Ok);
     const Message result = decode_message(payload);
     ASSERT_EQ(result.type, MessageType::Result);
     EXPECT_EQ(result.result.id, query.id);
+
+    channel.shutdown();
+    worker.join();
+}
+
+TEST(Framing, WorkerAnswersAWrongWidthBackgroundWithAnError) {
+    // A query whose background is wider than its word is malformed: the
+    // worker replies with an Error and drops the connection instead of
+    // evaluating it.
+    const auto [coordinator_fd, worker_fd] = socket_pair();
+    std::thread worker([fd = worker_fd] { serve_connection(fd); });
+    FrameChannel channel(coordinator_fd);
+
+    WireQuery query = sample_word_query();
+    query.backgrounds.back().width = 65;
+    ASSERT_TRUE(channel.send(encode_query(query)));
+    std::vector<std::uint8_t> payload;
+    ASSERT_EQ(channel.recv(payload, 5000), FrameChannel::RecvStatus::Ok);
+    EXPECT_EQ(decode_message(payload).type, MessageType::Error);
+    EXPECT_EQ(channel.recv(payload, 5000), FrameChannel::RecvStatus::Closed);
 
     channel.shutdown();
     worker.join();

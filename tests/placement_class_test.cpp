@@ -10,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <optional>
 #include <set>
 #include <span>
 #include <string>
@@ -238,7 +237,6 @@ TEST(ClassPopulation, KindQueriesAnswerForEveryPlacement) {
                 ASSERT_EQ(classes.size(), entry->faults.size()) << where;
 
                 bool all = true;
-                std::vector<FaultKind> missed;
                 for (std::size_t k = 0; k < entry->kinds.size(); ++k) {
                     const auto members =
                         sim::full_population(entry->kinds[k], n);
@@ -247,6 +245,7 @@ TEST(ClassPopulation, KindQueriesAnswerForEveryPlacement) {
                     const std::span<const sim::InjectedFault> kind_classes(
                         entry->faults.data() + entry->offsets[k],
                         entry->offsets[k + 1] - entry->offsets[k]);
+                    bool kind_all = true;
                     for (std::size_t i = 0; i < members.size(); ++i) {
                         const std::size_t c =
                             class_of(members[i], kind_classes, n);
@@ -254,28 +253,19 @@ TEST(ClassPopulation, KindQueriesAnswerForEveryPlacement) {
                         ASSERT_EQ(verdicts[i], classes[entry->offsets[k] + c])
                             << where << " "
                             << fault::fault_kind_name(entry->kinds[k]);
-                        if (verdicts[i]) continue;
-                        all = false;
-                        if (missed.empty() ||
-                            missed.back() != entry->kinds[k])
-                            missed.push_back(entry->kinds[k]);
+                        kind_all = kind_all && verdicts[i];
                     }
+                    EXPECT_EQ(eng.covers_everywhere(named.test,
+                                                    entry->kinds[k], opts),
+                              kind_all)
+                        << where << " "
+                        << fault::fault_kind_name(entry->kinds[k]);
+                    all = all && kind_all;
                 }
 
                 query.want = Want::DetectsAll;
                 EXPECT_EQ(eng.run(query).all, all) << where;
                 EXPECT_EQ(eng.covers_all(named.test, list.kinds, opts), all)
-                    << where;
-                // First kind in the caller's order that owns a miss.
-                std::optional<FaultKind> first;
-                for (const FaultKind kind : list.kinds)
-                    if (std::find(missed.begin(), missed.end(), kind) !=
-                        missed.end()) {
-                        first = kind;
-                        break;
-                    }
-                EXPECT_EQ(eng.first_uncovered(named.test, list.kinds, opts),
-                          first)
                     << where;
             }
         }

@@ -202,7 +202,7 @@ TEST(SparseTraceDifferential, MatchesScalarOracleOnIntraWordPairs) {
 }
 
 /// Worker-count determinism: the full trace battery agrees between a
-/// one-lane pool and pools of 2 and 4 lanes, whichever lane steals which
+/// one-lane pool and pools of 2 and 4 lanes, whichever lane takes which
 /// chunk.
 TEST(SparseTraceDifferential, BitIdenticalAcrossWorkerCounts) {
     SplitMix64 rng(0xAFF1ULL);

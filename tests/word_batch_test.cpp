@@ -234,6 +234,42 @@ TEST(WordBatchRunner, PopulationsLargerThanOneChunk) {
         ASSERT_TRUE(batched[i]) << i;
 }
 
+TEST(WordBatchRunner, BackgroundsMustMatchTheWordWidth) {
+    // A background narrower (or wider) than the word is a precondition
+    // failure (word::valid_setup) wherever a query enters: the runner's
+    // construction and reset, an Engine word query on either backend, and
+    // the scalar oracle. A failed reset keeps the runner's previous query.
+    const WordRunOptions opts{.words = 4, .width = 8};
+    const auto& test = march::march_c_minus();
+    const auto narrow = counting_backgrounds(4);
+    const auto population = coverage_population(FaultKind::CfidUp0, opts);
+    EXPECT_FALSE(valid_setup(narrow, opts));
+    EXPECT_FALSE(valid_setup({}, opts));
+    EXPECT_TRUE(valid_setup(counting_backgrounds(8), opts));
+    EXPECT_THROW(WordBatchRunner(test, narrow, opts), ContractViolation);
+
+    WordBatchRunner runner(test, counting_backgrounds(8), opts);
+    const std::vector<bool> before = runner.detects(population);
+    EXPECT_THROW(runner.reset(march::mats(), narrow, opts, nullptr, 0),
+                 ContractViolation);
+    EXPECT_EQ(runner.test().str(), test.str());
+    EXPECT_EQ(runner.detects(population), before);
+
+    for (const engine::BackendKind backend :
+         {engine::BackendKind::Packed, engine::BackendKind::Scalar}) {
+        const engine::Engine eng(engine::EngineConfig{.backend = backend});
+        EXPECT_THROW((void)eng.detects(test, narrow, population, opts),
+                     ContractViolation);
+        EXPECT_THROW((void)eng.traces(test, narrow, population, opts),
+                     ContractViolation);
+        EXPECT_THROW((void)eng.covers_everywhere(test, narrow,
+                                                 FaultKind::CfidUp0, opts),
+                     ContractViolation);
+    }
+    EXPECT_THROW((void)detects(test, narrow, population[0], opts),
+                 ContractViolation);
+}
+
 TEST(WordBatchRunner, CoversEverywhereMatchesScalarSweep) {
     // The batched covers_everywhere must agree with a scalar per-placement
     // sweep — both on fully-covered lists and on the known escape regimes
